@@ -4,22 +4,29 @@ S(alpha; M, N) = sum over n = N+1 .. N+M of (-1)^n f(n) |sin(n pi alpha)|.
 
 The direct path reduces n*alpha modulo 1 with an error-free product of n
 against a three-double split of a certified enclosure midpoint, so the
-reduced argument never accumulates O(M) rounding drift.  The periodic path
-exploits a rational alpha = a/q by computing the q sine weights once.
-Every result carries an explicit worst-case rounding bound.  The module
-also hosts the small numeric kernel used by the analysis: the Fourier
-expansion of |sin|, geometric sums, oscillatory integrals and their
-constant, and two direct bound checks.
+reduced argument never accumulates O(M) rounding drift.  Windows ending
+past 2^53 are refused, since n is then no longer exact in float64.  Terms
+are summed pairwise in chunks of 2^14 on a fixed grid and the chunk sums are
+added exactly, so the value does not depend on the worker count.  Each
+worker thread evaluates its contiguous block of chunks two at a time in its
+own six reused work rows (1.5 MiB), so the kernel runs in cache and
+allocates nothing per chunk.  The periodic path exploits a rational
+alpha = a/q by computing the q sine weights once.  Every result carries an
+explicit worst-case rounding bound.  The module also hosts the small
+numeric kernel used by the analysis: the Fourier expansion of |sin|,
+geometric sums, oscillatory integrals and their constant, and two direct
+bound checks.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -49,8 +56,19 @@ __all__ = [
 
 DEFAULT_MAX_TERMS = 10 ** 9
 _EPS = 2.0 ** -52
-_CHUNK = 1 << 20
+# Terms per summation chunk: each chunk is summed pairwise on its own and
+# its error enters the bound through log2 of its length.
+_CHUNK = 1 << 14
+# Terms evaluated per batch of consecutive chunks (elementwise, so batching
+# never changes a term): six float64 work rows of 2^15 entries (1.5 MiB) stay
+# in a 2 MiB L2 cache, and each ufunc call does enough work that two worker
+# threads rarely wait on each other for the interpreter lock.
+_BATCH = 2 * _CHUNK
+_INT_INDEX = np.arange(_BATCH, dtype=np.int64)
+_INDEX = _INT_INDEX.astype(np.float64)
+_BUFFERS = threading.local()
 _SPLIT = 2.0 ** 27 + 1.0  # Dekker splitter for exact double products
+_MAX_INDEX = 2 ** 53  # largest window end whose indices are exact in float64
 
 # Allowance multiplier for the O(q f(N)) remainder of the drift law;
 # calibrated against direct summation on the acceptance grid.
@@ -105,6 +123,11 @@ def _require_range(N: int, M: int, max_terms: int) -> None:
         raise TermLimitError(
             f"N + M = {N + M} exceeds the configured term limit {max_terms}"
         )
+    if N + M > _MAX_INDEX:
+        raise TermLimitError(
+            f"N + M = {N + M} exceeds 2^53 = {_MAX_INDEX}: past it the index n "
+            "is not exact in float64 and the reduction of n*alpha is not error-free"
+        )
 
 
 def _split3(x: Fraction) -> Tuple[float, float, float]:
@@ -122,59 +145,147 @@ def _f_values(f: FDescriptor, ns: np.ndarray) -> np.ndarray:
     return np.array([f.eval(float(t)) for t in ns], dtype=np.float64)
 
 
+def _work_buffers(k: int) -> np.ndarray:
+    """The calling thread's six float64 work rows, cut to length k.
+
+    Allocated once per thread and reused by every batch it evaluates, so a
+    batch allocates nothing of its own size."""
+    block = getattr(_BUFFERS, "block", None)
+    if block is None:
+        block = _BUFFERS.block = np.empty((6, _BATCH), dtype=np.float64)
+    return block[:, :k]
+
+
+def _weights_into(f: FDescriptor, nf: np.ndarray, out: np.ndarray) -> np.ndarray:
+    if f.power_exponent is not None:
+        return np.power(nf, -float(f.power_exponent), out=out)
+    out[...] = _f_values(f, nf)
+    return out
+
+
+def _apply_signs(terms: np.ndarray, lo: int) -> np.ndarray:
+    """Multiply by (-1)^n for n = lo, lo+1, ...: negate the odd-n positions."""
+    odd = terms[(lo + 1) & 1 :: 2]
+    np.negative(odd, out=odd)
+    return terms
+
+
 def _make_term_fn(
     source: RealSource, f: FDescriptor, N: int, M: int
-) -> Tuple[Callable[[int, int], Tuple[np.ndarray, float]], float]:
-    """Build chunk evaluator for terms with n in [lo, hi); returns it plus
-    the per-term absolute error coefficient (multiplies f(n) in the bound)."""
+) -> Tuple[Callable[[int, int], Tuple[np.ndarray, np.ndarray]], float]:
+    """Build the evaluator of the terms with n in [lo, hi), hi - lo <= _BATCH;
+    returns it plus the per-term absolute error coefficient (multiplies f(n)
+    in the bound).  The evaluator returns the terms and the f(n) values as
+    views of the calling thread's work rows, valid until that thread's next
+    call."""
     if source.kind is Kind.RATIONAL:
         a, q = source.a, source.q
         table = np.abs(np.sin(np.pi * (np.arange(q) * a % q) / q))
 
-        def chunk_rational(lo: int, hi: int) -> Tuple[np.ndarray, float]:
-            ns = np.arange(lo, hi, dtype=np.int64)
-            w = table[ns % q]
-            nf = ns.astype(np.float64)
-            fv = _f_values(f, nf)
-            signs = 1.0 - 2.0 * (ns & 1)
-            terms = signs * fv * w
-            return terms, float(np.sum(fv))
+        def batch_rational(lo: int, hi: int) -> Tuple[np.ndarray, np.ndarray]:
+            k = hi - lo
+            nf, res, w, fv = _work_buffers(k)[:4]
+            np.add(_INDEX[:k], float(lo), out=nf)
+            res = res.view(np.int64)
+            np.add(_INT_INDEX[:k], lo % q, out=res)
+            np.remainder(res, q, out=res)
+            np.take(table, res, out=w, mode="clip")
+            _weights_into(f, nf, fv)
+            np.multiply(fv, w, out=w)
+            return _apply_signs(w, lo), fv
 
-        return chunk_rational, 2.0e-15
+        return batch_rational, 2.0e-15
 
     bits = (N + M).bit_length() + 64
     interval = source.approximate(bits)
     a1, a2, a3 = _split3(interval.midpoint)
+    c = _SPLIT * a1
+    ahi = c - (c - a1)
+    alo = a1 - ahi
     arg_err = float((N + M) * interval.width / 2) + 6.0e-16
     coeff = math.pi * arg_err + 1.2e-15
 
-    def chunk_direct(lo: int, hi: int) -> Tuple[np.ndarray, float]:
-        ns = np.arange(lo, hi, dtype=np.int64)
-        nf = ns.astype(np.float64)
-        # exact product nf * a1 via Dekker splitting
-        p1 = nf * a1
-        c = _SPLIT * nf
-        nhi = c - (c - nf)
-        nlo = nf - nhi
-        c = _SPLIT * a1
-        ahi = c - (c - a1)
-        alo = a1 - ahi
-        err = ((nhi * ahi - p1) + nhi * alo + nlo * ahi) + nlo * alo
-        x = p1 - np.floor(p1)
-        x += err + nf * a2 + nf * a3
-        x -= np.floor(x)
-        w = np.abs(np.sin(np.pi * x))
-        fv = _f_values(f, nf)
-        signs = 1.0 - 2.0 * (ns & 1)
-        terms = signs * fv * w
-        return terms, float(np.sum(fv))
+    def batch_direct(lo: int, hi: int) -> Tuple[np.ndarray, np.ndarray]:
+        k = hi - lo
+        nf, x, nhi, nlo, err, tmp = _work_buffers(k)
+        np.add(_INDEX[:k], float(lo), out=nf)
+        # exact product nf * a1 = x + err via Dekker splitting
+        np.multiply(nf, a1, out=x)
+        np.multiply(nf, _SPLIT, out=tmp)
+        np.subtract(tmp, nf, out=nhi)
+        np.subtract(tmp, nhi, out=nhi)
+        np.subtract(nf, nhi, out=nlo)
+        np.multiply(nhi, ahi, out=err)
+        err -= x
+        for u, v in ((nhi, alo), (nlo, ahi), (nlo, alo), (nf, a2), (nf, a3)):
+            np.multiply(u, v, out=tmp)
+            err += tmp
+        # x = frac(frac(nf * a1) + err + nf * a2 + nf * a3)
+        np.floor(x, out=tmp)
+        x -= tmp
+        x += err
+        np.floor(x, out=tmp)
+        x -= tmp
+        x *= np.pi
+        np.sin(x, out=x)
+        np.abs(x, out=x)
+        fv = _weights_into(f, nf, nhi)
+        np.multiply(fv, x, out=x)
+        return _apply_signs(x, lo), fv
 
-    return chunk_direct, coeff
+    return batch_direct, coeff
 
 
 def _chunk_bound(absf: float, length: int, coeff: float) -> float:
     pairwise = _EPS * (math.log2(max(length, 2)) + 3.0)
     return absf * (coeff + pairwise)
+
+
+def _chunk_ranges(N: int, M: int, cuts: Sequence[int] = ()) -> List[Tuple[int, int]]:
+    """Half-open index ranges covering n = N+1 .. N+M.
+
+    Boundaries sit on the grid N + 1 + j*_CHUNK, whatever the worker count,
+    plus an extra boundary after each term count m in `cuts`."""
+    stops = set(range(N + 1 + _CHUNK, N + M + 1, _CHUNK))
+    stops.update(N + 1 + m for m in cuts)
+    stops.add(N + M + 1)
+    bounds = [N + 1] + sorted(stops)
+    return list(zip(bounds, bounds[1:]))
+
+
+def _eval_chunks(
+    term_fn: Callable[[int, int], Tuple[np.ndarray, np.ndarray]],
+    ranges: Sequence[Tuple[int, int]],
+) -> Iterator[Tuple[int, int, np.ndarray, float]]:
+    """Yield (lo, hi, terms, sum of f(n)) for each consecutive range in turn,
+    evaluating as many ranges per term_fn call as fit in _BATCH terms."""
+    i = 0
+    while i < len(ranges):
+        start = ranges[i][0]
+        j = i + 1
+        while j < len(ranges) and ranges[j][1] - start <= _BATCH:
+            j += 1
+        terms, fv = term_fn(start, ranges[j - 1][1])
+        for lo, hi in ranges[i:j]:
+            part = slice(lo - start, hi - start)
+            yield lo, hi, terms[part], float(np.sum(fv[part]))
+        i = j
+
+
+def _fsum_add(partials: List[float], x: float) -> None:
+    """Add x to an exact running sum kept as Shewchuk's non-overlapping
+    partials, so math.fsum(partials) is the correctly rounded total."""
+    i = 0
+    for y in partials:
+        if abs(x) < abs(y):
+            x, y = y, x
+        hi = x + y
+        lo = y - (hi - x)
+        if lo:
+            partials[i] = lo
+            i += 1
+        x = hi
+    partials[i:] = [x]
 
 
 def partial_sum_direct(
@@ -190,32 +301,34 @@ def partial_sum_direct(
     """Sum the M terms after index N straight from an enclosure of alpha.
 
     The result is deterministic for fixed inputs regardless of `workers`:
-    chunks are always combined in index order with exact accumulation of
-    the chunk sums.  `reverse` sums the same terms backwards and exists to
-    probe the rounding bound (the two orders must agree within it).
+    chunk boundaries do not depend on it, each worker takes a contiguous
+    block of chunks, and the chunk sums are always combined in index order
+    with exact accumulation.  `reverse` sums the same terms backwards and
+    exists to probe the rounding bound (the two orders must agree within it).
     """
     _require_range(N, M, max_terms)
     term_fn, coeff = _make_term_fn(source, f, N, M)
-    ranges = [
-        (lo, min(lo + _CHUNK, N + M + 1))
-        for lo in range(N + 1, N + M + 1, _CHUNK)
-    ]
+    ranges = _chunk_ranges(N, M)
 
-    def eval_range(r: Tuple[int, int]) -> Tuple[float, float, float]:
-        terms, absf = term_fn(*r)
-        if reverse:
-            terms = terms[::-1]
-        return float(np.sum(terms)), absf, _chunk_bound(absf, r[1] - r[0], coeff)
+    def eval_block(block: Sequence[Tuple[int, int]]) -> List[Tuple[float, float]]:
+        parts = []
+        for lo, hi, terms, absf in _eval_chunks(term_fn, block):
+            total = float(np.sum(terms[::-1] if reverse else terms))
+            parts.append((total, _chunk_bound(absf, hi - lo, coeff)))
+        return parts
 
-    if workers > 1 and len(ranges) > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            parts = list(pool.map(eval_range, ranges))
+    nblocks = max(1, min(workers, len(ranges)))
+    if nblocks > 1:
+        cut = [len(ranges) * i // nblocks for i in range(nblocks + 1)]
+        with ThreadPoolExecutor(max_workers=nblocks) as pool:
+            blocks = pool.map(eval_block, [ranges[a:b] for a, b in zip(cut, cut[1:])])
+            parts = [p for block in blocks for p in block]
     else:
-        parts = [eval_range(r) for r in ranges]
+        parts = eval_block(ranges)
     if reverse:
         parts = parts[::-1]
     value = math.fsum(p[0] for p in parts)
-    bound = math.fsum(p[2] for p in parts) + 2 * _EPS * abs(value)
+    bound = math.fsum(p[1] for p in parts) + 2 * _EPS * abs(value)
     return PartialSumResult(value=value, rounding_bound=bound, terms=M, mode="direct")
 
 
@@ -311,38 +424,27 @@ def scan_partial_sums(
         if cps and (cps[0] < 1 or cps[-1] > M):
             raise ValueError("checkpoints must lie in [1, M]")
     term_fn, coeff = _make_term_fn(source, f, N, M)
-    chunk_sums: List[float] = []
+    partials: List[float] = []  # exact running sum of the chunk sums
     rows: List[TraceRow] = []
     bound = 0.0
     max_abs = 0.0
     max_at: Optional[int] = None
-    cp_iter = iter(cps)
-    next_cp = next(cp_iter, None)
-    pos = N + 1
-    end = N + M
-    while pos <= end:
-        hi = min(pos + _CHUNK - 1, end)
-        if next_cp is not None:
-            hi = min(hi, N + next_cp)
-        terms, absf = term_fn(pos, hi + 1)
-        offset = math.fsum(chunk_sums)
+    cp_set = set(cps)
+    for lo, hi, terms, absf in _eval_chunks(term_fn, _chunk_ranges(N, M, cps)):
         if track_max:
-            running = np.cumsum(terms) + offset
+            running = np.cumsum(terms) + math.fsum(partials)
             i = int(np.argmax(np.abs(running)))
             cand = abs(float(running[i]))
             if cand > max_abs:
                 max_abs = cand
-                max_at = pos + i - N
-        chunk_sums.append(float(np.sum(terms)))
-        bound += _chunk_bound(absf, hi + 1 - pos, coeff)
-        if next_cp is not None and hi == N + next_cp:
-            value = math.fsum(chunk_sums)
-            rows.append(
-                TraceRow(m=next_cp, value=value, rounding_bound=bound + 2 * _EPS * abs(value))
-            )
-            next_cp = next(cp_iter, None)
-        pos = hi + 1
-    value = math.fsum(chunk_sums)
+                max_at = lo + i - N
+        _fsum_add(partials, float(np.sum(terms)))
+        bound += _chunk_bound(absf, hi - lo, coeff)
+        m = hi - 1 - N
+        if m in cp_set:
+            value = math.fsum(partials)
+            rows.append(TraceRow(m=m, value=value, rounding_bound=bound + 2 * _EPS * abs(value)))
+    value = math.fsum(partials)
     final = PartialSumResult(
         value=value,
         rounding_bound=bound + 2 * _EPS * abs(value),

@@ -357,6 +357,19 @@ def test_sum_periodic_needs_rational(tmp_path):
     assert "rational" in mani["error"]
 
 
+def test_sum_window_past_2_53_exits_2_with_manifest(tmp_path):
+    code, payload, mani = run(
+        [
+            "sum", "surd:(0+1*sqrt(2))/1", "--f", "pow:1",
+            "--N", str(2 ** 54), "--M", "8", "--max-terms", str(10 ** 20),
+        ],
+        tmp_path,
+        "s2p54",
+    )
+    assert code == 2 and payload is None
+    assert "2^53" in mani["error"]
+
+
 # -- drift ---------------------------------------------------------------------
 
 

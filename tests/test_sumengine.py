@@ -1,13 +1,19 @@
 """Partial-sum engine: accuracy against mpmath references, bound honesty."""
 
 import math
+import random
 from fractions import Fraction
 
 import mpmath
+import numpy as np
 import pytest
 
 import dseries as ds
+from dseries import sumengine
+from dseries.realsource import Kind
 from conftest import mp_partial_sum
+
+CHUNK = sumengine._CHUNK
 
 
 def test_alpha_half_first_four_terms_exact():
@@ -70,6 +76,112 @@ def test_reverse_summation_agrees_within_bounds():
     assert abs(fwd.value - rev.value) <= fwd.rounding_bound + rev.rounding_bound
 
 
+def test_workers_do_not_change_the_bits_across_many_chunks():
+    src = ds.make_constant("pi")
+    f = ds.make_power_f(Fraction(1, 2))
+    M = 8 * CHUNK + 123
+    runs = [ds.partial_sum_direct(src, f, 5, M, workers=w) for w in (1, 2, 4)]
+    assert len({r.value for r in runs}) == 1
+    assert len({r.rounding_bound for r in runs}) == 1
+
+
+def test_reverse_summation_agrees_within_bounds_across_many_chunks():
+    src = ds.make_constant("invpi")
+    f = ds.make_power_f(1)
+    M = 8 * CHUNK + 123
+    fwd = ds.partial_sum_direct(src, f, 5, M, workers=2)
+    rev = ds.partial_sum_direct(src, f, 5, M, workers=2, reverse=True)
+    assert abs(fwd.value - rev.value) <= fwd.rounding_bound + rev.rounding_bound
+
+
+def reference_terms(source, f, N, M, lo, hi):
+    """Terms for n in [lo, hi) as the original one-array-per-step kernel
+    computed them; the buffered kernel must reproduce every bit."""
+    ns = np.arange(lo, hi, dtype=np.int64)
+    nf = ns.astype(np.float64)
+    signs = 1.0 - 2.0 * (ns & 1)
+    fv = f.eval_vec(nf)
+    if source.kind is Kind.RATIONAL:
+        a, q = source.a, source.q
+        table = np.abs(np.sin(np.pi * (np.arange(q) * a % q) / q))
+        return signs * fv * table[ns % q]
+    mid = source.approximate((N + M).bit_length() + 64).midpoint
+    a1 = float(mid)
+    a2 = float(mid - Fraction(a1))
+    a3 = float(mid - Fraction(a1) - Fraction(a2))
+    split = 2.0 ** 27 + 1.0
+    p1 = nf * a1
+    c = split * nf
+    nhi = c - (c - nf)
+    nlo = nf - nhi
+    c = split * a1
+    ahi = c - (c - a1)
+    alo = a1 - ahi
+    err = ((nhi * ahi - p1) + nhi * alo + nlo * ahi) + nlo * alo
+    x = p1 - np.floor(p1)
+    x += err + nf * a2 + nf * a3
+    x -= np.floor(x)
+    w = np.abs(np.sin(np.pi * x))
+    return signs * fv * w
+
+
+KERNEL_WINDOWS = [
+    (ds.make_constant("pi"), 1, 0, 100000),
+    (ds.make_surd(0, 1, 2, 1), Fraction(1, 2), 10 ** 8 + 6, 3 * CHUNK + 777),
+    (ds.make_constant("e"), Fraction(1, 3), 2 ** 53 - 5001, 5001),
+    (ds.make_rational(12345, 700001), Fraction(1, 2), 54321, 3 * CHUNK + 11),
+    (ds.make_rational(3, 8), 1, 0, 1000),
+]
+
+
+@pytest.mark.parametrize("source, p, N, M", KERNEL_WINDOWS)
+def test_kernel_terms_match_reference_bit_for_bit(source, p, N, M):
+    f = ds.make_power_f(p)
+    term_fn, _ = sumengine._make_term_fn(source, f, N, M)
+    for lo in (N + 1, N + 2):
+        hi = min(lo + sumengine._BATCH, N + M + 1)
+        terms, fv = term_fn(lo, hi)
+        ref = reference_terms(source, f, N, M, lo, hi)
+        assert terms.tobytes() == ref.tobytes()
+        assert fv.tobytes() == f.eval_vec(np.arange(lo, hi, dtype=np.float64)).tobytes()
+
+
+@pytest.mark.parametrize("source, p, N, M", KERNEL_WINDOWS)
+def test_direct_sum_is_exact_sum_of_reference_chunk_sums(source, p, N, M):
+    # only the grouping into chunks can move the value: each chunk is one
+    # numpy pairwise sum and the chunk sums are added exactly
+    f = ds.make_power_f(p)
+    ref = reference_terms(source, f, N, M, N + 1, N + M + 1)
+    expected = math.fsum(float(np.sum(ref[j : j + CHUNK])) for j in range(0, M, CHUNK))
+    for workers in (1, 2):
+        r = ds.partial_sum_direct(source, f, N, M, workers=workers, max_terms=2 ** 53)
+        assert r.value == expected
+
+
+def test_window_past_2_53_is_refused():
+    for call in (
+        lambda: ds.partial_sum_direct(
+            ds.make_surd(0, 1, 2, 1), ds.make_power_f(1), 2 ** 54, 8, max_terms=10 ** 20
+        ),
+        lambda: ds.scan_partial_sums(
+            ds.make_constant("pi"), ds.make_power_f(1), 2 ** 53 - 1, 2, max_terms=10 ** 20
+        ),
+        lambda: ds.partial_sum_periodic(1, 3, ds.make_power_f(1), 2 ** 54, 8, max_terms=10 ** 20),
+    ):
+        with pytest.raises(ds.TermLimitError, match=r"2\^53"):
+            call()
+
+
+def test_window_ending_at_2_53_stays_within_bound():
+    N, M = 2 ** 53 - 8, 8
+    r = ds.partial_sum_direct(
+        ds.make_surd(0, 1, 2, 1), ds.make_power_f(1), N, M, max_terms=2 ** 53
+    )
+    with mpmath.workdps(60):
+        oracle = mp_partial_sum(mpmath.sqrt(2), 1.0, N, M)
+    assert abs(r.value - oracle) <= r.rounding_bound + math.ulp(oracle) / 2
+
+
 def test_term_cap_enforced():
     with pytest.raises(ds.TermLimitError):
         ds.partial_sum_direct(
@@ -94,6 +206,41 @@ def test_scan_rows_match_direct_sums():
         ref = ds.partial_sum_direct(src, f, 3, row.m)
         assert abs(row.value - ref.value) <= row.rounding_bound + ref.rounding_bound
     assert trace.final.terms == 4096
+
+
+def test_scan_checkpoints_equal_direct_sums_bit_for_bit():
+    # checkpoints on the chunk grid, then one inside a chunk: the scan splits
+    # the window exactly where partial_sum_direct(M=m) does
+    src = ds.make_constant("e")
+    f = ds.make_power_f(Fraction(1, 2))
+    N, M = 17, 8 * CHUNK + 5
+    cps = [CHUNK, 3 * CHUNK, 6 * CHUNK + 1234]
+    trace = ds.scan_partial_sums(src, f, N, M, cps)
+    assert [row.m for row in trace.rows] == cps
+    for row in trace.rows:
+        assert row.value == ds.partial_sum_direct(src, f, N, row.m).value
+    d = ds.partial_sum_direct(src, f, N, M)
+    assert abs(trace.final.value - d.value) <= trace.final.rounding_bound + d.rounding_bound
+
+
+def test_running_exact_sum_matches_fsum_of_every_prefix():
+    rng = random.Random(5)
+    xs = [rng.choice((-1, 1)) * rng.random() * 10.0 ** rng.randint(-20, 20) for _ in range(400)]
+    xs[100:100] = [1e100, 1.0, -1e100]
+    partials = []
+    for i, x in enumerate(xs, 1):
+        sumengine._fsum_add(partials, x)
+        assert math.fsum(partials) == math.fsum(xs[:i])
+
+
+def test_scan_track_max_across_many_chunks():
+    # alpha = 1/2: only odd n contribute, each pushing S further below zero,
+    # so |S(m)| is largest first at the last odd m
+    f = ds.make_power_f(1)
+    M = 8 * CHUNK + 10
+    trace = ds.scan_partial_sums(ds.make_rational(1, 2), f, 0, M, track_max=True)
+    assert trace.max_abs_at == M - 1
+    assert abs(trace.max_abs - abs(trace.final.value)) <= trace.final.rounding_bound
 
 
 def test_scan_track_max_matches_bruteforce():
