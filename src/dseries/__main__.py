@@ -1,0 +1,6 @@
+"""Run the command-line front end: python -m dseries SUBCOMMAND ..."""
+
+from .cli import main
+
+if __name__ == "__main__":
+    main()

@@ -11,7 +11,6 @@ which drives the convergence criterion.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import List, Optional, Sequence, Tuple
@@ -84,19 +83,24 @@ class Expansion:
     bits_used: int = 0
 
 
-def _common_pqs(lo: Fraction, hi: Fraction, limit: int) -> List[int]:
-    """Partial quotients shared by every point of [lo, hi]."""
+def _common_pqs(interval: DyadicInterval, limit: int) -> List[int]:
+    """Partial quotients shared by every point of the interval.
+
+    Runs Euclid's algorithm on both endpoints, lo = n_lo / d_lo and
+    hi = n_hi / d_hi, in step; the reciprocal of the remainder swaps which
+    endpoint is the lower one."""
+    n_lo, n_hi = interval.lo_m, interval.hi_m
+    d_lo = d_hi = 1 << interval.exp
     out: List[int] = []
     while len(out) < limit:
-        flo = math.floor(lo)
-        fhi = math.floor(hi)
-        if flo != fhi:
+        f, r_lo = divmod(n_lo, d_lo)
+        f_hi, r_hi = divmod(n_hi, d_hi)
+        if f != f_hi:
             break
-        out.append(flo)
-        a, b = lo - flo, hi - flo
-        if a == 0 or b == 0:
+        out.append(f)
+        if r_lo == 0 or r_hi == 0:
             break
-        lo, hi = 1 / b, 1 / a
+        n_lo, d_lo, n_hi, d_hi = d_hi, r_hi, d_lo, r_lo
     return out
 
 
@@ -166,19 +170,26 @@ def _build_irrational(
 ) -> Expansion:
     convs = _recurrence(pqs)
     start = _emit_start(pqs)
+    # q_k x - p_k at both endpoints, on the mantissas, by the recurrence
+    # that builds (p_k, q_k): from k = -2 (x) and k = -1 (-1).  The values
+    # shrink like 2^exp / q_{k+1}, so no step multiplies two long integers.
+    lo1 = hi1 = -(1 << interval.exp)
+    lo2, hi2 = interval.lo_m, interval.hi_m
     emitted: List[Convergent] = []
-    for n, idx in enumerate(range(start, len(convs)), start=1):
-        if n > count:
-            break
+    for idx in range(min(len(convs), start + count)):
+        a = pqs[idx]
+        lo1, lo2 = a * lo1 + lo2, lo1
+        hi1, hi2 = a * hi1 + hi2, hi1
+        if idx < start:
+            continue
         p_n, q_n = convs[idx]
-        dist = interval.scale_int(q_n).shift_int(p_n).abs()
         emitted.append(
             Convergent(
-                n=n,
+                n=idx - start + 1,
                 a=p_n,
                 q=q_n,
-                partial_quotient=pqs[idx],
-                dist=dist,
+                partial_quotient=a,
+                dist=DyadicInterval(lo1, hi1, interval.exp).abs(),
                 cf_index=idx,
             )
         )
@@ -190,6 +201,11 @@ def _build_irrational(
         cap_reason=cap_reason,
         bits_used=bits,
     )
+
+
+def _tight(interval: DyadicInterval, q_ref: int) -> bool:
+    """width * q_ref^2 * 2^25 <= 1."""
+    return (interval.hi_m - interval.lo_m) * (q_ref * q_ref << 25) <= 1 << interval.exp
 
 
 def _certified_emit_count(
@@ -205,7 +221,7 @@ def _certified_emit_count(
     limit = min(count, max(len(pqs) - start - 1, 0))
     for m in range(limit, 0, -1):
         q_ref = rec[start + m][1]
-        if interval.width * (q_ref * q_ref << 25) <= 1:
+        if _tight(interval, q_ref):
             return m
     return 0
 
@@ -287,13 +303,13 @@ def expand(source: RealSource, count: int, *, max_bits: Optional[int] = None) ->
                 raise
             pqs, interval, used = last_good
             return _capped_expansion(pqs, interval, count, used, str(exc))
-        pqs = _common_pqs(interval.lo, interval.hi, limit=count + 4)
+        pqs = _common_pqs(interval, limit=count + 4)
         last_good = (pqs, interval, bits)
         start = _emit_start(pqs)
         have = len(pqs) - start
         if have >= count + 1:
             q_ref = _recurrence(pqs)[start + count][1]
-            if interval.width * (q_ref * q_ref << 25) <= 1:
+            if _tight(interval, q_ref):
                 return _build_irrational(
                     pqs, interval, count, bits, capped=False, cap_reason=None
                 )
@@ -342,10 +358,8 @@ def brute_force_best(source: RealSource, q_max: int, *, bits: int = 256) -> List
         return _rational_records(source, q_max)
 
     interval = source.approximate(bits)
-    shift = bits + 32
+    lo_i, hi_i, shift = interval.lo_m, interval.hi_m, interval.exp
     scale = 1 << shift
-    lo_i = int(interval.lo * scale)
-    hi_i = int(math.ceil(interval.hi * scale))
     half = scale >> 1
     out: List[RecordPoint] = []
     best_lo: Optional[int] = None
@@ -390,7 +404,7 @@ def brute_force_best(source: RealSource, q_max: int, *, bits: int = 256) -> List
             RecordPoint(
                 q=q,
                 a=nearest,
-                dist=DyadicInterval(Fraction(d_lo, scale), Fraction(d_hi, scale)),
+                dist=DyadicInterval(d_lo, d_hi, shift),
             )
         )
     return out

@@ -241,10 +241,14 @@ def _json_float(x: float):
 
 
 def _outward_floats(iv) -> Tuple[float, float]:
-    lo, hi = float(iv.lo), float(iv.hi)
-    if Fraction(lo) > iv.lo:
+    """Tightest doubles lo <= iv.lo and hi >= iv.hi."""
+    scale = 1 << iv.exp
+    lo, hi = iv.lo_m / scale, iv.hi_m / scale  # int / int rounds correctly
+    n, d = lo.as_integer_ratio()
+    if n * scale > iv.lo_m * d:
         lo = math.nextafter(lo, -math.inf)
-    if Fraction(hi) < iv.hi:
+    n, d = hi.as_integer_ratio()
+    if n * scale < iv.hi_m * d:
         hi = math.nextafter(hi, math.inf)
     return lo, hi
 

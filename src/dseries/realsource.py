@@ -75,71 +75,62 @@ class Schedule(Enum):
     TOWER100 = "tower100"
 
 
-def _is_pow2(n: int) -> bool:
-    return n > 0 and (n & (n - 1)) == 0
-
-
 @dataclass(frozen=True)
 class DyadicInterval:
-    """Closed interval [lo, hi] with dyadic-rational endpoints."""
+    """Closed interval [lo_m, hi_m] * 2^-exp with integer mantissas.
 
-    lo: Fraction
-    hi: Fraction
+    The endpoints are also readable as exact Fractions (lo, hi, width,
+    midpoint); the integers are what the arithmetic works on.
+    """
+
+    lo_m: int
+    hi_m: int
+    exp: int
 
     def __post_init__(self) -> None:
-        if not isinstance(self.lo, Fraction) or not isinstance(self.hi, Fraction):
-            raise TypeError("endpoints must be Fractions")
-        if self.lo > self.hi:
+        if type(self.lo_m) is not int or type(self.hi_m) is not int or type(self.exp) is not int:
+            raise TypeError("mantissas and exponent must be ints")
+        if self.lo_m > self.hi_m:
             raise ValueError("interval endpoints out of order")
-        if not _is_pow2(self.lo.denominator) or not _is_pow2(self.hi.denominator):
-            raise ValueError("endpoints must be dyadic rationals")
+        if self.exp < 0:
+            raise ValueError("exponent must be >= 0")
+
+    @property
+    def lo(self) -> Fraction:
+        return Fraction(self.lo_m, 1 << self.exp)
+
+    @property
+    def hi(self) -> Fraction:
+        return Fraction(self.hi_m, 1 << self.exp)
 
     @property
     def width(self) -> Fraction:
-        return self.hi - self.lo
+        return Fraction(self.hi_m - self.lo_m, 1 << self.exp)
 
     @property
     def midpoint(self) -> Fraction:
-        return (self.lo + self.hi) / 2
+        return Fraction(self.lo_m + self.hi_m, 1 << (self.exp + 1))
 
     def __contains__(self, x) -> bool:
-        x = Fraction(x)
-        return self.lo <= x <= self.hi
-
-    def is_subset_of(self, other: "DyadicInterval") -> bool:
-        return other.lo <= self.lo and self.hi <= other.hi
-
-    def intersect(self, other: "DyadicInterval") -> "DyadicInterval":
-        lo = max(self.lo, other.lo)
-        hi = min(self.hi, other.hi)
-        if lo > hi:
-            raise ValueError("empty intersection of enclosures")
-        return DyadicInterval(lo, hi)
-
-    def scale_int(self, k: int) -> "DyadicInterval":
-        """Interval image under x -> k*x for a positive integer k."""
-        if k <= 0:
-            raise ValueError("scale factor must be positive")
-        return DyadicInterval(self.lo * k, self.hi * k)
-
-    def shift_int(self, m: int) -> "DyadicInterval":
-        return DyadicInterval(self.lo - m, self.hi - m)
+        return self.lo <= Fraction(x) <= self.hi
 
     def abs(self) -> "DyadicInterval":
-        if self.lo >= 0:
+        """Interval image under x -> |x|."""
+        if self.lo_m >= 0:
             return self
-        if self.hi <= 0:
-            return DyadicInterval(-self.hi, -self.lo)
-        return DyadicInterval(Fraction(0), max(-self.lo, self.hi))
+        if self.hi_m <= 0:
+            return DyadicInterval(-self.hi_m, -self.lo_m, self.exp)
+        return DyadicInterval(0, max(-self.lo_m, self.hi_m), self.exp)
 
     @staticmethod
     def enclosing(lo: Fraction, hi: Fraction, grid_bits: int) -> "DyadicInterval":
         """Smallest interval with endpoints on the 2^-grid_bits grid
         containing [lo, hi].  Rounds outward."""
-        scale = 1 << grid_bits
-        glo = Fraction(math.floor(lo * scale), scale)
-        ghi = Fraction(math.ceil(hi * scale), scale)
-        return DyadicInterval(glo, ghi)
+        return DyadicInterval(
+            (lo.numerator << grid_bits) // lo.denominator,
+            -((-hi.numerator << grid_bits) // hi.denominator),
+            grid_bits,
+        )
 
 
 @dataclass(frozen=True)
@@ -253,37 +244,43 @@ class RealSource:
             raise PrecisionLimitError(
                 f"requested {bits} bits exceeds the configured cap of {self.max_bits}"
             )
+        grid = bits + _GRID_GUARD
         level = _LADDER_BASE
-        while level < bits + _GRID_GUARD:
+        while level < grid:
             level *= 2
         lo, hi = self._nested_raw(level)
-        out = DyadicInterval.enclosing(lo, hi, bits + _GRID_GUARD)
-        assert out.width <= Fraction(1, 1 << bits)
+        # floor(floor(x) / 2^k) = floor(x / 2^k), so shifting the level's
+        # floor/ceil pair down gives the outward rounding of the exact
+        # enclosure on the coarser grid.
+        out = DyadicInterval(lo >> (level - grid), -(-hi >> (level - grid)), grid)
+        assert out.hi_m - out.lo_m <= 1 << _GRID_GUARD
         return out
 
-    def _nested_raw(self, level: int) -> Tuple[Fraction, Fraction]:
+    def _nested_raw(self, level: int) -> Tuple[int, int]:
         with self._lock:
             return self._nested_raw_locked(level)
 
-    def _nested_raw_locked(self, level: int) -> Tuple[Fraction, Fraction]:
+    def _nested_raw_locked(self, level: int) -> Tuple[int, int]:
         cached = self._cache.get(level)
         if cached is not None:
             return cached
         lo, hi = self._raw(level)
         if level > _LADDER_BASE:
+            # Every source's exact bounds tighten as the level grows, so this
+            # keeps the level's own pair; it makes nesting hold by construction.
             plo, phi = self._nested_raw_locked(level // 2)
-            lo, hi = max(lo, plo), min(hi, phi)
+            shift = level - level // 2
+            lo, hi = max(lo, plo << shift), min(hi, phi << shift)
             if lo > hi:
                 raise AssertionError("enclosure ladder intersection is empty")
         self._cache[level] = (lo, hi)
         return lo, hi
 
-    def _raw(self, level: int) -> Tuple[Fraction, Fraction]:
-        """Certified enclosure with width <= 2^-level, exact Fraction
-        endpoints (not necessarily dyadic)."""
+    def _raw(self, level: int) -> Tuple[int, int]:
+        """Certified enclosure [lo, hi] * 2^-level: the floor and the ceiling
+        at scale 2^level of exact endpoints at most 2^-level apart."""
         if self.kind is Kind.RATIONAL:
-            v = Fraction(self.a, self.q)
-            return v, v
+            return (self.a << level) // self.q, _ceil_div(self.a << level, self.q)
         if self.kind is Kind.QUADRATIC_SURD:
             return self._raw_surd(level)
         if self.kind is Kind.NAMED_CONSTANT:
@@ -294,71 +291,73 @@ class RealSource:
             return self._raw_stream(level)
         raise AssertionError(f"unhandled kind {self.kind}")
 
-    def _raw_surd(self, level: int) -> Tuple[Fraction, Fraction]:
+    def _raw_surd(self, level: int) -> Tuple[int, int]:
+        # sqrt(d) lies in [m, m + 1] * 2^-t; s > 0 after normalization.
         t = level + abs(self.r).bit_length() + 2
         m = math.isqrt(self.d << (2 * t))
-        root_lo = Fraction(m, 1 << t)
-        root_hi = Fraction(m + 1, 1 << t)
-        if self.r > 0:
-            lo = (self.p + self.r * root_lo) / self.s
-            hi = (self.p + self.r * root_hi) / self.s
-        else:
-            lo = (self.p + self.r * root_hi) / self.s
-            hi = (self.p + self.r * root_lo) / self.s
-        return lo, hi
+        lo_root, hi_root = (m, m + 1) if self.r > 0 else (m + 1, m)
+        den = self.s << (t - level)
+        return (
+            ((self.p << t) + self.r * lo_root) // den,
+            _ceil_div((self.p << t) + self.r * hi_root, den),
+        )
 
-    def _raw_constant(self, level: int) -> Tuple[Fraction, Fraction]:
+    def _raw_constant(self, level: int) -> Tuple[int, int]:
         if self.const is Constant.E:
             return _e_series(level)
-        prec = level + 8
-        lo, hi = _pi_bounds(prec)
-        while hi - lo > Fraction(1, 1 << level):
-            prec *= 2
-            lo, hi = _pi_bounds(prec)
+        lo, hi, exp = _pi_mantissas(level)
         if self.const is Constant.PI:
-            return lo, hi
+            return lo >> (exp - level), _ceil_div(hi, 1 << (exp - level))
         # 1/pi: exact reciprocal of a positive interval swaps the endpoints.
-        return 1 / hi, 1 / lo
+        return (1 << (exp + level)) // hi, _ceil_div(1 << (exp + level), lo)
 
-    def _raw_liouville(self, level: int) -> Tuple[Fraction, Fraction]:
+    def _raw_liouville(self, level: int) -> Tuple[int, int]:
         spec = self.liouville
         assert spec is not None
         # Decimal places needed so the materialized tail bound fits 2^-level.
         dec = int(math.ceil((level + 2) * _LOG10_2)) + 3
-        total = Fraction(spec.base_num, spec.base_den)
+        # Materialized truncation num / den with den = base_den * 10^e_last.
+        num, den = spec.base_num, spec.base_den
         k = spec.start
-        last_included = spec.start - 1
+        last_e = 0
         while True:
             e = spec.exponent(k, dec)
             if e is None:
                 break
-            total += Fraction(spec.digit(k), 10 ** e)
-            last_included = k
+            step = 10 ** (e - last_e)
+            num = num * step + spec.digit(k) * spec.base_den
+            den *= step
+            last_e = e
             k += 1
         # Tail bound: digits <= 3 and exponents strictly increase, so
         # sum_{k > K} d_k 10^-e_k < (10/3) * 10^-e_{K+1} <= (10/3) * 10^-(dec+1).
-        e_next = spec.exponent(last_included + 1, 8 * dec)
+        e_next = spec.exponent(k, 8 * dec)
         if e_next is not None:
-            bound = Fraction(10, 3) / 10 ** e_next
+            bound_num, bound_den = 10, 3 * 10 ** e_next
         else:
-            bound = Fraction(1, 10 ** (dec + 1))
-        return total, total + bound
+            bound_num, bound_den = 1, 10 ** (dec + 1)
+        lo, rem = divmod(num << level, den)
+        # The tail is below 2^-(level+2), so the ceiling of (truncation + tail)
+        # is ceil(truncation) or one more: one more exactly when the tail
+        # exceeds the gap (ceil(truncation) - truncation) = gap / den.
+        gap = den - rem if rem else 0
+        hi = lo + (rem > 0)
+        if (bound_num * den) << level > bound_den * gap:
+            hi += 1
+        return lo, hi
 
-    def _raw_stream(self, level: int) -> Tuple[Fraction, Fraction]:
+    def _raw_stream(self, level: int) -> Tuple[int, int]:
         # The set of reals whose expansion starts with the prefix is the
         # closed interval between the last convergent and its mediant with
-        # the one before.
-        pk, pk1 = _prefix_convergents(self.pqs)
-        lo = Fraction(pk[0], pk[1])
-        hi = Fraction(pk[0] + pk1[0], pk[1] + pk1[1])
-        if lo > hi:
-            lo, hi = hi, lo
-        if hi - lo > Fraction(1, 1 << level):
+        # the one before; its width is 1 / (q_k (q_k + q_{k-1})).
+        (pk, qk), (pk1, qk1) = _prefix_convergents(self.pqs)
+        if qk * (qk + qk1) < 1 << level:
             raise PrecisionLimitError(
                 "partial-quotient prefix exhausted: cannot certify "
                 f"{level} bits from {len(self.pqs)} quotients"
             )
-        return lo, hi
+        ends = ((pk << level, qk), ((pk + pk1) << level, qk + qk1))
+        return min(n // d for n, d in ends), max(_ceil_div(n, d) for n, d in ends)
 
     # -- conveniences --------------------------------------------------------
 
@@ -381,31 +380,37 @@ def _prefix_convergents(pqs: Tuple[int, ...]) -> Tuple[Tuple[int, int], Tuple[in
     return (pm1, qm1), (pm2, qm2)
 
 
-def _pi_bounds(prec: int) -> Tuple[Fraction, Fraction]:
+def _ceil_div(n: int, d: int) -> int:
+    return -(-n // d)
+
+
+def _pi_mantissas(level: int) -> Tuple[int, int, int]:
+    """(lo, hi, exp) with pi in [lo, hi] * 2^-exp, width <= 2^-level and
+    exp >= level, from mpmath's directed roundings."""
     from mpmath.libmp import mpf_pi
 
-    return _mpf_to_frac(mpf_pi(prec, "d")), _mpf_to_frac(mpf_pi(prec, "u"))
+    prec = level + 8
+    while True:
+        _, m_lo, e_lo, _ = mpf_pi(prec, "d")
+        _, m_hi, e_hi, _ = mpf_pi(prec, "u")
+        exp = max(-e_lo, -e_hi, level)
+        lo, hi = int(m_lo) << (exp + e_lo), int(m_hi) << (exp + e_hi)
+        if (hi - lo) << level <= 1 << exp:
+            return lo, hi, exp
+        prec *= 2
 
 
-def _mpf_to_frac(t) -> Fraction:
-    sign, man, exp, _ = t
-    v = Fraction(int(man)) * Fraction(2) ** exp
-    return -v if sign else v
-
-
-def _e_series(level: int) -> Tuple[Fraction, Fraction]:
-    # sum_{k <= K} 1/k! with tail < (K+2) / ((K+1) (K+1)!).
-    target = Fraction(1, 1 << (level + 2))
-    total = Fraction(2)
-    fact = 1
-    k = 1
+def _e_series(level: int) -> Tuple[int, int]:
+    # sum_{j <= k} 1/j! = P_k / k! with P_k = k P_{k-1} + 1, and the tail
+    # after term k is below (k+2) / ((k+1)^2 k!).
+    p, fact, k = 2, 1, 1
     while True:
         k += 1
         fact *= k
-        total += Fraction(1, fact)
-        tail = Fraction(k + 2, (k + 1) * fact * (k + 1))
-        if tail <= target:
-            return total, total + tail
+        p = k * p + 1
+        tail_den = (k + 1) * (k + 1) * fact
+        if (k + 2) << (level + 2) <= tail_den:
+            return (p << level) // fact, _ceil_div((p * (k + 1) * (k + 1) + k + 2) << level, tail_den)
 
 
 def make_rational(a: int, q: int, *, max_bits: int = DEFAULT_MAX_BITS) -> RealSource:

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import dseries as ds
+from dseries import cfrac
 from conftest import cf_convergents, euclid_cf, record_points_fraction
 
 
@@ -172,3 +173,55 @@ def test_convergent_enclosures_certify_order(pi_oracle):
     exp = ds.expand(ds.make_constant("pi"), 15)
     for cur, nxt in zip(exp.convergents, exp.convergents[1:]):
         assert nxt.dist.hi < cur.dist.lo
+
+
+# -- integer expansion against the 0.1.0 Fraction code -----------------------------
+
+
+def _ref_common_pqs(lo: Fraction, hi: Fraction, limit: int):
+    """0.1.0 _common_pqs: Euclid on the Fraction endpoints."""
+    out = []
+    while len(out) < limit:
+        flo, fhi = math.floor(lo), math.floor(hi)
+        if flo != fhi:
+            break
+        out.append(flo)
+        a, b = lo - flo, hi - flo
+        if a == 0 or b == 0:
+            break
+        lo, hi = 1 / b, 1 / a
+    return out
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    lo_m=st.integers(-(2 ** 300), 2 ** 300),
+    width=st.one_of(st.just(0), st.integers(0, 2 ** 40), st.integers(0, 2 ** 300)),
+    exp=st.integers(0, 320),
+    limit=st.integers(1, 400),
+)
+def test_common_pqs_match_fraction_euclid(lo_m, width, exp, limit):
+    iv = ds.DyadicInterval(lo_m, lo_m + width, exp)
+    assert cfrac._common_pqs(iv, limit) == _ref_common_pqs(iv.lo, iv.hi, limit)
+
+
+@pytest.mark.parametrize(
+    "source",
+    [
+        ds.make_constant("pi"),
+        ds.make_constant("e"),
+        ds.make_surd(-9, -5, 96, 4),
+        ds.make_liouville(ds.LiouvilleSpec(base_num=-2, base_den=3)),
+    ],
+)
+def test_distances_match_fraction_image_of_the_enclosure(source):
+    # |q x - p| over the enclosure, as 0.1.0 computed it with Fractions
+    exp = ds.expand(source, 120)
+    iv = source.approximate(exp.bits_used)
+    for c in exp.convergents:
+        lo, hi = c.q * iv.lo - c.a, c.q * iv.hi - c.a
+        if lo < 0 < hi:
+            expect = (Fraction(0), max(-lo, hi))
+        else:
+            expect = tuple(sorted((abs(lo), abs(hi))))
+        assert (c.dist.lo, c.dist.hi) == expect

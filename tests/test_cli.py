@@ -3,6 +3,9 @@ exit codes, and the JSON/CSV payload shapes of every subcommand."""
 
 import json
 import math
+import os
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
@@ -10,6 +13,7 @@ import pytest
 import dseries as ds
 from dseries.cli import (
     Config,
+    _outward_floats,
     console_main,
     format_alpha,
     parse_alpha,
@@ -491,3 +495,43 @@ def test_payload_goes_to_stdout_without_json_flag(tmp_path, capsys):
     assert code == 0
     payload = json.loads(capsys.readouterr().out)
     assert payload["schema"] == 1 and payload["exact"]
+
+
+@pytest.mark.parametrize(
+    "lo_m, hi_m, exp",
+    [
+        (3, 5, 2),  # both endpoints are exact doubles
+        (0, 1, 1100),  # lo_m = 0; hi rounds below the smallest subnormal
+        (0, 0, 0),
+        (12345, 67891, 1080),  # subnormal results
+        (2 ** 60 + 1, 2 ** 60 + 3, 1130),  # subnormal, not exact
+        (3 ** 700, 3 ** 700 + 1, 1200),  # huge mantissas
+        (-(3 ** 700) - 1, -(3 ** 700), 1100),
+        (2 ** 1100 - 1, 2 ** 1100 + 1, 80),
+    ],
+)
+def test_outward_floats_are_the_tightest_enclosing_doubles(lo_m, hi_m, exp):
+    iv = ds.DyadicInterval(lo_m, hi_m, exp)
+    lo, hi = _outward_floats(iv)
+    assert Fraction(lo) <= iv.lo < Fraction(math.nextafter(lo, math.inf))
+    assert Fraction(math.nextafter(hi, -math.inf)) < iv.hi <= Fraction(hi)
+
+
+def test_outward_floats_keep_exact_endpoints():
+    assert _outward_floats(ds.DyadicInterval(3, 5, 2)) == (0.75, 1.25)
+    assert _outward_floats(ds.DyadicInterval(0, 1, 1074)) == (0.0, 5e-324)
+
+
+def test_python_dash_m_runs_the_cli(tmp_path):
+    package_root = os.path.dirname(os.path.dirname(ds.__file__))
+    paths = [package_root] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(paths))
+    proc = subprocess.run(
+        [sys.executable, "-m", "dseries", "cf", "rat:3/7"],
+        cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    payload = json.loads(proc.stdout)
+    assert payload["partial_quotients"] == ["0", "2", "3"]
+    manifest = json.loads((tmp_path / "dseries_manifest.json").read_text())
+    assert manifest["command"] == "cf" and manifest["error"] is None

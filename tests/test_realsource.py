@@ -1,8 +1,12 @@
 """Enclosure correctness for every source kind, checked against the conftest oracles."""
 
+import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from mpmath.libmp import mpf_pi
 
 import dseries as ds
 from conftest import e_fraction, pi_fraction, sqrt_fraction
@@ -164,3 +168,148 @@ def test_pq_stream_tail_after_prefix():
 def test_pq_stream_rejects_nonpositive_quotient():
     with pytest.raises(ValueError):
         ds.make_pq_stream([1, 0, 2])
+
+
+# -- integer enclosures against the 0.1.0 Fraction code --------------------------
+
+
+def _ref_raw(src, level):
+    """Certified enclosure with exact Fraction endpoints, as 0.1.0 computed it."""
+    kind = src.kind
+    if kind is ds.Kind.RATIONAL:
+        v = Fraction(src.a, src.q)
+        return v, v
+    if kind is ds.Kind.QUADRATIC_SURD:
+        t = level + abs(src.r).bit_length() + 2
+        m = math.isqrt(src.d << (2 * t))
+        root_lo, root_hi = Fraction(m, 1 << t), Fraction(m + 1, 1 << t)
+        if src.r > 0:
+            return (src.p + src.r * root_lo) / src.s, (src.p + src.r * root_hi) / src.s
+        return (src.p + src.r * root_hi) / src.s, (src.p + src.r * root_lo) / src.s
+    if kind is ds.Kind.NAMED_CONSTANT:
+        if src.const is ds.Constant.E:
+            target = Fraction(1, 1 << (level + 2))
+            total, fact, k = Fraction(2), 1, 1
+            while True:
+                k += 1
+                fact *= k
+                total += Fraction(1, fact)
+                tail = Fraction(k + 2, (k + 1) * fact * (k + 1))
+                if tail <= target:
+                    return total, total + tail
+
+        def mpf_frac(t):
+            sign, man, exp, _ = t
+            v = Fraction(int(man)) * Fraction(2) ** exp
+            return -v if sign else v
+
+        prec = level + 8
+        while True:
+            lo, hi = mpf_frac(mpf_pi(prec, "d")), mpf_frac(mpf_pi(prec, "u"))
+            if hi - lo <= Fraction(1, 1 << level):
+                break
+            prec *= 2
+        return (lo, hi) if src.const is ds.Constant.PI else (1 / hi, 1 / lo)
+    if kind is ds.Kind.LIOUVILLE:
+        spec = src.liouville
+        dec = int(math.ceil((level + 2) * math.log10(2.0))) + 3
+        total = Fraction(spec.base_num, spec.base_den)
+        k = spec.start
+        while True:
+            e = spec.exponent(k, dec)
+            if e is None:
+                break
+            total += Fraction(spec.digit(k), 10 ** e)
+            k += 1
+        e_next = spec.exponent(k, 8 * dec)
+        bound = Fraction(10, 3) / 10 ** e_next if e_next is not None else Fraction(1, 10 ** (dec + 1))
+        return total, total + bound
+    pm1, qm1, pm2, qm2 = 1, 0, 0, 1
+    for a in src.pqs:
+        pm1, pm2 = a * pm1 + pm2, pm1
+        qm1, qm2 = a * qm1 + qm2, qm1
+    lo, hi = sorted((Fraction(pm1, qm1), Fraction(pm1 + pm2, qm1 + qm2)))
+    if hi - lo > Fraction(1, 1 << level):
+        raise ds.PrecisionLimitError("prefix exhausted")
+    return lo, hi
+
+
+def _ref_approximate(src, bits):
+    """0.1.0 approximate: intersect the raw Fractions down the ladder, then
+    round outward to the 2^-(bits+32) grid."""
+
+    def nested(level):
+        lo, hi = _ref_raw(src, level)
+        if level > 64:
+            plo, phi = nested(level // 2)
+            lo, hi = max(lo, plo), min(hi, phi)
+        return lo, hi
+
+    level = 64
+    while level < bits + 32:
+        level *= 2
+    lo, hi = nested(level)
+    scale = 1 << (bits + 32)
+    return Fraction(math.floor(lo * scale), scale), Fraction(math.ceil(hi * scale), scale)
+
+
+_NON_SQUARES = [d for d in range(2, 200) if math.isqrt(d) ** 2 != d]
+
+
+@st.composite
+def _sources(draw):
+    kind = draw(st.sampled_from(["rat", "surd", "const", "liouville", "cf", "cf_tail"]))
+    if kind == "rat":
+        return ds.make_rational(draw(st.integers(-10 ** 6, 10 ** 6)), draw(st.integers(1, 10 ** 6)))
+    if kind == "surd":
+        return ds.make_surd(
+            draw(st.integers(-50, 50)),
+            draw(st.integers(-9, 9).filter(bool)),
+            draw(st.sampled_from(_NON_SQUARES)),
+            draw(st.integers(-20, 20).filter(bool)),
+        )
+    if kind == "const":
+        return ds.make_constant(draw(st.sampled_from(["pi", "invpi", "e"])))
+    if kind == "liouville":
+        base_den = draw(st.integers(1, 50))
+        base_num = draw(st.integers(-100, 100).filter(lambda a: math.gcd(a, base_den) == 1))
+        return ds.make_liouville(
+            ds.LiouvilleSpec(
+                base_num=base_num,
+                base_den=base_den,
+                digits=tuple(draw(st.lists(st.sampled_from([1, 3]), min_size=1, max_size=3))),
+                start=draw(st.integers(1, 3)),
+                schedule=draw(st.sampled_from(list(ds.Schedule))),
+            )
+        )
+    pqs = [draw(st.integers(-5, 5))] + draw(st.lists(st.integers(1, 2 ** 60), min_size=0, max_size=12))
+    return ds.make_pq_stream(pqs, all_ones_tail=kind == "cf_tail")
+
+
+@settings(max_examples=250, deadline=None)
+@given(src=_sources(), bits=st.one_of(st.sampled_from([1, 32, 96, 224, 480]), st.integers(1, 700)))
+def test_integer_enclosures_match_fraction_reference(src, bits):
+    # bits + 32 of 64, 128, 256 and 512 lands exactly on a ladder level
+    try:
+        expect = _ref_approximate(src, bits)
+    except ds.PrecisionLimitError:
+        with pytest.raises(ds.PrecisionLimitError):
+            ds.approximate(src, bits)
+        return
+    iv = ds.approximate(src, bits)
+    assert (iv.lo, iv.hi) == expect
+    assert iv.exp == bits + 32
+
+
+def test_dyadic_interval_validates_its_fields():
+    iv = ds.DyadicInterval(-3, 5, 2)
+    assert (iv.lo, iv.hi, iv.width, iv.midpoint) == (
+        Fraction(-3, 4), Fraction(5, 4), Fraction(2), Fraction(1, 4)
+    )
+    assert Fraction(1, 2) in iv and 2 not in iv
+    with pytest.raises(TypeError):
+        ds.DyadicInterval(Fraction(1), 2, 0)
+    with pytest.raises(ValueError):
+        ds.DyadicInterval(2, 1, 0)
+    with pytest.raises(ValueError):
+        ds.DyadicInterval(1, 2, -1)
