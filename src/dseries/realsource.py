@@ -55,6 +55,12 @@ _GRID_GUARD = 32
 
 _LOG10_2 = math.log10(2.0)
 
+# log2(10) lies strictly between _LOG2_10_LO / _LOG2_10_DEN and
+# _LOG2_10_HI / _LOG2_10_DEN (45 significant digits).
+_LOG2_10_LO = 332192809488736234787031942948939017586483139
+_LOG2_10_HI = _LOG2_10_LO + 1
+_LOG2_10_DEN = 10 ** 44
+
 
 class Kind(Enum):
     RATIONAL = "rational"
@@ -245,9 +251,7 @@ class RealSource:
                 f"requested {bits} bits exceeds the configured cap of {self.max_bits}"
             )
         grid = bits + _GRID_GUARD
-        level = _LADDER_BASE
-        while level < grid:
-            level *= 2
+        level = _ladder_level(grid)
         lo, hi = self._nested_raw(level)
         # floor(floor(x) / 2^k) = floor(x / 2^k), so shifting the level's
         # floor/ceil pair down gives the outward rounding of the exact
@@ -305,17 +309,17 @@ class RealSource:
     def _raw_constant(self, level: int) -> Tuple[int, int]:
         if self.const is Constant.E:
             return _e_series(level)
-        lo, hi, exp = _pi_mantissas(level)
+        # pi lies strictly between f and f + 1 at scale 2^(level + 6).
+        f = _pi_floor(level + 6)
         if self.const is Constant.PI:
-            return lo >> (exp - level), _ceil_div(hi, 1 << (exp - level))
+            return f >> 6, (f >> 6) + 1
         # 1/pi: exact reciprocal of a positive interval swaps the endpoints.
-        return (1 << (exp + level)) // hi, _ceil_div(1 << (exp + level), lo)
+        return (1 << (2 * level + 6)) // (f + 1), _ceil_div(1 << (2 * level + 6), f)
 
     def _raw_liouville(self, level: int) -> Tuple[int, int]:
         spec = self.liouville
         assert spec is not None
-        # Decimal places needed so the materialized tail bound fits 2^-level.
-        dec = int(math.ceil((level + 2) * _LOG10_2)) + 3
+        dec = _liouville_places(level)
         # Materialized truncation num / den with den = base_den * 10^e_last.
         num, den = spec.base_num, spec.base_den
         k = spec.start
@@ -331,18 +335,19 @@ class RealSource:
             k += 1
         # Tail bound: digits <= 3 and exponents strictly increase, so
         # sum_{k > K} d_k 10^-e_k < (10/3) * 10^-e_{K+1} <= (10/3) * 10^-(dec+1).
+        # The bound is bound_num / (bound_coef * 10^bound_pow).
         e_next = spec.exponent(k, 8 * dec)
         if e_next is not None:
-            bound_num, bound_den = 10, 3 * 10 ** e_next
+            bound_num, bound_coef, bound_pow = 10, 3, e_next
         else:
-            bound_num, bound_den = 1, 10 ** (dec + 1)
+            bound_num, bound_coef, bound_pow = 1, 1, dec + 1
         lo, rem = divmod(num << level, den)
         # The tail is below 2^-(level+2), so the ceiling of (truncation + tail)
         # is ceil(truncation) or one more: one more exactly when the tail
         # exceeds the gap (ceil(truncation) - truncation) = gap / den.
         gap = den - rem if rem else 0
         hi = lo + (rem > 0)
-        if (bound_num * den) << level > bound_den * gap:
+        if _exceeds_power_multiple((bound_num * den) << level, bound_coef * gap, bound_pow):
             hi += 1
         return lo, hi
 
@@ -370,6 +375,20 @@ class RealSource:
         return self.kind is Kind.RATIONAL
 
 
+def _ladder_level(grid: int) -> int:
+    """The smallest ladder level 2^j * _LADDER_BASE that is >= grid."""
+    level = _LADDER_BASE
+    while level < grid:
+        level *= 2
+    return level
+
+
+def _liouville_places(level: int) -> int:
+    """Decimal places a Liouville truncation keeps at a ladder level, so
+    that its tail bound, at most (10/3) 10^-(places+1), is below 2^-(level+2)."""
+    return int(math.ceil((level + 2) * _LOG10_2)) + 3
+
+
 def _prefix_convergents(pqs: Tuple[int, ...]) -> Tuple[Tuple[int, int], Tuple[int, int]]:
     """(p_k, q_k) and (p_{k-1}, q_{k-1}) of a partial-quotient prefix."""
     pm1, qm1 = 1, 0
@@ -384,20 +403,91 @@ def _ceil_div(n: int, d: int) -> int:
     return -(-n // d)
 
 
-def _pi_mantissas(level: int) -> Tuple[int, int, int]:
-    """(lo, hi, exp) with pi in [lo, hi] * 2^-exp, width <= 2^-level and
-    exp >= level, from mpmath's directed roundings."""
-    from mpmath.libmp import mpf_pi
+def _exceeds_power_multiple(lhs: int, rhs: int, n: int) -> bool:
+    """lhs > rhs * 10^n for lhs > 0, rhs >= 0 and n >= 0.
 
-    prec = level + 8
+    10^n is never a power of two for n >= 1, so its bit length is
+    floor(n log2 10) + 1; the product's bit length is then known to within
+    one, which settles the comparison unless the two sides' bit lengths
+    nearly agree.  Only then, or when the bracket of log2 10 cannot fix
+    floor(n log2 10), is 10^n built.
+    """
+    if rhs == 0:
+        return True
+    pow_bits = n * _LOG2_10_LO // _LOG2_10_DEN
+    if pow_bits == n * _LOG2_10_HI // _LOG2_10_DEN:
+        # rhs * 10^n has bit length rbits or rbits + 1
+        lbits, rbits = lhs.bit_length(), rhs.bit_length() + pow_bits
+        if lbits > rbits + 1:
+            return True
+        if lbits < rbits:
+            return False
+    return lhs > rhs * 10 ** n
+
+
+_CHUD_A, _CHUD_B = 13591409, 545140134
+_CHUD_Q = 640320 ** 3 // 24
+
+# The most precise floor(pi * 2^bits) computed so far, as (bits, floor);
+# lower precisions are shifts of it.
+_pi_cache: Tuple[int, int] = (0, 3)
+_pi_lock = threading.Lock()
+
+
+def _pi_floor(bits: int) -> int:
+    """floor(pi * 2^bits), computed once at the highest precision asked."""
+    global _pi_cache
+    with _pi_lock:
+        if _pi_cache[0] < bits:
+            _pi_cache = (bits, _chudnovsky_pi_floor(bits))
+        cached_bits, f = _pi_cache
+    return f >> (cached_bits - bits)
+
+
+def _chudnovsky_pi_floor(bits: int) -> int:
+    """floor(pi * 2^bits) from Chudnovsky's series
+    pi = 426880 sqrt(10005) / S,  S = sum_k a_k,
+    a_k = (-1)^k (6k)! (A + B k) / ((3k)! (k!)^3 640320^(3k)),
+    summed by binary splitting (about 47.1 bits per term)."""
+    guard = 32
     while True:
-        _, m_lo, e_lo, _ = mpf_pi(prec, "d")
-        _, m_hi, e_hi, _ = mpf_pi(prec, "u")
-        exp = max(-e_lo, -e_hi, level)
-        lo, hi = int(m_lo) << (exp + e_lo), int(m_hi) << (exp + e_hi)
-        if (hi - lo) << level <= 1 << exp:
-            return lo, hi, exp
-        prec *= 2
+        w = bits + guard
+        n = w // 47 + 2
+        while True:
+            p, q, t = _chudnovsky_split(0, n)
+            # The terms alternate and shrink, so S * q lies within e of t
+            # with e = |a_{n-1}| q; ask for e / t <= 2^-(w+4).
+            e = p * (_CHUD_A + _CHUD_B * (n - 1))
+            if e << (w + 4) <= t:
+                break
+            n += 1
+        # sqrt(10005) 2^w lies in [r, r + 1).  With x = floor(426880 r q / t),
+        # the relative errors of r (below 2^-(w+6)) and of t (below
+        # 2^-(w+4)) move pi 2^w < 2^(w+2) by less than one unit, so
+        # x - 1 < pi 2^w < x + 2.
+        r = math.isqrt(10005 << (2 * w))
+        x = 426880 * r * q // t
+        if (x - 1) >> guard == (x + 1) >> guard:
+            return (x - 1) >> guard
+        guard *= 2
+
+
+def _chudnovsky_split(a: int, b: int) -> Tuple[int, int, int]:
+    """(P, Q, T) of terms a <= k < b: P and Q are the products of the term
+    ratios' numerators and denominators, and T / Q = sum_{a <= k < b} a_k / c_a,
+    where c_a = P(0, a) / Q(0, a) (so c_0 = 1)."""
+    if b - a == 1:
+        if a == 0:
+            p = q = 1
+        else:
+            p = (6 * a - 5) * (2 * a - 1) * (6 * a - 1)
+            q = a * a * a * _CHUD_Q
+        t = p * (_CHUD_A + _CHUD_B * a)
+        return p, q, -t if a & 1 else t
+    m = (a + b) // 2
+    p1, q1, t1 = _chudnovsky_split(a, m)
+    p2, q2, t2 = _chudnovsky_split(m, b)
+    return p1 * p2, q1 * q2, q2 * t1 + p1 * t2
 
 
 def _e_series(level: int) -> Tuple[int, int]:
@@ -532,13 +622,8 @@ def liouville_truncation(source: RealSource, bits: int) -> Tuple[int, Fraction]:
     if source.kind is not Kind.LIOUVILLE:
         raise ValueError("not a Liouville source")
     spec = source.liouville
-    level = _LADDER_BASE
-    while level < bits + _GRID_GUARD:
-        level *= 2
-    dec = int(math.ceil((level + 2) * _LOG10_2)) + 3
+    dec = _liouville_places(_ladder_level(bits + _GRID_GUARD))
     k = spec.start
-    last = spec.start - 1
     while spec.exponent(k, dec) is not None:
-        last = k
         k += 1
-    return last, liouville_partial(spec, last)
+    return k - 1, liouville_partial(spec, k - 1)

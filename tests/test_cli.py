@@ -535,3 +535,46 @@ def test_python_dash_m_runs_the_cli(tmp_path):
     assert payload["partial_quotients"] == ["0", "2", "3"]
     manifest = json.loads((tmp_path / "dseries_manifest.json").read_text())
     assert manifest["command"] == "cf" and manifest["error"] is None
+
+
+def _run_python(code, argv, cwd):
+    package_root = os.path.dirname(os.path.dirname(ds.__file__))
+    paths = [package_root] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(paths))
+    return subprocess.run(
+        [sys.executable, "-c", code, *argv], cwd=cwd, env=env, capture_output=True, text=True, timeout=120,
+    )
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["cf", "const:pi", "--terms", "50"],
+        ["classify", "const:invpi", "--f", "pow:1", "--cert", "mahler"],
+        ["sum", "const:pi", "--f", "pow:1/2", "--M", "1000"],
+    ],
+)
+def test_cli_runs_without_mpmath(tmp_path, argv):
+    # a None entry in sys.modules makes every import of mpmath fail
+    code = (
+        "import sys\n"
+        "sys.modules['mpmath'] = None\n"
+        "from dseries.cli import console_main\n"
+        "sys.exit(console_main(sys.argv[1:]))\n"
+    )
+    proc = _run_python(code, argv, tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    manifest = json.loads((tmp_path / "dseries_manifest.json").read_text())
+    assert manifest["command"] == argv[0] and manifest["error"] is None
+
+
+def test_cf_pi_does_not_import_mpmath(tmp_path):
+    code = (
+        "import sys\n"
+        "from dseries.cli import console_main\n"
+        "assert console_main(['cf', 'const:pi', '--terms', '1000', '--json', 'out.json']) == 0\n"
+        "print('mpmath' in sys.modules)\n"
+    )
+    proc = _run_python(code, [], tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"

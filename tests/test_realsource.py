@@ -1,14 +1,19 @@
 """Enclosure correctness for every source kind, checked against the conftest oracles."""
 
 import math
+import sys
+import threading
 from fractions import Fraction
+from unittest import mock
 
+import mpmath
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from mpmath.libmp import mpf_pi
 
 import dseries as ds
+from dseries import realsource
 from conftest import e_fraction, pi_fraction, sqrt_fraction
 
 
@@ -313,3 +318,130 @@ def test_dyadic_interval_validates_its_fields():
         ds.DyadicInterval(2, 1, 0)
     with pytest.raises(ValueError):
         ds.DyadicInterval(1, 2, -1)
+
+
+# -- integer pi (Chudnovsky) ---------------------------------------------------------
+
+
+def _mpf_pi_floor(bits):
+    """floor(pi * 2^bits) from mpmath's round-down pi at bits + 2 bits
+    (pi < 4, so the mantissa's last bit is worth at least 2^-bits)."""
+    _, man, exp, _ = mpf_pi(bits + 2, "d")
+    return int(man) << (exp + bits)
+
+
+@pytest.mark.parametrize("level", [64 << j for j in range(11)])
+def test_chudnovsky_pi_floor_matches_mpmath_on_the_ladder(level):
+    # _raw_constant asks for pi at level + 6 bits on ladder levels 64 .. 2^16
+    assert realsource._chudnovsky_pi_floor(level + 6) == _mpf_pi_floor(level + 6)
+
+
+@settings(max_examples=200, deadline=None)
+@given(bits=st.integers(0, 6000))
+def test_chudnovsky_pi_floor_matches_mpmath(bits):
+    assert realsource._chudnovsky_pi_floor(bits) == _mpf_pi_floor(bits)
+
+
+def test_pi_floor_serves_lower_precisions_by_shifting(monkeypatch):
+    monkeypatch.setattr(realsource, "_pi_cache", (0, 3))
+    assert realsource._pi_floor(3000) == _mpf_pi_floor(3000)
+
+    def refuse(bits):
+        raise AssertionError(f"pi recomputed at {bits} bits")
+
+    monkeypatch.setattr(realsource, "_chudnovsky_pi_floor", refuse)
+    assert realsource._pi_floor(1000) == _mpf_pi_floor(1000)
+    assert realsource._pi_floor(3000) == _mpf_pi_floor(3000)
+    assert realsource._pi_cache[0] == 3000
+
+
+def test_concurrent_pi_and_invpi_requests_match_one_thread(monkeypatch):
+    # more threads than cores, each asking for pi and 1/pi at its own levels
+    requests = [
+        [("pi", 6000), ("invpi", 300)],
+        [("invpi", 9000), ("pi", 700)],
+        [("pi", 2000), ("invpi", 2000)],
+        [("invpi", 100), ("pi", 12000)],
+    ]
+
+    def serve(reqs, out):
+        barrier.wait()
+        out.extend(ds.approximate(ds.make_constant(name), bits) for name, bits in reqs)
+
+    monkeypatch.setattr(realsource, "_pi_cache", (0, 3))
+    barrier = threading.Barrier(len(requests), timeout=60)
+    results = [[] for _ in requests]
+    threads = [threading.Thread(target=serve, args=(r, o)) for r, o in zip(requests, results)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    # the cache ends at the most precise level any thread asked for
+    top = max(realsource._ladder_level(bits + 32) for reqs in requests for _, bits in reqs)
+    assert realsource._pi_cache[0] == top + 6
+    monkeypatch.setattr(realsource, "_pi_cache", (0, 3))
+    alone = [[ds.approximate(ds.make_constant(name), bits) for name, bits in reqs] for reqs in requests]
+    assert results == alone
+
+
+# -- Liouville tail decision ---------------------------------------------------------
+
+
+# A valid but coarse bracket of log2(10), 3.3 < log2(10) < 3.4, which often
+# cannot fix floor(n log2 10) and so exercises the exact fallback.
+_COARSE_LOG2_10 = {"_LOG2_10_LO": 33, "_LOG2_10_HI": 34, "_LOG2_10_DEN": 10}
+_FINE_LOG2_10 = {name: getattr(realsource, name) for name in _COARSE_LOG2_10}
+
+
+@st.composite
+def _tail_decisions(draw):
+    """(lhs, rhs, n) as _raw_liouville builds them: lhs = (bound_num den) << level,
+    rhs = bound_coef gap, and the tail bound is bound_num / (bound_coef 10^n)."""
+    bound_num, bound_coef = draw(st.sampled_from([(10, 3), (1, 1)]))  # e_next / dec + 1 branch
+    n = draw(st.integers(0, 600))
+    level = draw(st.integers(0, 2100))
+    shape = draw(st.sampled_from(["exact", "free", "near_tie"]))
+    if shape == "exact":  # rem == 0
+        return (bound_num * draw(st.integers(1, 10 ** 40))) << level, 0, n
+    gap = draw(st.integers(1, 10 ** 40))
+    if shape == "free":
+        den = gap + draw(st.integers(1, 10 ** 40))
+    else:
+        # den chosen so that both sides agree to within a few units
+        den = max(1, (bound_coef * gap * 10 ** n >> level) // bound_num + draw(st.integers(-2, 2)))
+    return (bound_num * den) << level, bound_coef * gap, n
+
+
+@settings(max_examples=400, deadline=None)
+@given(case=_tail_decisions(), coarse=st.booleans())
+def test_tail_decision_matches_exact_comparison(case, coarse):
+    lhs, rhs, n = case
+    with mock.patch.multiple(realsource, **(_COARSE_LOG2_10 if coarse else _FINE_LOG2_10)):
+        assert realsource._exceeds_power_multiple(lhs, rhs, n) == (lhs > rhs * 10 ** n)
+
+
+@pytest.mark.parametrize("delta", [-1, 0, 1])
+@pytest.mark.parametrize("n", [1, 7, 301, 4000])
+def test_tail_decision_on_equal_bit_lengths(n, delta):
+    rhs = 3 * 12345
+    lhs = rhs * 10 ** n + delta
+    assert lhs.bit_length() == (rhs * 10 ** n).bit_length()
+    assert realsource._exceeds_power_multiple(lhs, rhs, n) is (delta > 0)
+
+
+def test_log2_10_bracket_holds():
+    with mpmath.workprec(300):
+        exact = mpmath.log(10, 2) * realsource._LOG2_10_DEN
+        assert realsource._LOG2_10_LO < exact < realsource._LOG2_10_HI
+
+
+def test_deep_tower_enclosure_matches_fraction_reference():
+    src = ds.make_liouville(ds.LiouvilleSpec(digits=(3, 1), schedule=ds.Schedule.TOWER100))
+    iv = ds.approximate(src, 16384)
+    assert (iv.lo, iv.hi) == _ref_approximate(src, 16384)
