@@ -4,13 +4,13 @@ The package decides, certifies, or numerically demonstrates convergence of
 
     sum_{n >= 1} (-1)^n f(n) |sin(n pi alpha)|
 
-for decreasing weights f and real alpha given exactly (rational, quadratic
-surd, named constant, Liouville-type staircase, or explicit continued
-fraction).  Submodules:
+for power weights f(x) = x^-p with 0 < p <= 1 and real alpha given exactly
+(rational, quadratic surd, named constant, Liouville-type staircase, or
+explicit continued fraction).  Submodules:
 
 - realsource: exact number descriptions and certified dyadic enclosures
 - cfrac: certified continued-fraction expansion and best-approximation tools
-- criterion: convergence criterion terms, measure certificates, classifier
+- criterion: the power weight, criterion terms, measure certificates, classifier
 - sumengine: high-accuracy partial sums with rounding-error accounting
 - cli: the ``dseries`` command-line front end
 """
@@ -56,7 +56,6 @@ from .criterion import (
     FDescriptor,
     MeasureCertificate,
     Outcome,
-    ValidationReport,
     Verdict,
     VerdictCertificate,
     classify,
@@ -65,7 +64,6 @@ from .criterion import (
     make_power_f,
     measure_tail_bound,
     roth_certificate,
-    validate_f,
 )
 from .sumengine import (
     ApConstant,
@@ -124,7 +122,6 @@ __all__ = [
     "q_alpha",
     # criterion
     "FDescriptor",
-    "ValidationReport",
     "CriterionTerm",
     "CriterionSeries",
     "MeasureCertificate",
@@ -133,7 +130,6 @@ __all__ = [
     "VerdictCertificate",
     "Verdict",
     "make_power_f",
-    "validate_f",
     "criterion_partial_sum",
     "measure_tail_bound",
     "roth_certificate",

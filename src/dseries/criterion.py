@@ -1,4 +1,4 @@
-"""Weight-function descriptors and the convergence classifier.
+"""The power weight x^-p and the convergence classifier.
 
 The series under study is sum of (-1)^n f(n) |sin(n pi alpha)|.  Its
 behavior is decided by the auxiliary series over the even-denominator
@@ -12,10 +12,10 @@ settled by exact structure or a certificate comes back Inconclusive.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from . import cfrac
 from .cfrac import QAlphaEntry
@@ -32,7 +32,6 @@ __all__ = [
     "VerdictCertificate",
     "Verdict",
     "make_power_f",
-    "validate_f",
     "criterion_partial_sum",
     "measure_tail_bound",
     "roth_certificate",
@@ -47,23 +46,26 @@ _TERM_REL_ERR = 1e-13
 
 @dataclass(frozen=True)
 class FDescriptor:
-    """A weight function f on [1, oo): positive, decreasing, vanishing.
+    """The weight f(x) = x^(-p) on [1, oo), with 0 < p <= 1.
 
-    antiderivative must satisfy F' = f with F(1) = 0.  power_exponent is
-    set when f(x) = x^(-p); it unlocks the log-space evaluation path for
-    denominators far beyond float range.  eval_vec, when present, maps a
-    numpy array to f applied elementwise and is only a fast path.
+    antiderivative is F with F' = f and F(1) = 0.  Build descriptors with
+    make_power_f, which checks the range of p.
     """
 
-    name: str
-    eval: Callable[[float], float]
-    antiderivative: Callable[[float], float]
-    parameters: Dict[str, float] = field(default_factory=dict)
-    decreasing: bool = True
-    limit_zero: bool = True
-    integral_divergent: bool = True
-    power_exponent: Optional[Fraction] = None
-    eval_vec: Optional[Callable] = None
+    p: Fraction
+
+    @property
+    def name(self) -> str:
+        return f"x^-{self.p}"
+
+    def eval(self, x: float) -> float:
+        return x ** (-float(self.p))
+
+    def antiderivative(self, x: float) -> float:
+        if self.p == 1:
+            return math.log(x)
+        c = float(1 - self.p)
+        return (x ** c - 1.0) / c
 
 
 def make_power_f(p: Union[Fraction, float, int, str]) -> FDescriptor:
@@ -79,84 +81,7 @@ def make_power_f(p: Union[Fraction, float, int, str]) -> FDescriptor:
             "power exponent must satisfy 0 < p <= 1 "
             "(p > 1 converges absolutely, p <= 0 is not a vanishing weight)"
         )
-    pf = float(p)
-    if p == 1:
-        antider = math.log
-    else:
-        one_minus = float(1 - p)
-
-        def antider(x: float, _c: float = one_minus) -> float:
-            return (x ** _c - 1.0) / _c
-
-    def f_eval(x: float, _p: float = pf) -> float:
-        return x ** (-_p)
-
-    def f_vec(xs, _p: float = pf):
-        return xs ** (-_p)
-
-    return FDescriptor(
-        name=f"x^-{p}",
-        eval=f_eval,
-        antiderivative=antider,
-        parameters={"p": pf},
-        power_exponent=p,
-        eval_vec=f_vec,
-    )
-
-
-@dataclass(frozen=True)
-class ValidationReport:
-    ok: bool
-    violations: Tuple[str, ...]
-    x_max: float
-    points: int
-
-
-def validate_f(
-    f: FDescriptor, *, x_max: float = 1.0e6, points: int = 256
-) -> ValidationReport:
-    """Sample-based sanity check of a descriptor; returns a report, never raises.
-
-    Checks positivity and monotone non-increase of f on a log-spaced grid
-    over [1, x_max], that a central difference of the antiderivative agrees
-    with f to 1e-6 relative, and that the divergence flag is consistent
-    with the observed growth of F.
-    """
-    if x_max <= 1 or points < 8:
-        return ValidationReport(False, ("grid must cover (1, x_max] with >= 8 points",), x_max, points)
-    violations: List[str] = []
-    grid = [math.exp(math.log(x_max) * i / (points - 1)) for i in range(points)]
-    prev = None
-    for x in grid:
-        v = f.eval(x)
-        if not v > 0:
-            violations.append(f"f({x:.6g}) = {v:.6g} is not positive")
-            break
-        if prev is not None and v > prev * (1 + 1e-12):
-            violations.append(f"f increases across {x:.6g}")
-            break
-        prev = v
-    # Central difference of F against f, relative tolerance 1e-6.
-    for x in grid[:: max(1, points // 16)]:
-        h = max(x * 1e-5, 1e-7)
-        if x - h < 1.0:
-            continue
-        deriv = (f.antiderivative(x + h) - f.antiderivative(x - h)) / (2 * h)
-        ref = f.eval(x)
-        if abs(deriv - ref) > 1e-6 * max(abs(ref), 1e-300):
-            violations.append(
-                f"antiderivative slope {deriv:.9g} != f({x:.6g}) = {ref:.9g}"
-            )
-            break
-    if f.limit_zero and prev is not None and prev > max(10.0 / x_max ** 0.1, 1e-2):
-        violations.append(f"f({x_max:.3g}) = {prev:.6g}; vanishing flag looks wrong")
-    if f.integral_divergent:
-        # For a divergent integral F must keep growing; compare two scales.
-        half = f.antiderivative(math.sqrt(x_max))
-        full = f.antiderivative(x_max)
-        if not full > half > 0:
-            violations.append("antiderivative does not grow although flagged divergent")
-    return ValidationReport(not violations, tuple(violations), x_max, points)
+    return FDescriptor(p)
 
 
 @dataclass(frozen=True)
@@ -198,25 +123,6 @@ def _power_term(p: Fraction, entry: QAlphaEntry) -> CriterionTerm:
     return CriterionTerm(n=entry.n, q=q, q_next=q_next, value=value, log10_value=lg_val)
 
 
-def _general_term(f: FDescriptor, entry: QAlphaEntry) -> CriterionTerm:
-    q, q_next = entry.q, entry.q_next
-    try:
-        y = float(q_next)
-    except OverflowError:
-        raise OverflowError(
-            f"q_next with {len(str(q_next))} digits exceeds float range and "
-            f"{f.name} has no log-space evaluation path"
-        )
-    if math.isinf(y):
-        raise OverflowError(
-            f"q_next with {len(str(q_next))} digits exceeds float range and "
-            f"{f.name} has no log-space evaluation path"
-        )
-    value = (f.antiderivative(y) - f.antiderivative(1.0)) / (q * q)
-    lg = math.log10(value) if value > 0 else -math.inf
-    return CriterionTerm(n=entry.n, q=q, q_next=q_next, value=value, log10_value=lg)
-
-
 @dataclass(frozen=True)
 class CriterionSeries:
     terms: Tuple[CriterionTerm, ...]
@@ -235,10 +141,7 @@ def criterion_partial_sum(
     sums: List[float] = []
     acc = 0.0
     for entry in entries:
-        if f.power_exponent is not None:
-            term = _power_term(f.power_exponent, entry)
-        else:
-            term = _general_term(f, entry)
+        term = _power_term(f.p, entry)
         terms.append(term)
         acc += term.value
         sums.append(acc)
@@ -265,6 +168,8 @@ class MeasureCertificate:
             raise ValueError("irrationality measure exponent must exceed 2")
         if not self.C > 0:
             raise ValueError("growth constant must be positive")
+        if not (math.isfinite(self.mu) and math.isfinite(self.C)):
+            raise ValueError("irrationality measure exponent and growth constant must be finite")
 
     def check_applicable(self, source: RealSource) -> None:
         if self.label == "mahler":
@@ -424,13 +329,7 @@ def _expansion_evidence(
     if exp.capped:
         notes.append(f"expansion capped: {exp.cap_reason}")
     entries = tuple(cfrac.q_alpha(exp.convergents))
-    try:
-        series = criterion_partial_sum(entries, f)
-    except OverflowError as exc:
-        notes.append(f"criterion terms beyond float range: {exc}")
-        series = CriterionSeries((), ())
-        entries = ()
-    return entries, series, tuple(notes)
+    return entries, criterion_partial_sum(entries, f), tuple(notes)
 
 
 def classify(
@@ -444,11 +343,11 @@ def classify(
     1. Rational a/q: exact parity decision (odd q converges, even diverges).
     2. Declared all-ones partial-quotient tail: the entry set is provably
        finite, so the criterion sum is finite and the series converges.
-    3. Growth certificates: if q_next <= C q^(mu-1) applies to this source
-       and (mu-1)(1-p) < 2 (power weights; mu < 3 for general f), the
-       criterion series is bounded and the series converges.
-    4. Staircase (Liouville-type) sources with power weights whose criterion
-       terms are provably unbounded: diverges.
+    3. Growth certificates: if q_next <= C q^(mu-1) applies to this source,
+       (mu-1)(1-p) < 2 and the tail bound is finite, the criterion series
+       is bounded and the series converges.
+    4. Staircase (Liouville-type) sources whose criterion terms are
+       provably unbounded: diverges.
     5. Otherwise Inconclusive, carrying computed partial sums as evidence.
     """
     budget = budget or Budget()
@@ -486,32 +385,17 @@ def classify(
             ),
         )
 
-    p = f.power_exponent
+    p = f.p
     for cert in certs:
-        if p is not None:
-            applicable = (cert.mu - 1.0) * float(1 - p) < 2.0
-        else:
-            applicable = cert.mu < 3.0
-        if not applicable:
+        if not (cert.mu - 1.0) * float(1 - p) < 2.0:
             continue
         entries, series, notes = _expansion_evidence(source, f, budget)
         if entries:
             from_q = 2 * entries[-1].q
         else:
             from_q = 2
-        if p is not None:
-            tail = measure_tail_bound(cert.mu, cert.C, p, from_q)
-        else:
-            # integral of f over [1, Q] <= f(1) * Q turns each term into
-            # f(1) * C * q^(mu-3); geometric floor q_k >= from_q * 2^(k/2).
-            beta = 3.0 - cert.mu
-            tail = (
-                f.eval(1.0)
-                * max(cert.C, 1.0)
-                * from_q ** (-beta)
-                / (1.0 - 2.0 ** (-beta / 2.0))
-            )
-        if tail is None:
+        tail = measure_tail_bound(cert.mu, cert.C, p, from_q)
+        if tail is None or not math.isfinite(tail):
             continue
         return Verdict(
             outcome=Outcome.CONVERGES,
@@ -530,7 +414,7 @@ def classify(
             notes=notes,
         )
 
-    if source.kind is Kind.LIOUVILLE and p is not None:
+    if source.kind is Kind.LIOUVILLE:
         reason = _liouville_divergence(source, p)
         if reason is not None:
             return Verdict(

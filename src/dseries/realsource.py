@@ -364,16 +364,6 @@ class RealSource:
         ends = ((pk << level, qk), ((pk + pk1) << level, qk + qk1))
         return min(n // d for n, d in ends), max(_ceil_div(n, d) for n, d in ends)
 
-    # -- conveniences --------------------------------------------------------
-
-    def exact_value(self) -> Fraction:
-        if self.kind is not Kind.RATIONAL:
-            raise ValueError("exact_value only applies to rational sources")
-        return Fraction(self.a, self.q)
-
-    def is_rational(self) -> bool:
-        return self.kind is Kind.RATIONAL
-
 
 def _ladder_level(grid: int) -> int:
     """The smallest ladder level 2^j * _LADDER_BASE that is >= grid."""

@@ -11,11 +11,11 @@ added exactly, so the value does not depend on the worker count.  Each
 worker thread evaluates its contiguous block of chunks two at a time in its
 own six reused work rows (1.5 MiB), so the kernel runs in cache and
 allocates nothing per chunk.  The periodic path exploits a rational
-alpha = a/q by computing the q sine weights once.  Every result carries an
-explicit worst-case rounding bound.  The module also hosts the small
-numeric kernel used by the analysis: the Fourier expansion of |sin|,
-geometric sums, oscillatory integrals and their constant, and two direct
-bound checks.
+alpha = a/q by computing one sine weight per residue class that occurs in
+the window.  Every result carries an explicit worst-case rounding bound.
+The module also hosts the small numeric kernel used by the analysis: the
+Fourier expansion of |sin|, geometric sums, oscillatory integrals and their
+constant, and two direct bound checks.
 """
 
 from __future__ import annotations
@@ -139,12 +139,6 @@ def _split3(x: Fraction) -> Tuple[float, float, float]:
     return a1, a2, a3
 
 
-def _f_values(f: FDescriptor, ns: np.ndarray) -> np.ndarray:
-    if f.eval_vec is not None:
-        return f.eval_vec(ns)
-    return np.array([f.eval(float(t)) for t in ns], dtype=np.float64)
-
-
 def _work_buffers(k: int) -> np.ndarray:
     """The calling thread's six float64 work rows, cut to length k.
 
@@ -154,13 +148,6 @@ def _work_buffers(k: int) -> np.ndarray:
     if block is None:
         block = _BUFFERS.block = np.empty((6, _BATCH), dtype=np.float64)
     return block[:, :k]
-
-
-def _weights_into(f: FDescriptor, nf: np.ndarray, out: np.ndarray) -> np.ndarray:
-    if f.power_exponent is not None:
-        return np.power(nf, -float(f.power_exponent), out=out)
-    out[...] = _f_values(f, nf)
-    return out
 
 
 def _apply_signs(terms: np.ndarray, lo: int) -> np.ndarray:
@@ -178,6 +165,7 @@ def _make_term_fn(
     in the bound).  The evaluator returns the terms and the f(n) values as
     views of the calling thread's work rows, valid until that thread's next
     call."""
+    neg_p = -float(f.p)
     if source.kind is Kind.RATIONAL:
         a, q = source.a, source.q
         table = np.abs(np.sin(np.pi * (np.arange(q) * a % q) / q))
@@ -190,7 +178,7 @@ def _make_term_fn(
             np.add(_INT_INDEX[:k], lo % q, out=res)
             np.remainder(res, q, out=res)
             np.take(table, res, out=w, mode="clip")
-            _weights_into(f, nf, fv)
+            np.power(nf, neg_p, out=fv)
             np.multiply(fv, w, out=w)
             return _apply_signs(w, lo), fv
 
@@ -229,7 +217,7 @@ def _make_term_fn(
         x *= np.pi
         np.sin(x, out=x)
         np.abs(x, out=x)
-        fv = _weights_into(f, nf, nhi)
+        fv = np.power(nf, neg_p, out=nhi)
         np.multiply(fv, x, out=x)
         return _apply_signs(x, lo), fv
 
@@ -303,7 +291,7 @@ def partial_sum_direct(
     The result is deterministic for fixed inputs regardless of `workers`:
     chunk boundaries do not depend on it, each worker takes a contiguous
     block of chunks, and the chunk sums are always combined in index order
-    with exact accumulation.  `reverse` sums the same terms backwards and
+    with exact accumulation.  `reverse` sums each chunk's terms backwards and
     exists to probe the rounding bound (the two orders must agree within it).
     """
     _require_range(N, M, max_terms)
@@ -325,8 +313,6 @@ def partial_sum_direct(
             parts = [p for block in blocks for p in block]
     else:
         parts = eval_block(ranges)
-    if reverse:
-        parts = parts[::-1]
     value = math.fsum(p[0] for p in parts)
     bound = math.fsum(p[1] for p in parts) + 2 * _EPS * abs(value)
     return PartialSumResult(value=value, rounding_bound=bound, terms=M, mode="direct")
@@ -352,10 +338,15 @@ def partial_sum_periodic(
     if math.gcd(a, q) != 1:
         raise ValueError("a/q must be in lowest terms")
     _require_range(N, M, max_terms)
+    if M < q:
+        # each class holds at most one term: visit only the M that occur
+        classes: Sequence[int] = sorted((n - 1) % q + 1 for n in range(N + 1, N + M + 1))
+    else:
+        classes = range(1, q + 1)
     class_sums: List[float] = []
     absf_total = 0.0
     bound = 0.0
-    for h in range(1, q + 1):
+    for h in classes:
         w = abs(math.sin(math.pi * ((a * h) % q) / q))
         first = N + 1 + ((h - (N + 1)) % q)
         if first > N + M:
@@ -370,7 +361,7 @@ def partial_sum_periodic(
             stop_idx = min(start_idx + step_chunk, count)
             ns = first + q * np.arange(start_idx, stop_idx, dtype=np.int64)
             nf = ns.astype(np.float64)
-            fv = _f_values(f, nf)
+            fv = np.power(nf, -float(f.p))
             if q % 2 == 0:
                 signs = 1.0 if first % 2 == 0 else -1.0
                 terms = signs * fv
@@ -667,7 +658,7 @@ def alternating_tail_check(f: FDescriptor, X: float, Y: float) -> Tuple[float, f
     if lo > hi:
         return 0.0, bound
     ns = np.arange(lo, hi + 1, dtype=np.int64)
-    fv = _f_values(f, ns.astype(np.float64))
+    fv = np.power(ns.astype(np.float64), -float(f.p))
     total = float(np.sum((1.0 - 2.0 * (ns & 1)) * fv))
     slack = 1e-12 * bound + 1e-300
     if not abs(total) <= bound + slack:

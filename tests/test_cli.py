@@ -115,9 +115,9 @@ def test_alpha_parse_rejects(bad):
 
 
 def test_parse_f_accepts_fractions_and_decimals():
-    assert parse_f("pow:1").power_exponent == 1
-    assert parse_f("pow:1/2").power_exponent == Fraction(1, 2)
-    assert parse_f("pow:0.75").power_exponent == Fraction(3, 4)
+    assert parse_f("pow:1").p == 1
+    assert parse_f("pow:1/2").p == Fraction(1, 2)
+    assert parse_f("pow:0.75").p == Fraction(3, 4)
 
 
 @pytest.mark.parametrize("bad", ["pow:0", "pow:3/2", "pow:x", "lin:1", "pow:"])
@@ -259,6 +259,22 @@ def test_exit_code_contract(tmp_path):
     assert code == 2 and payload["capped"]
     # 3 inconclusive
     code, payload, _ = run(["classify", "const:e", "--f", "pow:1"], tmp_path, "c3")
+    assert code == 3 and payload["outcome"] == "Inconclusive"
+
+
+def test_non_finite_certificate_never_yields_converges(tmp_path):
+    sqrt2 = "surd:(0+1*sqrt(2))/1"
+    # 1: a non-finite mu or C is bad input, with the manifest written
+    for i, spec in enumerate(["measure:2.5,inf", "measure:inf,1"]):
+        code, payload, mani = run(
+            ["classify", sqrt2, "--f", "pow:1", "--cert", spec], tmp_path, f"nf{i}"
+        )
+        assert code == 1 and payload is None
+        assert "finite" in mani["error"]
+    # 3: a finite certificate whose tail bound overflows decides nothing
+    code, payload, _ = run(
+        ["classify", sqrt2, "--f", "pow:1", "--cert", "measure:1e308,1"], tmp_path, "nf2"
+    )
     assert code == 3 and payload["outcome"] == "Inconclusive"
 
 

@@ -20,41 +20,23 @@ def test_make_power_f_validates_range():
         ds.make_power_f(-1)
 
 
+@pytest.mark.parametrize("p", [Fraction(1), Fraction(1, 2), Fraction(1, 3), Fraction(1, 4), Fraction(7, 9)])
+def test_power_f_matches_closure_arithmetic_bit_for_bit(p):
+    # the float operations of the closures the descriptor used to carry
+    pf, c = float(p), float(1 - p)
+    f = ds.make_power_f(p)
+    assert f == FDescriptor(p) and f.name == f"x^-{p}"
+    for x in (1.0, 1.5, 2.0, 10.0, 12345.678, 1e9, 2.0 ** 53):
+        assert f.eval(x) == x ** (-pf)
+        assert f.antiderivative(x) == (math.log(x) if p == 1 else (x ** c - 1.0) / c)
+
+
 def test_power_f_evaluates():
     f = ds.make_power_f(Fraction(1, 2))
     assert f.eval(4.0) == pytest.approx(0.5)
     assert f.antiderivative(9.0) == pytest.approx(2.0 * (3.0 - 1.0) + f.antiderivative(1.0), abs=1e-12)
     g = ds.make_power_f(1)
     assert g.antiderivative(math.e) == pytest.approx(1.0)
-
-
-def test_validate_f_accepts_power_weights():
-    for p in (Fraction(1, 4), Fraction(1, 2), 1):
-        report = ds.validate_f(ds.make_power_f(p))
-        assert report.ok, report.violations
-
-
-def test_validate_f_flags_increasing_function():
-    bad = FDescriptor(
-        name="increasing",
-        eval=lambda x: x,
-        antiderivative=lambda x: x * x / 2,
-        parameters={},
-    )
-    report = ds.validate_f(bad)
-    assert not report.ok
-    assert any("increases" in v for v in report.violations)
-
-
-def test_validate_f_flags_convergent_integral():
-    bad = FDescriptor(
-        name="x^-2",
-        eval=lambda x: x ** -2.0,
-        antiderivative=lambda x: -1.0 / x,
-        parameters={},
-    )
-    report = ds.validate_f(bad)
-    assert not report.ok
 
 
 def test_rational_parity_verdicts():
@@ -100,24 +82,33 @@ def test_criterion_term_log_space_for_huge_q_next():
     assert t2.log10_value == pytest.approx(0.5 * 700 - math.log10(0.5) - 2 * math.log10(2.0), rel=1e-9)
 
 
-def test_general_descriptor_matches_power_path():
-    # same weight through the generic float path instead of log-space
-    f_gen = FDescriptor(
-        name="generic-half",
-        eval=lambda x: x ** -0.5,
-        antiderivative=lambda x: 2.0 * math.sqrt(x),
-        parameters={},
-    )
-    entry = ds.QAlphaEntry(n=1, q=22, q_next=333)
-    a = ds.criterion_partial_sum([entry], ds.make_power_f(Fraction(1, 2))).total
-    b = ds.criterion_partial_sum([entry], f_gen).total
-    assert a == pytest.approx(b, rel=1e-9)
-
-
 def test_measure_tail_bound_spec_point():
     bound = ds.measure_tail_bound(2.5, 1.0, 1, 10 ** 6)
     assert bound is not None
     assert bound < 1e-4
+
+
+@pytest.mark.parametrize(
+    "mu, C", [(math.inf, 1.0), (2.5, math.inf), (math.inf, math.inf), (math.nan, 1.0), (2.5, math.nan)]
+)
+def test_measure_certificate_rejects_non_finite(mu, C):
+    with pytest.raises(ValueError):
+        ds.MeasureCertificate(mu=mu, C=C)
+
+
+def test_classify_skips_certificate_with_infinite_tail():
+    # finite mu and C whose tail bound still overflows at p = 1
+    huge = ds.MeasureCertificate(mu=1e308, C=1.0)
+    assert ds.measure_tail_bound(huge.mu, huge.C, 1, 2) == math.inf
+    src = ds.make_surd(0, 1, 2, 1)
+    v = ds.classify(src, ds.make_power_f(1), certs=[huge])
+    assert v.outcome is ds.Outcome.INCONCLUSIVE
+    # a later certificate with a finite bound still decides
+    v = ds.classify(src, ds.make_power_f(1), certs=[huge, ds.MeasureCertificate(mu=2.5, C=1.0)])
+    assert v.outcome is ds.Outcome.CONVERGES
+    assert v.parameters["mu"] == 2.5
+    assert math.isfinite(v.parameters["tail_bound"])
+    assert math.isfinite(v.parameters["series_bound"])
 
 
 def test_measure_tail_bound_not_applicable():
