@@ -665,6 +665,12 @@ def console_main(argv: Optional[Sequence[str]] = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         manifest["error"] = str(exc)
         code = 1
+    except Exception as exc:
+        # the boundary: any other failure still ends in exit 1 and a manifest
+        message = f"{type(exc).__name__}: {exc}"
+        print(f"error: {message}", file=sys.stderr)
+        manifest["error"] = message
+        code = 1
     manifest["outputs"] = outputs
     manifest["duration_s"] = time.perf_counter() - start
     _write_manifest(manifest_path, manifest)

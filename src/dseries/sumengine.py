@@ -2,17 +2,22 @@
 
 S(alpha; M, N) = sum over n = N+1 .. N+M of (-1)^n f(n) |sin(n pi alpha)|.
 
-The direct path reduces n*alpha modulo 1 with an error-free product of n
-against a three-double split of a certified enclosure midpoint, so the
-reduced argument never accumulates O(M) rounding drift.  Windows ending
-past 2^53 are refused, since n is then no longer exact in float64.  Terms
-are summed pairwise in chunks of 2^14 on a fixed grid and the chunk sums are
-added exactly, so the value does not depend on the worker count.  Each
-worker thread evaluates its contiguous block of chunks two at a time in its
-own six reused work rows (1.5 MiB), so the kernel runs in cache and
-allocates nothing per chunk.  The periodic path exploits a rational
-alpha = a/q by computing one sine weight per residue class that occurs in
-the window.  Every result carries an explicit worst-case rounding bound.
+The direct path writes alpha mod 1 exactly as num/den (a/q for a rational,
+the certified enclosure midpoint otherwise) and reduces n*alpha modulo 1 by
+table lookup: n = g + k with g on a grid of step 2^15 fixed by N, and
+frac(n*num/den) = T[k] + B_g, where both parts are correctly rounded from
+exact integer residues, so the reduced argument never accumulates O(M)
+rounding drift.  One odd polynomial with a proven error bound then gives
+|sin(pi y)| for every term and for the periodic class weights, so nothing
+depends on the platform's sine.  Windows ending past 2^53 are refused,
+since n is then no longer exact in float64.  Terms are summed pairwise in
+chunks of 2^14 on a fixed grid and the chunk sums are added exactly, so the
+value does not depend on the worker count.  Each worker thread evaluates
+its contiguous block of chunks two at a time in its own four reused work
+rows (1 MiB), so the kernel runs in cache and allocates nothing per chunk.
+The periodic path exploits a rational alpha = a/q by computing one sine
+weight per residue class that occurs in the window.  Every result carries
+an explicit worst-case rounding bound.
 The module also hosts the small numeric kernel used by the analysis: the
 Fourier expansion of |sin|, geometric sums, oscillatory integrals and their
 constant, and two direct bound checks.
@@ -25,7 +30,6 @@ import math
 import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -60,15 +64,35 @@ _EPS = 2.0 ** -52
 # its error enters the bound through log2 of its length.
 _CHUNK = 1 << 14
 # Terms evaluated per batch of consecutive chunks (elementwise, so batching
-# never changes a term): six float64 work rows of 2^15 entries (1.5 MiB) stay
-# in a 2 MiB L2 cache, and each ufunc call does enough work that two worker
-# threads rarely wait on each other for the interpreter lock.
+# never changes a term), and the step of the reduction grid: four float64
+# work rows of 2^15 entries (1 MiB) stay in a 2 MiB L2 cache, and each ufunc
+# call does enough work that two worker threads rarely wait on each other for
+# the interpreter lock.
 _BATCH = 2 * _CHUNK
-_INT_INDEX = np.arange(_BATCH, dtype=np.int64)
-_INDEX = _INT_INDEX.astype(np.float64)
+_INDEX = np.arange(_BATCH, dtype=np.float64)
 _BUFFERS = threading.local()
-_SPLIT = 2.0 ** 27 + 1.0  # Dekker splitter for exact double products
 _MAX_INDEX = 2 ** 53  # largest window end whose indices are exact in float64
+# The reduction table frac(k*num/den), k < _BATCH, is assembled from rows of
+# this many exact residues.
+_TABLE_ROW = 1 << 8
+# sin(pi y) ~ y * sum_i c_i (y^2)^i on [0, 1/2]: minimax in y^2 with the
+# coefficients rounded to doubles one at a time (c_0 = fl(pi)), each later one
+# refitted; _SINPI_ERR is its proven relative error (see _sinpi_into).
+_SINPI_COEFFS = (
+    3.141592653589793,
+    -5.167712780049823,
+    2.5501640398634895,
+    -0.5992645288562669,
+    0.08214587911988085,
+    -0.007370365912127231,
+    0.00046599122654690967,
+    -2.1138095589715847e-05,
+)
+_SINPI_ERR = 1.0e-15
+# Absolute error of the reduced argument y against dist(n*num/den, Z): each
+# correctly rounded part is within 2^-54 (half an ulp below 1), and their
+# rounded sum (below 2) adds at most 2^-53.
+_ARG_ERR = 2.0 ** -52
 
 # Allowance multiplier for the O(q f(N)) remainder of the drift law;
 # calibrated against direct summation on the acceptance grid.
@@ -130,23 +154,14 @@ def _require_range(N: int, M: int, max_terms: int) -> None:
         )
 
 
-def _split3(x: Fraction) -> Tuple[float, float, float]:
-    a1 = float(x)
-    r = x - Fraction(a1)
-    a2 = float(r)
-    r -= Fraction(a2)
-    a3 = float(r)
-    return a1, a2, a3
-
-
 def _work_buffers(k: int) -> np.ndarray:
-    """The calling thread's six float64 work rows, cut to length k.
+    """The calling thread's four float64 work rows, cut to length k.
 
     Allocated once per thread and reused by every batch it evaluates, so a
     batch allocates nothing of its own size."""
     block = getattr(_BUFFERS, "block", None)
     if block is None:
-        block = _BUFFERS.block = np.empty((6, _BATCH), dtype=np.float64)
+        block = _BUFFERS.block = np.empty((4, _BATCH), dtype=np.float64)
     return block[:, :k]
 
 
@@ -157,6 +172,110 @@ def _apply_signs(terms: np.ndarray, lo: int) -> np.ndarray:
     return terms
 
 
+def _sinpi_into(y: np.ndarray, out: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """Write sin(pi*y) into out for y in [0, 1/2]; z is scratch of y's length.
+
+    The value is P(y) = y*Q(y^2) with Q(t) = sum_{i<=7} c_i t^i and the
+    double coefficients c_i of _SINPI_COEFFS, evaluated by Horner in
+    t = fl(y*y).  For every such y the result s satisfies
+
+        |s - sin(pi y)| <= _SINPI_ERR * sin(pi y) <= _SINPI_ERR = 1e-15,
+
+    a relative bound, hence also an absolute one.  Derivation, with
+    g(t) = sin(pi sqrt(t))/sqrt(t), so sin(pi y) = y*g(y^2), and g >= 2 on
+    [0, 1/4] because sin(pi y) >= 2y on [0, 1/2] (concavity):
+
+    * Approximation: |P(y) - sin(pi y)| / sin(pi y) = |Q(t) - g(t)| / g(t)
+      <= max|Q - g| / 2 <= 1.9e-16; max|Q - g| over [0, 1/4] is bounded by
+      3.8e-16 in exact arithmetic (the test suite re-derives it).
+    * Rounding (Higham, Accuracy and Stability of Numerical Algorithms,
+      ch. 3 and 5): c_i reaches the result through i roundings in t^i, 2i+1
+      in the Horner steps from its own addition on, and one in the final
+      product with y, so |s - P(y)| <= sum_i gamma_{3i+2} |c_i| y^(2i+1),
+      gamma_n = n u / (1 - n u), u = 2^-53.  Dividing by sin(pi y) >= 2y and
+      using y <= 1/2 gives the relative bound
+      sum_i gamma_{3i+2} |c_i| 2^-(2i+1) <= 7.9e-16.
+    * The two sum to at most 9.8e-16 <= 1e-15; the margin also covers the
+      roundings of the bound arithmetic itself.  The analysis assumes no
+      underflow, which needs y < 2^-511: there Q(t) evaluates to c_0
+      exactly and s = fl(c_0 y), within 2^-52 of pi y relatively as long
+      as c_0 y is normal, and within 2^-1074 absolutely otherwise.
+    """
+    c = _SINPI_COEFFS
+    np.multiply(y, y, out=z)
+    np.multiply(z, c[-1], out=out)
+    for ci in c[-2:0:-1]:
+        out += ci
+        out *= z
+    out += c[0]
+    out *= y
+    return out
+
+
+def _double_double(residues: Sequence[int], den: int) -> Tuple[np.ndarray, np.ndarray]:
+    """hi + lo for each r/den: both correctly rounded from Python ints, so
+    |r/den - hi - lo| <= 2^-106 r/den (for normal lo)."""
+    hi = [r / den for r in residues]
+    lo = []
+    for r, h in zip(residues, hi):
+        n, d = h.as_integer_ratio()
+        lo.append((r * d - n * den) / (den * d))
+    return np.array(hi), np.array(lo)
+
+
+def _frac_table(num: int, den: int, length: int) -> np.ndarray:
+    """frac(k*num/den), correctly rounded to a double, for k < length.
+
+    With k = i*_TABLE_ROW + j, the residue of k*num is the sum of the exact
+    residues of i*_TABLE_ROW*num and j*num, reduced once, so only a few
+    hundred residues come from Python ints.  For den <= 2^53 they are exact in
+    int64 and one IEEE division rounds each quotient correctly.  Otherwise
+    each residue quotient is a double-double, the pairs are added with
+    error-free transformations, and an entry is recomputed from Python ints
+    whenever the uncertainty left could move its rounding, or its sum lies
+    within 2^-40 of 1.  Of the uncertainty, each double-double leaves
+    2^-106 of its quotient, and the two rounded additions of the low parts
+    at most 3 * 2^-106 of the sum.
+    """
+    rows = -(-length // _TABLE_ROW)
+    r_row = [i * _TABLE_ROW * num % den for i in range(rows)]
+    r_col = [j * num % den for j in range(_TABLE_ROW)]
+    if den <= _MAX_INDEX:
+        res = np.add.outer(np.array(r_row, np.int64), np.array(r_col, np.int64))
+        np.subtract(res, den, out=res, where=res >= den)
+        return res.ravel()[:length] / float(den)
+    h1, l1 = _double_double(r_row, den)
+    h2, l2 = _double_double(r_col, den)
+    h1, l1 = h1[:, None], l1[:, None]
+    s = h1 + h2
+    t = s - h1
+    e = s - t
+    np.subtract(h1, e, out=e)
+    t -= h2
+    e -= t  # h1 + h2 = s + e exactly (TwoSum)
+    np.add(l1, l2, out=t)
+    e += t
+    # within 2^-40 of 1 the wrap below may be wrong and s - 1 may cancel
+    suspect = np.abs(s - 1.0) < 2.0 ** -40
+    # 2^-100 of the sum is 16 times what the steps above can leave
+    slack = np.multiply(s, 2.0 ** -100, out=t)
+    s -= s >= 1.0  # exact for s in [1, 2)
+    r = s + e
+    np.subtract(r, s, out=s)
+    e -= s  # s + e = r + e exactly (Fast2Sum, as |s| >= |e|)
+    # the exact quotient lies within slack of r + e: it rounds to r unless
+    # one end of that interval rounds elsewhere
+    for sign in (1.0, -1.0):
+        np.multiply(slack, sign, out=s)
+        s += e
+        s += r
+        suspect |= s != r
+    table = r.ravel()[:length]
+    for k in np.flatnonzero(suspect.ravel()[:length]).tolist():
+        table[k] = k * num % den / den
+    return table
+
+
 def _make_term_fn(
     source: RealSource, f: FDescriptor, N: int, M: int
 ) -> Tuple[Callable[[int, int], Tuple[np.ndarray, np.ndarray]], float]:
@@ -164,64 +283,42 @@ def _make_term_fn(
     returns it plus the per-term absolute error coefficient (multiplies f(n)
     in the bound).  The evaluator returns the terms and the f(n) values as
     views of the calling thread's work rows, valid until that thread's next
-    call."""
-    neg_p = -float(f.p)
+    call.
+
+    alpha mod 1 is taken exactly as num/den: a/q for a rational, the
+    enclosure midpoint otherwise.  Each n is written as g + k with g on the
+    grid N + 1 + j*_BATCH, and n*alpha mod 1 as T[k] + B_g, both correctly
+    rounded: T = _frac_table(num, den, ...) is built once per call, B_g from
+    Python ints once per segment.  Then y = |x - rint(x)| is exact and lies
+    within 2^-52 of the distance of n*num/den to the nearest integer, so a
+    term depends on n alone for given (source, N, M).
+    """
     if source.kind is Kind.RATIONAL:
-        a, q = source.a, source.q
-        table = np.abs(np.sin(np.pi * (np.arange(q) * a % q) / q))
+        num, den, arg_err = source.a % source.q, source.q, 0.0
+    else:
+        interval = source.approximate((N + M).bit_length() + 64)
+        den = 1 << (interval.exp + 1)
+        num = (interval.lo_m + interval.hi_m) % den
+        arg_err = float((N + M) * interval.width / 2)
+    table = _frac_table(num, den, min(M, _BATCH))
+    neg_p = -float(f.p)
 
-        def batch_rational(lo: int, hi: int) -> Tuple[np.ndarray, np.ndarray]:
-            k = hi - lo
-            nf, res, w, fv = _work_buffers(k)[:4]
-            np.add(_INDEX[:k], float(lo), out=nf)
-            res = res.view(np.int64)
-            np.add(_INT_INDEX[:k], lo % q, out=res)
-            np.remainder(res, q, out=res)
-            np.take(table, res, out=w, mode="clip")
-            np.power(nf, neg_p, out=fv)
-            np.multiply(fv, w, out=w)
-            return _apply_signs(w, lo), fv
-
-        return batch_rational, 2.0e-15
-
-    bits = (N + M).bit_length() + 64
-    interval = source.approximate(bits)
-    a1, a2, a3 = _split3(interval.midpoint)
-    c = _SPLIT * a1
-    ahi = c - (c - a1)
-    alo = a1 - ahi
-    arg_err = float((N + M) * interval.width / 2) + 6.0e-16
-    coeff = math.pi * arg_err + 1.2e-15
-
-    def batch_direct(lo: int, hi: int) -> Tuple[np.ndarray, np.ndarray]:
+    def batch(lo: int, hi: int) -> Tuple[np.ndarray, np.ndarray]:
         k = hi - lo
-        nf, x, nhi, nlo, err, tmp = _work_buffers(k)
+        nf, x, z, out = _work_buffers(k)
         np.add(_INDEX[:k], float(lo), out=nf)
-        # exact product nf * a1 = x + err via Dekker splitting
-        np.multiply(nf, a1, out=x)
-        np.multiply(nf, _SPLIT, out=tmp)
-        np.subtract(tmp, nf, out=nhi)
-        np.subtract(tmp, nhi, out=nhi)
-        np.subtract(nf, nhi, out=nlo)
-        np.multiply(nhi, ahi, out=err)
-        err -= x
-        for u, v in ((nhi, alo), (nlo, ahi), (nlo, alo), (nf, a2), (nf, a3)):
-            np.multiply(u, v, out=tmp)
-            err += tmp
-        # x = frac(frac(nf * a1) + err + nf * a2 + nf * a3)
-        np.floor(x, out=tmp)
-        x -= tmp
-        x += err
-        np.floor(x, out=tmp)
-        x -= tmp
-        x *= np.pi
-        np.sin(x, out=x)
+        for g in range(lo - (lo - N - 1) % _BATCH, hi, _BATCH):
+            a, b = max(lo, g), min(hi, g + _BATCH)
+            np.add(table[a - g : b - g], g * num % den / den, out=x[a - lo : b - lo])
+        np.rint(x, out=z)
+        x -= z
         np.abs(x, out=x)
-        fv = np.power(nf, neg_p, out=nhi)
-        np.multiply(fv, x, out=x)
-        return _apply_signs(x, lo), fv
+        _sinpi_into(x, out, z)
+        fv = np.power(nf, neg_p, out=nf)
+        out *= fv
+        return _apply_signs(out, lo), fv
 
-    return batch_direct, coeff
+    return batch, math.pi * (arg_err + _ARG_ERR) + _SINPI_ERR
 
 
 def _chunk_bound(absf: float, length: int, coeff: float) -> float:
@@ -331,7 +428,12 @@ def partial_sum_periodic(
 
     Each class n = h (mod q) shares one weight |sin(pi a h / q)|; for even
     q the class has constant sign, for odd q it alternates.  Classes are
-    summed separately (chunked, pairwise) and combined exactly.
+    summed separately (chunked, pairwise) and combined exactly.  With
+    k = a h mod q, a weight is _sinpi_into(min(k, q - k) / q): the quotient
+    is correctly rounded (relative error at most 2^-53, which moves
+    sin(pi y) by at most that relatively, since pi y cot(pi y) <= 1 on
+    (0, 1/2]), and the polynomial adds a relative 1e-15, so 2e-15 covers a
+    weight's relative error.
     """
     if q < 1:
         raise ValueError("q must be positive")
@@ -343,11 +445,12 @@ def partial_sum_periodic(
         classes: Sequence[int] = sorted((n - 1) % q + 1 for n in range(N + 1, N + M + 1))
     else:
         classes = range(1, q + 1)
+    y = np.array([min(k, q - k) / q for k in ((a * h) % q for h in classes)])
+    weights = _sinpi_into(y, np.empty_like(y), np.empty_like(y)).tolist()
     class_sums: List[float] = []
     absf_total = 0.0
     bound = 0.0
-    for h in classes:
-        w = abs(math.sin(math.pi * ((a * h) % q) / q))
+    for h, w in zip(classes, weights):
         first = N + 1 + ((h - (N + 1)) % q)
         if first > N + M:
             continue

@@ -93,15 +93,35 @@ def record_points_fraction(alpha: Fraction, q_max: int) -> List[Tuple[int, int]]
     return records
 
 
-def mp_partial_sum(alpha_mp, p: float, N: int, M: int, dps: int = 60) -> float:
-    """Reference sum of (-1)^n n^-p |sin(n pi alpha)| over n = N+1..N+M."""
+def mp_prefix_sums(alpha, p: float, N: int, M: int, dps: int = 60) -> List[float]:
+    """Reference running sums of (-1)^n n^-p |sin(n pi alpha)|, for the first
+    m = 1..M terms after index N.
+
+    alpha is an exact Fraction, whose n*alpha is reduced modulo 1 exactly
+    before the working precision takes over, or an mpmath number that is
+    exact at dps digits (computed at that precision or more, or a constant
+    such as mpmath.pi).
+    """
     with mpmath.workdps(dps):
-        alpha = mpmath.mpf(alpha_mp) if not isinstance(alpha_mp, mpmath.mpf) else alpha_mp
+        if not isinstance(alpha, Fraction):
+            alpha = mpmath.mpf(alpha)
         total = mpmath.mpf(0)
+        sums = []
         for n in range(N + 1, N + M + 1):
-            term = abs(mpmath.sin(mpmath.pi * n * alpha)) / mpmath.mpf(n) ** p
+            if isinstance(alpha, Fraction):
+                x = n * alpha % 1
+                x = mpmath.mpf(x.numerator) / x.denominator
+            else:
+                x = n * alpha
+            term = abs(mpmath.sin(mpmath.pi * x)) / mpmath.mpf(n) ** p
             total += -term if n % 2 else term
-        return float(total)
+            sums.append(float(total))
+        return sums
+
+
+def mp_partial_sum(alpha, p: float, N: int, M: int, dps: int = 60) -> float:
+    """Reference sum of (-1)^n n^-p |sin(n pi alpha)| over n = N+1..N+M."""
+    return mp_prefix_sums(alpha, p, N, M, dps)[-1]
 
 
 @pytest.fixture(scope="session")

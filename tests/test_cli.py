@@ -20,7 +20,7 @@ from dseries.cli import (
     parse_cert,
     parse_f,
 )
-from conftest import pi_fraction
+from conftest import mp_partial_sum, pi_fraction
 
 
 GRAMMAR_CORPUS = [
@@ -388,6 +388,34 @@ def test_sum_window_past_2_53_exits_2_with_manifest(tmp_path):
     )
     assert code == 2 and payload is None
     assert "2^53" in mani["error"]
+
+
+@pytest.mark.parametrize("exc", [MemoryError("cannot allocate"), RuntimeError("kernel failed")])
+def test_unexpected_exception_exits_1_with_manifest(tmp_path, monkeypatch, capsys, exc):
+    from dseries import cli
+
+    def boom(args, cfg, outputs):
+        raise exc
+
+    monkeypatch.setattr(cli, "_cmd_sum", boom)
+    code, payload, mani = run(["sum", "rat:1/3", "--f", "pow:1", "--M", "10"], tmp_path, "boom")
+    message = f"{type(exc).__name__}: {exc}"
+    assert code == 1 and payload is None
+    assert mani["error"] == message
+    err = capsys.readouterr().err
+    assert err == f"error: {message}\n"
+    assert "Traceback" not in err
+
+
+def test_sum_rational_with_huge_q_needs_no_q_sized_table(tmp_path):
+    q = 10 ** 12 + 1
+    code, payload, mani = run(
+        ["sum", f"rat:1/{q}", "--f", "pow:1", "--M", "10"], tmp_path, "bigq"
+    )
+    assert code == 0 and mani["error"] is None
+    res = payload["results"]["direct"]
+    oracle = mp_partial_sum(Fraction(1, q), 1.0, 0, 10)
+    assert abs(res["value"] - oracle) <= res["rounding_bound"]
 
 
 # -- drift ---------------------------------------------------------------------

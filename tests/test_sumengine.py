@@ -7,13 +7,25 @@ from fractions import Fraction
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 import dseries as ds
-from dseries import sumengine
+from dseries import realsource, sumengine
 from dseries.realsource import Kind
-from conftest import mp_partial_sum
+from conftest import mp_partial_sum, mp_prefix_sums
 
 CHUNK = sumengine._CHUNK
+BATCH = sumengine._BATCH
+
+
+def sinpi_reference(y):
+    """sin(pi y) by the kernel's Horner steps, one Python float at a time."""
+    c = sumengine._SINPI_COEFFS
+    z = y * y
+    p = z * c[-1]
+    for ci in c[-2:0:-1]:
+        p = (p + ci) * z
+    return (p + c[0]) * y
 
 
 def test_alpha_half_first_four_terms_exact():
@@ -60,7 +72,8 @@ def reference_periodic(a, q, f, N, M):
     absf_total = 0.0
     bound = 0.0
     for h in range(1, q + 1):
-        w = abs(math.sin(math.pi * ((a * h) % q) / q))
+        k = (a * h) % q
+        w = sinpi_reference(min(k, q - k) / q)
         first = N + 1 + ((h - (N + 1)) % q)
         if first > N + M:
             continue
@@ -113,22 +126,18 @@ def test_periodic_huge_q_visits_only_window_classes():
     q = 10 ** 12 + 1
     f = ds.make_power_f(Fraction(1, 2))
     r = ds.partial_sum_periodic(1, q, f, 0, 10)
-    oracle = mp_partial_sum(mpmath.mpf(1) / q, 0.5, 0, 10)
+    oracle = mp_partial_sum(Fraction(1, q), 0.5, 0, 10)
     assert abs(r.value - oracle) <= r.rounding_bound
 
 
-@pytest.mark.xfail(
-    strict=True,
-    reason="known defect: a class weight |sin(pi k/q)| with k near q comes from an "
-    "argument near pi, whose absolute rounding error is large relative to the weight; "
-    "the periodic bound assumes a relative error of 2e-15",
-)
 def test_periodic_bound_holds_when_window_wraps_near_multiple_of_q():
-    q = 10 ** 12 + 1
-    N = q - 5
-    r = ds.partial_sum_periodic(1, q, ds.make_power_f(Fraction(1, 2)), N, 10, max_terms=2 ** 53)
-    oracle = mp_partial_sum(mpmath.mpf(1) / q, 0.5, N, 10)
-    assert abs(r.value - oracle) <= r.rounding_bound
+    # weights |sin(pi k/q)| with k near q come from min(k, q - k)/q, so they
+    # keep their relative accuracy
+    for q in (10 ** 6 + 1, 10 ** 12 + 1):
+        N = q - 5
+        r = ds.partial_sum_periodic(1, q, ds.make_power_f(Fraction(1, 2)), N, 10, max_terms=2 ** 53)
+        oracle = mp_partial_sum(Fraction(1, q), 0.5, N, 10)
+        assert abs(r.value - oracle) <= r.rounding_bound
 
 
 def test_periodic_requires_reduced_fraction():
@@ -172,34 +181,24 @@ def test_reverse_summation_agrees_within_bounds_across_many_chunks():
 
 
 def reference_terms(source, f, N, M, lo, hi):
-    """Terms for n in [lo, hi) as the original one-array-per-step kernel
-    computed them; the buffered kernel must reproduce every bit."""
-    ns = np.arange(lo, hi, dtype=np.int64)
-    nf = ns.astype(np.float64)
-    signs = 1.0 - 2.0 * (ns & 1)
-    fv = nf ** -float(f.p)
+    """Terms for n in [lo, hi), one scalar at a time from exact integer
+    residues: n = g + k with g on the grid N + 1 + j*BATCH, frac(n alpha) as
+    the rounded sum of the correctly rounded frac(k alpha) and frac(g alpha),
+    and alpha the rational itself or the enclosure midpoint.  The buffered
+    kernel must reproduce every bit."""
     if source.kind is Kind.RATIONAL:
-        a, q = source.a, source.q
-        table = np.abs(np.sin(np.pi * (np.arange(q) * a % q) / q))
-        return signs * fv * table[ns % q]
-    mid = source.approximate((N + M).bit_length() + 64).midpoint
-    a1 = float(mid)
-    a2 = float(mid - Fraction(a1))
-    a3 = float(mid - Fraction(a1) - Fraction(a2))
-    split = 2.0 ** 27 + 1.0
-    p1 = nf * a1
-    c = split * nf
-    nhi = c - (c - nf)
-    nlo = nf - nhi
-    c = split * a1
-    ahi = c - (c - a1)
-    alo = a1 - ahi
-    err = ((nhi * ahi - p1) + nhi * alo + nlo * ahi) + nlo * alo
-    x = p1 - np.floor(p1)
-    x += err + nf * a2 + nf * a3
-    x -= np.floor(x)
-    w = np.abs(np.sin(np.pi * x))
-    return signs * fv * w
+        alpha = Fraction(source.a, source.q)
+    else:
+        alpha = source.approximate((N + M).bit_length() + 64).midpoint
+    num, den = alpha.numerator, alpha.denominator
+    fv = np.arange(lo, hi, dtype=np.float64) ** -float(f.p)
+    terms = []
+    for n, fn in zip(range(lo, hi), fv.tolist()):
+        k = (n - N - 1) % BATCH
+        x = k * num % den / den + (n - k) * num % den / den
+        t = sinpi_reference(abs(x - round(x))) * fn
+        terms.append(-t if n % 2 else t)
+    return np.array(terms)
 
 
 KERNEL_WINDOWS = [
@@ -233,6 +232,133 @@ def test_direct_sum_is_exact_sum_of_reference_chunk_sums(source, p, N, M):
     for workers in (1, 2):
         r = ds.partial_sum_direct(source, f, N, M, workers=workers, max_terms=2 ** 53)
         assert r.value == expected
+
+
+def test_sinpi_error_constant_is_proven():
+    """Re-derive _SINPI_ERR in exact arithmetic; no library sine is consulted.
+
+    With t = y^2, sin(pi y) = y g(t), g(t) = sum_k (-1)^k pi^(2k+1) t^k / (2k+1)!,
+    and the kernel evaluates y Q(t).  To bound e = Q - g on [0, 1/4]: g is cut
+    after t^K (its Taylor remainder is below the first omitted term, as the
+    terms alternate and decrease for t <= 1/4); pi is replaced by a 256-bit
+    lower bound, which moves term k by at most
+    (pi_hi - pi_lo) pi_hi^(2k) t^k / (2k)!; the coefficients of the exact
+    polynomial are rounded to the grid 2^-P; and on each subinterval the
+    polynomial is re-expanded about the midpoint, so the sum of its
+    coefficient magnitudes bounds it there.  g >= 2 turns that into the
+    relative bound max|e| / 2, to which the Horner rounding term of
+    _sinpi_into is added.
+    """
+    c = [Fraction(x) for x in sumengine._SINPI_COEFFS]
+    K, P, m = 24, 320, 12  # subintervals [w - 1, w + 1] / 2^m, odd w < 2^(m-2)
+    pi_lo = Fraction(realsource._pi_floor(256), 1 << 256)
+    pi_hi = pi_lo + Fraction(1, 1 << 256)
+    quarter = Fraction(1, 4)
+    scaled = []  # 2^P e_K(t), rounded, with t = w / 2^m and the powers of 2^m cleared
+    for k in range(K + 1):
+        ek = (c[k] if k < len(c) else 0) - (-1) ** k * pi_lo ** (2 * k + 1) / math.factorial(2 * k + 1)
+        scaled.append(round(ek * (1 << P)) << (m * (K - k)))
+    slack = Fraction(K + 1, 2) / (1 << P)
+    slack += pi_hi ** (2 * K + 3) / math.factorial(2 * K + 3) * quarter ** (K + 1)
+    slack += (pi_hi - pi_lo) * sum(
+        pi_hi ** (2 * k) / math.factorial(2 * k) * quarter ** k for k in range(K + 1)
+    )
+    worst = 0
+    for w in range(1, 1 << (m - 2), 2):
+        b = scaled[:]  # Taylor shift: coefficients of the polynomial in u = (w' - w)
+        for i in range(K):
+            for j in range(K - 1, i - 1, -1):
+                b[j] += w * b[j + 1]
+        worst = max(worst, sum(abs(x) for x in b))
+    max_e = Fraction(worst, 1 << (P + m * K)) + slack
+    assert max_e < Fraction(38, 10 ** 17)
+    u = Fraction(1, 1 << 53)
+    horner = sum(
+        (3 * i + 2) * u / (1 - (3 * i + 2) * u) * abs(ci) / (1 << (2 * i + 1))
+        for i, ci in enumerate(c)
+    )
+    assert max_e / 2 + horner <= Fraction(sumengine._SINPI_ERR)
+
+
+def test_reduction_table_is_correctly_rounded():
+    cases = [(12345, 700001), (1, 3), (0, 1), (10 ** 12, 10 ** 12 + 1), (2 ** 53 - 1, 2 ** 53)]
+    # double-double path: enclosure midpoints, a huge rational, and sums that
+    # wrap onto 0 or 1/2 exactly or land within 2^-40 of 1
+    for src in (ds.make_constant("pi"), ds.make_constant("e"), ds.make_surd(0, 1, 2, 1)):
+        mid = src.approximate(118).midpoint % 1
+        cases.append((mid.numerator, mid.denominator))
+    cases += [
+        (10 ** 19 + 7, 10 ** 20 + 1),
+        (1, 10 ** 30),
+        (2 ** 150, 2 ** 151),
+        (2 ** 150 + 1, 2 ** 151),
+        (3 * 2 ** 149 - 1, 2 ** 151),
+        (2 ** 151 - 1, 2 ** 151),
+        # 1/2 + 2^-54 + 2^-150: just above a tie, which hi + lo alone rounds down
+        (2 ** 150 + 2 ** 97 + 2, 2 ** 151),
+    ]
+    rng = random.Random(3)
+    for _ in range(5):
+        den = rng.randrange(2 ** 54, 2 ** 200)
+        cases.append((rng.randrange(den), den))
+    for num, den in cases:
+        for length in (BATCH, 1000, 1):
+            table = sumengine._frac_table(num, den, length)
+            assert table.tolist() == [k * num % den / den for k in range(length)], (num, den)
+
+
+_BOUND_SOURCES = st.one_of(
+    st.tuples(st.just("rat"), st.integers(1, 10 ** 12), st.integers(-10 ** 12, 10 ** 12)),
+    st.tuples(
+        st.just("surd"),
+        st.integers(-20, 20),
+        st.integers(1, 5),
+        st.sampled_from([2, 3, 5, 7, 10, 13, 29, 47]),
+        st.integers(1, 12),
+    ),
+    st.tuples(st.sampled_from(["pi", "e", "invpi"])),
+)
+
+
+def _bound_case(spec):
+    """(source, mpmath alpha at 80 digits or an exact Fraction) for a drawn spec."""
+    if spec[0] == "rat":
+        src = ds.make_rational(spec[2], spec[1])
+        return src, Fraction(src.a, src.q)
+    with mpmath.workdps(80):
+        if spec[0] == "surd":
+            _, p, r, d, s = spec
+            return ds.make_surd(p, r, d, s), (p + r * mpmath.sqrt(d)) / s
+        value = {"pi": mpmath.pi, "e": mpmath.e, "invpi": 1 / mpmath.pi}[spec[0]]
+        return ds.make_constant(spec[0]), +value
+
+
+@settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(
+    spec=_BOUND_SOURCES,
+    p=st.sampled_from([Fraction(1), Fraction(1, 2), Fraction(3, 4)]),
+    M=st.integers(1, 300),
+    start=st.one_of(
+        st.integers(0, 10 ** 6), st.integers(0, 2 ** 53), st.integers(2 ** 53 - 10 ** 6, 2 ** 53)
+    ),
+)
+def test_rounding_bound_holds_across_the_accepted_range(spec, p, M, start):
+    source, alpha = _bound_case(spec)
+    N = min(start, 2 ** 53 - M)
+    f = ds.make_power_f(p)
+    ref = mp_prefix_sums(alpha, float(p), N, M)
+
+    def check(value, bound, m):
+        assert abs(value - ref[m - 1]) <= bound + math.ulp(ref[m - 1]) / 2
+
+    d = ds.partial_sum_direct(source, f, N, M, max_terms=2 ** 53)
+    check(d.value, d.rounding_bound, M)
+    trace = ds.scan_partial_sums(source, f, N, M, max_terms=2 ** 53)
+    for row in trace.rows:
+        check(row.value, row.rounding_bound, row.m)
+    if source.kind is Kind.RATIONAL:
+        r = ds.partial_sum_periodic(source.a, source.q, f, N, M, max_terms=2 ** 53)
+        check(r.value, r.rounding_bound, M)
 
 
 def test_window_past_2_53_is_refused():
