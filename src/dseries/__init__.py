@@ -56,6 +56,7 @@ from .criterion import (
     FDescriptor,
     MeasureCertificate,
     Outcome,
+    StaircaseLevel,
     Verdict,
     VerdictCertificate,
     classify,
@@ -64,6 +65,7 @@ from .criterion import (
     make_power_f,
     measure_tail_bound,
     roth_certificate,
+    staircase_levels,
 )
 from .sumengine import (
     ApConstant,
@@ -135,6 +137,8 @@ __all__ = [
     "roth_certificate",
     "mahler_certificate",
     "classify",
+    "StaircaseLevel",
+    "staircase_levels",
     # sumengine
     "PartialSumResult",
     "DriftPrediction",

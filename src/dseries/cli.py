@@ -18,18 +18,13 @@ import os
 import re
 import sys
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from . import __version__, cfrac, criterion, realsource, sumengine
 from .criterion import Budget, FDescriptor, MeasureCertificate, Outcome
-from .errors import (
-    AmbiguousOrderError,
-    CertificateError,
-    DSeriesError,
-    ResourceLimitError,
-)
+from .errors import AmbiguousOrderError, DSeriesError, ResourceLimitError
 from .realsource import (
     DEFAULT_MAX_BITS,
     Kind,
@@ -49,6 +44,7 @@ __all__ = [
 ]
 
 _DEFAULT_MANIFEST = "dseries_manifest.json"
+_MAX_WORKERS = 64  # each worker is a thread with its own 1 MiB of work rows
 
 _RAT_RE = re.compile(r"^rat:(-?\d+)/(-?\d+)$")
 _SURD_RE = re.compile(r"^surd:\((-?\d+)([+-])(\d+)\*sqrt\((\d+)\)\)/(-?\d+)$")
@@ -79,33 +75,13 @@ def parse_alpha(text: str, *, max_bits: int = DEFAULT_MAX_BITS) -> RealSource:
         return realsource.make_constant(m.group(1), max_bits=max_bits)
     m = _LIOU_RE.match(text)
     if m:
-        schedule = Schedule(m.group(1))
-        base_num, base_den = 0, 1
-        digits: Tuple[int, ...] = (1,)
-        start = 1
+        params: Dict[str, str] = {}
         for item in filter(None, m.group(2).split(",")):
             key, _, value = item.partition("=")
-            if key == "base":
-                num_s, slash, den_s = value.partition("/")
-                if not slash:
-                    raise ValueError(f"base must look like a/q, got {value!r}")
-                base_num, base_den = int(num_s), int(den_s)
-            elif key == "digits":
-                if not value or any(c not in "13" for c in value):
-                    raise ValueError("digits pattern must be a nonempty string over {1,3}")
-                digits = tuple(int(c) for c in value)
-            elif key == "start":
-                start = int(value)
-            else:
+            if key not in ("base", "digits", "start"):
                 raise ValueError(f"unknown liouville parameter {key!r}")
-        spec = LiouvilleSpec(
-            base_num=base_num,
-            base_den=base_den,
-            digits=digits,
-            start=start,
-            schedule=schedule,
-        )
-        return realsource.make_liouville(spec, max_bits=max_bits)
+            params[key] = value
+        return realsource.make_liouville(_liouville_spec(m.group(1), **params), max_bits=max_bits)
     m = _CF_RE.match(text)
     if m:
         pqs: List[int] = [int(m.group(1))]
@@ -123,6 +99,24 @@ def parse_alpha(text: str, *, max_bits: int = DEFAULT_MAX_BITS) -> RealSource:
     raise ValueError(
         f"unrecognized alpha spec {text!r}; expected rat:, surd:, const:, "
         "liouville: or cf:"
+    )
+
+
+def _liouville_spec(
+    schedule: str, base: str = "0/1", digits: str = "1", start: Union[int, str] = 1
+) -> LiouvilleSpec:
+    """The staircase parameters of liouville:SCHEDULE[,base=a/q][,digits=..][,start=M]."""
+    num_s, slash, den_s = base.partition("/")
+    if not slash:
+        raise ValueError(f"base must look like a/q, got {base!r}")
+    if not digits or any(c not in "13" for c in digits):
+        raise ValueError("digits pattern must be a nonempty string over {1,3}")
+    return LiouvilleSpec(
+        base_num=int(num_s),
+        base_den=int(den_s),
+        digits=tuple(int(c) for c in digits),
+        start=int(start),
+        schedule=Schedule(schedule),
     )
 
 
@@ -220,15 +214,14 @@ def _load_config(path: Optional[str]) -> Config:
 
 def _resolve_config(args: argparse.Namespace) -> Config:
     cfg = _load_config(getattr(args, "config", None))
-    overrides = {}
     for key in ("max_bits", "max_terms", "workers"):
-        flag = getattr(args, key, None)
-        if flag is not None:
-            overrides[key] = flag
-    if overrides:
-        cfg = Config(**{**cfg.__dict__, **overrides})
-    if cfg.max_bits < 64 or cfg.max_terms < 1 or cfg.workers < 1:
-        raise ValueError("config values out of range: need max_bits >= 64, max_terms >= 1, workers >= 1")
+        if getattr(args, key, None) is not None:
+            cfg = replace(cfg, **{key: getattr(args, key)})
+    if cfg.max_bits < 64 or cfg.max_terms < 1 or not 1 <= cfg.workers <= _MAX_WORKERS:
+        raise ValueError(
+            "config values out of range: need max_bits >= 64, max_terms >= 1, "
+            f"1 <= workers <= {_MAX_WORKERS}"
+        )
     return cfg
 
 
@@ -308,18 +301,17 @@ def _cmd_sum(args: argparse.Namespace, cfg: Config, outputs: List[str]) -> Tuple
     f = parse_f(args.f)
     N, M = args.N, args.M
     results: Dict[str, dict] = {}
-    trace = None
+    t0 = time.perf_counter()
     if args.trace:
-        t0 = time.perf_counter()
-        trace = sumengine.scan_partial_sums(source, f, N, M, max_terms=cfg.max_terms)
-        dt = time.perf_counter() - t0
-        if args.mode in ("direct", "both"):
-            results["direct"] = _result_dict(trace.final, dt)
-    elif args.mode in ("direct", "both"):
-        t0 = time.perf_counter()
+        trace = sumengine.scan_partial_sums(
+            source, f, N, M, max_terms=cfg.max_terms, workers=cfg.workers
+        )
+        rd = trace.final
+    elif args.mode != "periodic":
         rd = sumengine.partial_sum_direct(
             source, f, N, M, max_terms=cfg.max_terms, workers=cfg.workers
         )
+    if args.mode != "periodic":
         results["direct"] = _result_dict(rd, time.perf_counter() - t0)
     if args.mode in ("periodic", "both"):
         if source.kind is not Kind.RATIONAL:
@@ -384,111 +376,33 @@ def _cmd_drift(args: argparse.Namespace, cfg: Config, outputs: List[str]) -> Tup
     return payload, 0
 
 
-def _exponent_as_float(spec: LiouvilleSpec, k: int) -> float:
-    e = spec.exponent(k, 10 ** 15)
-    if e is not None:
-        return float(e)
-    lg = spec.exponent_log10(k)
-    if math.isinf(lg) or lg > 307:
-        return math.inf
-    return 10.0 ** lg
-
-
-_LOG10_20_3 = math.log10(20.0 / 3.0)
-
-
 def _cmd_liouville(args: argparse.Namespace, cfg: Config, outputs: List[str]) -> Tuple[dict, int]:
-    num_s, slash, den_s = args.base.partition("/")
-    if not slash:
-        raise ValueError(f"--base must look like a/q, got {args.base!r}")
-    if not args.digits or any(c not in "13" for c in args.digits):
-        raise ValueError("--digits must be a nonempty pattern over {1,3}")
-    spec = LiouvilleSpec(
-        base_num=int(num_s),
-        base_den=int(den_s),
-        digits=tuple(int(c) for c in args.digits),
-        start=args.start,
-        schedule=Schedule(args.schedule),
-    )
+    spec = _liouville_spec(args.schedule, args.base, args.digits, args.start)
     source = realsource.make_liouville(spec, max_bits=cfg.max_bits)
-    p = Fraction(args.p)
-    criterion.make_power_f(p)  # validates the exponent range
-    levels: List[dict] = []
-    error: Optional[str] = None
-    top_level = spec.start + args.terms - 1
-    top_den: Optional[int] = None
-    for level in range(spec.start, top_level + 1):
-        e_here = spec.exponent(level, 10 ** 9)
-        if e_here is None:
-            error = (
-                f"exponent e_{level} of the {spec.schedule.value} schedule is not "
-                f"representable; reporting levels below {level} only"
-            )
-            break
-        lam = realsource.liouville_partial(spec, level)
-        q_red = lam.denominator
-        top_den = q_red
-        lg_q = math.log10(q_red)
-        e_next = _exponent_as_float(spec, level + 1)
-        if math.isinf(e_next):
-            q_next_lg = math.inf
-            term_lg = math.inf
-        else:
-            q_next_lg = e_next - lg_q - _LOG10_20_3
-            if p == 1:
-                term_lg = math.log10(q_next_lg * math.log(10.0)) - 2 * lg_q
-            else:
-                term_lg = float(1 - p) * q_next_lg - 2 * lg_q
-        # Legendre gap certificate: the remaining tail is < 4*10^-e_next, so
-        # 8 q^2 < 10^e_next forces lambda to be a convergent of alpha.
-        e_next_int = spec.exponent(level + 1, 10 ** 6)
-        if e_next_int is not None:
-            gap_ok = len(str(8 * q_red * q_red)) <= e_next_int
-        else:
-            gap_ok = e_next > 2.0 * len(str(q_red)) + 1
-        levels.append(
-            {
-                "level": level,
-                "exponent": e_here,
-                "lambda_num": str(lam.numerator),
-                "lambda_den": str(lam.denominator),
-                "q": str(q_red),
-                "q_even": q_red % 2 == 0,
-                "q_next_log10_lower": _json_float(q_next_lg),
-                "criterion_term_log10_lower": _json_float(term_lg),
-                "_gap_ok": gap_ok,
-            }
-        )
-    count = 24
-    while True:
-        exp = cfrac.expand(source, count, max_bits=cfg.max_bits)
-        reached = exp.convergents and top_den and exp.convergents[-1].q >= top_den
-        if exp.capped or reached or count >= 384:
-            break
-        count *= 2
-    conv_pairs = {(c.a, c.q) for c in exp.convergents}
-    for entry in levels:
-        lam_pair = (int(entry["lambda_num"]), int(entry["lambda_den"]))
-        gap_ok = entry.pop("_gap_ok")
-        if lam_pair in conv_pairs:
-            entry["verified_convergent"] = True
-            entry["verification"] = "expansion"
-        elif gap_ok:
-            entry["verified_convergent"] = True
-            entry["verification"] = "gap_bound"
-        else:
-            entry["verified_convergent"] = False
-            entry["verification"] = None
+    f = parse_f(f"pow:{args.p}")
+    levels, exp, error = criterion.staircase_levels(source, f, args.terms, max_bits=cfg.max_bits)
     qalpha = cfrac.q_alpha(exp.convergents)
-    verdict = criterion.classify(
-        source, criterion.make_power_f(p), Budget(max_bits=cfg.max_bits)
-    )
+    verdict = criterion.classify(source, f, Budget(max_bits=cfg.max_bits))
     payload = {
         "schema": 1,
         "alpha": format_alpha(source),
         "schedule": spec.schedule.value,
-        "p": str(p),
-        "levels": levels,
+        "p": str(f.p),
+        "levels": [
+            {
+                "level": lv.level,
+                "exponent": lv.exponent,
+                "lambda_num": str(lv.lam.numerator),
+                "lambda_den": str(lv.lam.denominator),
+                "q": str(lv.lam.denominator),
+                "q_even": lv.lam.denominator % 2 == 0,
+                "q_next_log10_lower": _json_float(lv.q_next_log10_lower),
+                "criterion_term_log10_lower": _json_float(lv.criterion_term_log10_lower),
+                "verified_convergent": lv.verification is not None,
+                "verification": lv.verification,
+            }
+            for lv in levels
+        ],
         "qalpha": [
             {"n": e.n, "q": str(e.q), "q_next": str(e.q_next)} for e in qalpha
         ],
@@ -528,30 +442,35 @@ def _build_parser() -> argparse.ArgumentParser:
     common.add_argument("--config", help="key=value config file (max_bits, max_terms, workers)")
     common.add_argument("--max-bits", dest="max_bits", type=int, help="precision cap override")
     common.add_argument("--max-terms", dest="max_terms", type=int, help="term cap override")
-    common.add_argument("--workers", type=int, help="worker threads for direct summation")
+    common.add_argument("--workers", type=int, help="worker threads for sums (1 to 64)")
     common.add_argument("--manifest", default=_DEFAULT_MANIFEST, help="run manifest path")
     common.add_argument("--json", dest="json_path", help="write the JSON document here instead of stdout")
 
+    # no abbreviated flags, so _prescan_manifest and argparse agree on --manifest
     parser = argparse.ArgumentParser(
         prog="dseries",
+        allow_abbrev=False,
         description="Convergence toolkit for alternating sine-weighted series",
     )
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    s = sub.add_parser("cf", parents=[common], help="continued-fraction expansion")
+    def command(name: str, summary: str) -> argparse.ArgumentParser:
+        return sub.add_parser(name, parents=[common], allow_abbrev=False, help=summary)
+
+    s = command("cf", "continued-fraction expansion")
     s.add_argument("alpha")
     s.add_argument("--terms", type=_positive_int, default=12)
     s.set_defaults(func=_cmd_cf)
 
-    s = sub.add_parser("classify", parents=[common], help="convergence verdict")
+    s = command("classify", "convergence verdict")
     s.add_argument("alpha")
     s.add_argument("--f", required=True, help="weight spec, e.g. pow:1 or pow:1/2")
     s.add_argument("--cert", action="append", help="roth | mahler[:C] | measure:mu,C")
     s.add_argument("--budget", type=_positive_int, default=24, help="expansion budget (convergents)")
     s.set_defaults(func=_cmd_classify)
 
-    s = sub.add_parser("sum", parents=[common], help="partial sums S(alpha; M, N)")
+    s = command("sum", "partial sums S(alpha; M, N)")
     s.add_argument("alpha")
     s.add_argument("--f", required=True)
     s.add_argument("--N", type=_nonneg_int, default=0)
@@ -560,7 +479,7 @@ def _build_parser() -> argparse.ArgumentParser:
     s.add_argument("--trace", help="CSV trace path (geometric checkpoints)")
     s.set_defaults(func=_cmd_sum)
 
-    s = sub.add_parser("drift", parents=[common], help="even-q drift prediction vs measurement")
+    s = command("drift", "even-q drift prediction vs measurement")
     s.add_argument("a", type=int)
     s.add_argument("q", type=int)
     s.add_argument("--f", required=True)
@@ -568,7 +487,7 @@ def _build_parser() -> argparse.ArgumentParser:
     s.add_argument("--M", type=_positive_int, required=True)
     s.set_defaults(func=_cmd_drift)
 
-    s = sub.add_parser("liouville", parents=[common], help="staircase construction report")
+    s = command("liouville", "staircase construction report")
     s.add_argument("--schedule", required=True, choices=["factorial", "tower100"])
     s.add_argument("--digits", default="1", help="repeating digit pattern over {1,3}")
     s.add_argument("--base", default="0/1", help="rational offset a/q")
@@ -649,28 +568,14 @@ def console_main(argv: Optional[Sequence[str]] = None) -> int:
                 sys.stdout.write(text)
         if payload is not None and payload.get("error"):
             manifest["error"] = payload["error"]
-    except CertificateError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        manifest["error"] = str(exc)
-        code = 1
-    except (ResourceLimitError, AmbiguousOrderError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        manifest["error"] = str(exc)
-        code = 2
-    except DSeriesError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        manifest["error"] = str(exc)
-        code = 1
-    except (ValueError, OverflowError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        manifest["error"] = str(exc)
-        code = 1
     except Exception as exc:
-        # the boundary: any other failure still ends in exit 1 and a manifest
-        message = f"{type(exc).__name__}: {exc}"
+        # the boundary: every failure ends in a message, a manifest and exit
+        # 1 or 2, never a traceback
+        known = isinstance(exc, (DSeriesError, ValueError, OverflowError))
+        message = str(exc) if known else f"{type(exc).__name__}: {exc}"
         print(f"error: {message}", file=sys.stderr)
         manifest["error"] = message
-        code = 1
+        code = 2 if isinstance(exc, (ResourceLimitError, AmbiguousOrderError)) else 1
     manifest["outputs"] = outputs
     manifest["duration_s"] = time.perf_counter() - start
     _write_manifest(manifest_path, manifest)

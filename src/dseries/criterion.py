@@ -12,15 +12,15 @@ settled by exact structure or a certificate comes back Inconclusive.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import Enum
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from . import cfrac
-from .cfrac import QAlphaEntry
+from .cfrac import Expansion, QAlphaEntry
 from .errors import CertificateError, PrecisionLimitError
-from .realsource import Constant, Kind, RealSource, Schedule
+from .realsource import Constant, Kind, LiouvilleSpec, RealSource, Schedule, liouville_partial
 
 __all__ = [
     "FDescriptor",
@@ -37,6 +37,8 @@ __all__ = [
     "roth_certificate",
     "mahler_certificate",
     "classify",
+    "StaircaseLevel",
+    "staircase_levels",
 ]
 
 # Relative error carried by a criterion term evaluated in double precision;
@@ -437,3 +439,89 @@ def classify(
             "partial sums are evidence only",
         ),
     )
+
+
+_LOG10_20_3 = math.log10(20.0 / 3.0)
+
+
+@dataclass(frozen=True)
+class StaircaseLevel:
+    """One level of a staircase number: lam = lambda_level (denominator q),
+    log10 lower bounds for the next denominator q_next and for the criterion
+    term (1/q^2) F(q_next), either possibly inf, and how lam was shown to be
+    a convergent: "expansion", "gap_bound" or None (not shown).
+    """
+
+    level: int
+    exponent: int
+    lam: Fraction
+    q_next_log10_lower: float
+    criterion_term_log10_lower: float
+    verification: Optional[str]
+
+
+def _exponent_as_float(spec: LiouvilleSpec, k: int) -> float:
+    e = spec.exponent(k, 10 ** 15)
+    if e is not None:
+        return float(e)
+    lg = spec.exponent_log10(k)
+    return math.inf if lg > 307 else 10.0 ** lg
+
+
+def staircase_levels(
+    source: RealSource, f: FDescriptor, terms: int, *, max_bits: Optional[int] = None
+) -> Tuple[Tuple[StaircaseLevel, ...], Expansion, Optional[str]]:
+    """The first `terms` levels of a staircase source, from its start level.
+
+    Returns the levels, the expansion that verified them (24 convergents,
+    doubled up to 384 until it reaches the top level's denominator), and an
+    error message when a level's exponent is not representable; the levels
+    below it are still reported.
+    """
+    spec = source.liouville
+    if spec is None:
+        raise ValueError("staircase levels need a liouville: source")
+    levels: List[StaircaseLevel] = []
+    error: Optional[str] = None
+    for level in range(spec.start, spec.start + terms):
+        e_here = spec.exponent(level, 10 ** 9)
+        if e_here is None:
+            error = (
+                f"exponent e_{level} of the {spec.schedule.value} schedule is not "
+                f"representable; reporting levels below {level} only"
+            )
+            break
+        lam = liouville_partial(spec, level)
+        q = lam.denominator
+        lg_q = math.log10(q)
+        e_next = _exponent_as_float(spec, level + 1)
+        if math.isinf(e_next):
+            q_next_lg = term_lg = math.inf
+        else:
+            q_next_lg = e_next - lg_q - _LOG10_20_3
+            if f.p == 1:
+                term_lg = math.log10(q_next_lg * math.log(10.0)) - 2 * lg_q
+            else:
+                term_lg = float(1 - f.p) * q_next_lg - 2 * lg_q
+        # Legendre gap certificate: the remaining tail is < 4*10^-e_next, so
+        # 8 q^2 < 10^e_next forces lambda to be a convergent of alpha.
+        e_next_int = spec.exponent(level + 1, 10 ** 6)
+        if e_next_int is not None:
+            gap_ok = len(str(8 * q * q)) <= e_next_int
+        else:
+            gap_ok = e_next > 2.0 * len(str(q)) + 1
+        verification = "gap_bound" if gap_ok else None
+        levels.append(StaircaseLevel(level, e_here, lam, q_next_lg, term_lg, verification))
+    top_den = levels[-1].lam.denominator if levels else None
+    count = 24
+    while True:
+        exp = cfrac.expand(source, count, max_bits=max_bits)
+        reached = exp.convergents and top_den and exp.convergents[-1].q >= top_den
+        if exp.capped or reached or count >= 384:
+            break
+        count *= 2
+    convergents = {(c.a, c.q) for c in exp.convergents}
+    for i, lv in enumerate(levels):
+        if (lv.lam.numerator, lv.lam.denominator) in convergents:
+            levels[i] = replace(lv, verification="expansion")
+    return tuple(levels), exp, error

@@ -10,11 +10,12 @@ exact integer residues, so the reduced argument never accumulates O(M)
 rounding drift.  One odd polynomial with a proven error bound then gives
 |sin(pi y)| for every term and for the periodic class weights, so nothing
 depends on the platform's sine.  Windows ending past 2^53 are refused,
-since n is then no longer exact in float64.  Terms are summed pairwise in
-chunks of 2^14 on a fixed grid and the chunk sums are added exactly, so the
-value does not depend on the worker count.  Each worker thread evaluates
-its contiguous block of chunks two at a time in its own four reused work
-rows (1 MiB), so the kernel runs in cache and allocates nothing per chunk.
+since n is then no longer exact in float64.  Direct sums and checkpoint
+scans share one loop: terms are summed pairwise in chunks of 2^14 on a
+fixed grid and the chunk sums are added exactly, so no result depends on
+the worker count.  Each worker thread evaluates its contiguous block of
+chunks two at a time in its own four reused work rows (1 MiB), so the
+kernel runs in cache and allocates nothing per chunk.
 The periodic path exploits a rational alpha = a/q by computing one sine
 weight per residue class that occurs in the window.  Every result carries
 an explicit worst-case rounding bound.
@@ -30,7 +31,7 @@ import math
 import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Callable, Collection, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -326,7 +327,7 @@ def _chunk_bound(absf: float, length: int, coeff: float) -> float:
     return absf * (coeff + pairwise)
 
 
-def _chunk_ranges(N: int, M: int, cuts: Sequence[int] = ()) -> List[Tuple[int, int]]:
+def _chunk_ranges(N: int, M: int, cuts: Collection[int]) -> List[Tuple[int, int]]:
     """Half-open index ranges covering n = N+1 .. N+M.
 
     Boundaries sit on the grid N + 1 + j*_CHUNK, whatever the worker count,
@@ -336,25 +337,6 @@ def _chunk_ranges(N: int, M: int, cuts: Sequence[int] = ()) -> List[Tuple[int, i
     stops.add(N + M + 1)
     bounds = [N + 1] + sorted(stops)
     return list(zip(bounds, bounds[1:]))
-
-
-def _eval_chunks(
-    term_fn: Callable[[int, int], Tuple[np.ndarray, np.ndarray]],
-    ranges: Sequence[Tuple[int, int]],
-) -> Iterator[Tuple[int, int, np.ndarray, float]]:
-    """Yield (lo, hi, terms, sum of f(n)) for each consecutive range in turn,
-    evaluating as many ranges per term_fn call as fit in _BATCH terms."""
-    i = 0
-    while i < len(ranges):
-        start = ranges[i][0]
-        j = i + 1
-        while j < len(ranges) and ranges[j][1] - start <= _BATCH:
-            j += 1
-        terms, fv = term_fn(start, ranges[j - 1][1])
-        for lo, hi in ranges[i:j]:
-            part = slice(lo - start, hi - start)
-            yield lo, hi, terms[part], float(np.sum(fv[part]))
-        i = j
 
 
 def _fsum_add(partials: List[float], x: float) -> None:
@@ -373,6 +355,74 @@ def _fsum_add(partials: List[float], x: float) -> None:
     partials[i:] = [x]
 
 
+def _sum(
+    source: RealSource, f: FDescriptor, N: int, M: int, cps: set[int], workers: int, track_max: bool
+) -> SumTrace:
+    """The one chunk loop behind partial_sum_direct and scan_partial_sums.
+
+    Each worker evaluates a contiguous block of the chunks, as many per
+    term_fn call as fit in _BATCH terms.  The chunk records are folded in
+    index order, adding the sums and the bounds exactly, so nothing depends
+    on the worker count.  Rounding is monotone, so the largest
+    |fl(run_i + offset)| over a chunk's running sums run_i sits at the
+    largest or the smallest run_i: only those two are kept.
+    """
+    term_fn, coeff = _make_term_fn(source, f, N, M)
+    ranges = _chunk_ranges(N, M, cps)
+
+    def eval_block(block: Sequence[Tuple[int, int]]) -> list:
+        records = []  # (m, chunk sum, chunk bound, ((m, run_m) at the extremes))
+        i = 0
+        while i < len(block):
+            start = block[i][0]
+            j = i + 1
+            while j < len(block) and block[j][1] - start <= _BATCH:
+                j += 1
+            terms, fv = term_fn(start, block[j - 1][1])
+            for lo, hi in block[i:j]:
+                part = slice(lo - start, hi - start)
+                extremes: Sequence[Tuple[int, float]] = ()
+                if track_max:
+                    run = np.cumsum(terms[part])
+                    at = sorted({int(np.argmax(run)), int(np.argmin(run))})
+                    extremes = [(lo + k - N, float(run[k])) for k in at]
+                bound = _chunk_bound(float(np.sum(fv[part])), hi - lo, coeff)
+                records.append((hi - 1 - N, float(np.sum(terms[part])), bound, extremes))
+            i = j
+        return records
+
+    nblocks = max(1, min(workers, len(ranges)))
+    if nblocks > 1:
+        cut = [len(ranges) * i // nblocks for i in range(nblocks + 1)]
+        with ThreadPoolExecutor(max_workers=nblocks) as pool:
+            blocks = pool.map(eval_block, [ranges[a:b] for a, b in zip(cut, cut[1:])])
+            records = [r for block in blocks for r in block]
+    else:
+        records = eval_block(ranges)
+
+    partials: List[float] = []  # exact running sum of the chunk sums
+    bounds: List[float] = []  # exact running sum of the chunk bounds
+    rows: List[TraceRow] = []
+    max_abs, max_at = 0.0, None
+    for m, chunk_sum, chunk_bound, extremes in records:
+        offset = math.fsum(partials)
+        for at, run in extremes:
+            if abs(run + offset) > max_abs:
+                max_abs, max_at = abs(run + offset), at
+        _fsum_add(partials, chunk_sum)
+        _fsum_add(bounds, chunk_bound)
+        if m in cps or m == M:
+            value = math.fsum(partials)
+            rows.append(TraceRow(m, value, math.fsum(bounds) + 2 * _EPS * abs(value)))
+    last = rows[-1] if M in cps else rows.pop()  # the row at M is the final result
+    return SumTrace(
+        rows=tuple(rows),
+        final=PartialSumResult(last.value, last.rounding_bound, terms=M, mode="direct"),
+        max_abs=max_abs if track_max else None,
+        max_abs_at=max_at if track_max else None,
+    )
+
+
 def partial_sum_direct(
     source: RealSource,
     f: FDescriptor,
@@ -381,38 +431,16 @@ def partial_sum_direct(
     *,
     max_terms: int = DEFAULT_MAX_TERMS,
     workers: int = 1,
-    reverse: bool = False,
 ) -> PartialSumResult:
     """Sum the M terms after index N straight from an enclosure of alpha.
 
     The result is deterministic for fixed inputs regardless of `workers`:
     chunk boundaries do not depend on it, each worker takes a contiguous
     block of chunks, and the chunk sums are always combined in index order
-    with exact accumulation.  `reverse` sums each chunk's terms backwards and
-    exists to probe the rounding bound (the two orders must agree within it).
+    with exact accumulation.
     """
     _require_range(N, M, max_terms)
-    term_fn, coeff = _make_term_fn(source, f, N, M)
-    ranges = _chunk_ranges(N, M)
-
-    def eval_block(block: Sequence[Tuple[int, int]]) -> List[Tuple[float, float]]:
-        parts = []
-        for lo, hi, terms, absf in _eval_chunks(term_fn, block):
-            total = float(np.sum(terms[::-1] if reverse else terms))
-            parts.append((total, _chunk_bound(absf, hi - lo, coeff)))
-        return parts
-
-    nblocks = max(1, min(workers, len(ranges)))
-    if nblocks > 1:
-        cut = [len(ranges) * i // nblocks for i in range(nblocks + 1)]
-        with ThreadPoolExecutor(max_workers=nblocks) as pool:
-            blocks = pool.map(eval_block, [ranges[a:b] for a, b in zip(cut, cut[1:])])
-            parts = [p for block in blocks for p in block]
-    else:
-        parts = eval_block(ranges)
-    value = math.fsum(p[0] for p in parts)
-    bound = math.fsum(p[1] for p in parts) + 2 * _EPS * abs(value)
-    return PartialSumResult(value=value, rounding_bound=bound, terms=M, mode="direct")
+    return _sum(source, f, N, M, set(), workers, False).final
 
 
 def partial_sum_periodic(
@@ -504,11 +532,14 @@ def scan_partial_sums(
     *,
     track_max: bool = False,
     max_terms: int = DEFAULT_MAX_TERMS,
+    workers: int = 1,
 ) -> SumTrace:
     """Single pass over the terms recording running sums at checkpoints.
 
-    With track_max, also records the running maximum of |S(m)| over every
-    m = 1..M (not just checkpoints) via per-chunk cumulative sums.
+    With track_max, also records the largest |S(m)| over every m = 1..M
+    (not just checkpoints) and an m attaining it.  Rows, bounds and maxima
+    do not depend on `workers`, and the final result equals
+    partial_sum_direct over the same window bit for bit.
     """
     _require_range(N, M, max_terms)
     if checkpoints is None:
@@ -517,40 +548,7 @@ def scan_partial_sums(
         cps = sorted(set(int(c) for c in checkpoints))
         if cps and (cps[0] < 1 or cps[-1] > M):
             raise ValueError("checkpoints must lie in [1, M]")
-    term_fn, coeff = _make_term_fn(source, f, N, M)
-    partials: List[float] = []  # exact running sum of the chunk sums
-    rows: List[TraceRow] = []
-    bound = 0.0
-    max_abs = 0.0
-    max_at: Optional[int] = None
-    cp_set = set(cps)
-    for lo, hi, terms, absf in _eval_chunks(term_fn, _chunk_ranges(N, M, cps)):
-        if track_max:
-            running = np.cumsum(terms) + math.fsum(partials)
-            i = int(np.argmax(np.abs(running)))
-            cand = abs(float(running[i]))
-            if cand > max_abs:
-                max_abs = cand
-                max_at = lo + i - N
-        _fsum_add(partials, float(np.sum(terms)))
-        bound += _chunk_bound(absf, hi - lo, coeff)
-        m = hi - 1 - N
-        if m in cp_set:
-            value = math.fsum(partials)
-            rows.append(TraceRow(m=m, value=value, rounding_bound=bound + 2 * _EPS * abs(value)))
-    value = math.fsum(partials)
-    final = PartialSumResult(
-        value=value,
-        rounding_bound=bound + 2 * _EPS * abs(value),
-        terms=M,
-        mode="direct",
-    )
-    return SumTrace(
-        rows=tuple(rows),
-        final=final,
-        max_abs=max_abs if track_max else None,
-        max_abs_at=max_at if track_max else None,
-    )
+    return _sum(source, f, N, M, set(cps), workers, track_max)
 
 
 def drift_predict(

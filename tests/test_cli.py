@@ -195,6 +195,27 @@ def test_config_out_of_range_flag(tmp_path):
     assert code == 1 and "max_bits" in mani["error"]
 
 
+@pytest.mark.parametrize("where", ["flag", "file"])
+def test_config_rejects_more_than_64_workers_before_summing(tmp_path, monkeypatch, where):
+    from dseries import sumengine
+
+    def never(*args, **kwargs):
+        raise AssertionError("a sum started")
+
+    monkeypatch.setattr(sumengine, "partial_sum_direct", never)
+    cfgfile = tmp_path / "many.cfg"
+    cfgfile.write_text("workers = 100000\n")
+    extra = ["--workers", "100000"] if where == "flag" else ["--config", str(cfgfile)]
+    code, payload, mani = run(
+        ["sum", "rat:1/3", "--f", "pow:1", "--M", "10", *extra], tmp_path, "manyw"
+    )
+    assert code == 1 and payload is None
+    assert "workers <= 64" in mani["error"]
+    argv = ["sum", "rat:1/3", "--f", "pow:1", "--M", "10", "--mode", "periodic", "--workers", "64"]
+    code, _, mani = run(argv, tmp_path, "w64")
+    assert code == 0 and mani["caps"]["workers"] == 64
+
+
 # -- manifests and exit codes --------------------------------------------------
 
 
@@ -339,11 +360,22 @@ def test_sum_both_modes_agree_closely(tmp_path):
     assert payload["difference"] <= payload["combined_bound"]
 
 
-def test_sum_workers_do_not_change_the_value(tmp_path):
+def test_sum_workers_do_not_change_the_value(tmp_path, monkeypatch):
+    from dseries import sumengine
+
     argv = ["sum", "const:pi", "--f", "pow:1", "--N", "0", "--M", "50000"]
     _, one, _ = run(argv + ["--workers", "1"], tmp_path, "w1")
     _, four, _ = run(argv + ["--workers", "4"], tmp_path, "w4")
     assert one["results"]["direct"]["value"] == four["results"]["direct"]["value"]
+    # --trace honours --workers and still writes the same bytes
+    scan, seen = sumengine.scan_partial_sums, []
+    monkeypatch.setattr(
+        sumengine, "scan_partial_sums", lambda *a, **k: seen.append(k["workers"]) or scan(*a, **k)
+    )
+    for w in ("1", "4"):
+        run(argv + ["--workers", w, "--trace", str(tmp_path / f"t{w}.csv")], tmp_path, "t" + w)
+    assert seen == [1, 4]
+    assert (tmp_path / "t1.csv").read_bytes() == (tmp_path / "t4.csv").read_bytes()
 
 
 def test_sum_trace_csv_shape(tmp_path):
@@ -405,6 +437,23 @@ def test_unexpected_exception_exits_1_with_manifest(tmp_path, monkeypatch, capsy
     err = capsys.readouterr().err
     assert err == f"error: {message}\n"
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["classify", "rat:1/3", "--f", "pow:1"],
+        ["sum", "rat:1/3", "--f", "pow:1", "--M", "0"],
+    ],
+)
+def test_abbreviated_flags_are_refused_and_manifest_goes_to_default(tmp_path, monkeypatch, argv):
+    # an abbreviation argparse accepted would put the manifest of a success
+    # under a name the failure path never looks at
+    monkeypatch.chdir(tmp_path)
+    assert console_main(argv + ["--manif", "m.json"]) == 1
+    assert not (tmp_path / "m.json").exists()
+    mani = json.loads((tmp_path / "dseries_manifest.json").read_text())
+    assert mani["error"] == "argument parsing failed"
 
 
 def test_sum_rational_with_huge_q_needs_no_q_sized_table(tmp_path):
@@ -492,6 +541,21 @@ def test_liouville_tower_structured_error(tmp_path):
     assert levels[1]["q_even"]
     # the next denominator dwarfs everything: 10^200-scale exponent
     assert levels[1]["q_next_log10_lower"] > 1e199
+
+
+@pytest.mark.parametrize(
+    "extra, error",
+    [
+        (["--p", "1/0"], "cannot parse exponent '1/0'"),
+        (["--p", "2"], "0 < p <= 1"),
+        (["--base", "3"], "base must look like a/q"),
+        (["--digits", "12"], "digits pattern"),
+    ],
+)
+def test_liouville_parameters_share_the_grammar_parsers(tmp_path, extra, error):
+    code, payload, mani = run(["liouville", "--schedule", "factorial", *extra], tmp_path, "lp")
+    assert code == 1 and payload is None
+    assert error in mani["error"]
 
 
 # -- reproducibility -----------------------------------------------------------

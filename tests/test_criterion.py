@@ -1,5 +1,6 @@
 """Classifier, weight descriptors, measure certificates, tail bounds."""
 
+import json
 import math
 from fractions import Fraction
 
@@ -254,3 +255,38 @@ def test_budget_limits_expansion_depth():
         ds.Budget(convergents=5),
     )
     assert v.outcome is ds.Outcome.INCONCLUSIVE
+
+
+@pytest.mark.parametrize(
+    "schedule, p, terms, verified",
+    [
+        ("factorial", "1/2", 4, "expansion"),
+        ("factorial", "1", 4, "expansion"),
+        ("tower100", "1/2", 3, "gap_bound"),
+    ],
+)
+def test_staircase_levels_match_the_cli_report(tmp_path, schedule, p, terms, verified):
+    from dseries.cli import _json_float, console_main
+
+    out = tmp_path / "out.json"
+    argv = ["liouville", "--schedule", schedule, "--terms", str(terms), "--p", p]
+    console_main(argv + ["--json", str(out), "--manifest", str(tmp_path / "m.json")])
+    report = json.loads(out.read_text())
+    source = ds.make_liouville(ds.LiouvilleSpec(schedule=ds.Schedule(schedule)))
+    levels, exp, error = ds.staircase_levels(source, ds.make_power_f(Fraction(p)), terms)
+    assert error == report["error"]
+    assert len(exp.convergents) == report["expansion"]["convergents"]
+    assert len(levels) == len(report["levels"]) > 0
+    for lv, row in zip(levels, report["levels"]):
+        assert lv.lam == Fraction(int(row["lambda_num"]), int(row["lambda_den"]))
+        assert (lv.level, lv.exponent, lv.verification) == (
+            row["level"], row["exponent"], row["verification"]
+        )
+        assert _json_float(lv.q_next_log10_lower) == row["q_next_log10_lower"]
+        assert _json_float(lv.criterion_term_log10_lower) == row["criterion_term_log10_lower"]
+    assert verified in {lv.verification for lv in levels}
+
+
+def test_staircase_levels_need_a_staircase_source():
+    with pytest.raises(ValueError):
+        ds.staircase_levels(ds.make_constant("pi"), ds.make_power_f(1), 3)

@@ -154,12 +154,23 @@ def test_workers_do_not_change_the_bits():
     assert r1.rounding_bound == r4.rounding_bound
 
 
+def reversed_chunk_sum(source, f, N, M):
+    """The direct sum with each chunk's terms added backwards and the chunk
+    sums added exactly: a second summation order that the forward rounding
+    bound must also cover."""
+    term_fn, _ = sumengine._make_term_fn(source, f, N, M)
+    sums = []
+    for lo in range(N + 1, N + M + 1, CHUNK):
+        terms, _ = term_fn(lo, min(lo + CHUNK, N + M + 1))
+        sums.append(float(np.sum(terms[::-1])))
+    return math.fsum(sums)
+
+
 def test_reverse_summation_agrees_within_bounds():
     src = ds.make_constant("invpi")
     f = ds.make_power_f(1)
     fwd = ds.partial_sum_direct(src, f, 0, 30000)
-    rev = ds.partial_sum_direct(src, f, 0, 30000, reverse=True)
-    assert abs(fwd.value - rev.value) <= fwd.rounding_bound + rev.rounding_bound
+    assert abs(fwd.value - reversed_chunk_sum(src, f, 0, 30000)) <= fwd.rounding_bound
 
 
 def test_workers_do_not_change_the_bits_across_many_chunks():
@@ -176,8 +187,7 @@ def test_reverse_summation_agrees_within_bounds_across_many_chunks():
     f = ds.make_power_f(1)
     M = 8 * CHUNK + 123
     fwd = ds.partial_sum_direct(src, f, 5, M, workers=2)
-    rev = ds.partial_sum_direct(src, f, 5, M, workers=2, reverse=True)
-    assert abs(fwd.value - rev.value) <= fwd.rounding_bound + rev.rounding_bound
+    assert abs(fwd.value - reversed_chunk_sum(src, f, 5, M)) <= fwd.rounding_bound
 
 
 def reference_terms(source, f, N, M, lo, hi):
@@ -424,6 +434,29 @@ def test_scan_checkpoints_equal_direct_sums_bit_for_bit():
         assert row.value == ds.partial_sum_direct(src, f, N, row.m).value
     d = ds.partial_sum_direct(src, f, N, M)
     assert abs(trace.final.value - d.value) <= trace.final.rounding_bound + d.rounding_bound
+
+
+@pytest.mark.parametrize("source", [ds.make_constant("e"), ds.make_rational(3, 8)])
+def test_scan_does_not_depend_on_workers(source):
+    f = ds.make_power_f(Fraction(1, 2))
+    M = 8 * CHUNK + 123
+    cps = ds.geometric_checkpoints(M) + [CHUNK, 5 * CHUNK + 77]
+    runs = [
+        ds.scan_partial_sums(source, f, 5, M, cps, track_max=True, workers=w)
+        for w in (1, 2, 4)
+    ]
+    # repr tells every two distinct doubles apart: rows, bounds, max_abs and
+    # max_abs_at are all bit-identical
+    assert len({repr(r) for r in runs}) == 1
+    assert runs[0].max_abs_at is not None
+
+
+@pytest.mark.parametrize("source, p, N, M", KERNEL_WINDOWS)
+def test_direct_sum_equals_scan_final_bit_for_bit(source, p, N, M):
+    f = ds.make_power_f(p)
+    direct = ds.partial_sum_direct(source, f, N, M, workers=2, max_terms=2 ** 53)
+    scan = ds.scan_partial_sums(source, f, N, M, [M], max_terms=2 ** 53)
+    assert repr(scan.final) == repr(direct)
 
 
 def test_running_exact_sum_matches_fsum_of_every_prefix():
