@@ -275,15 +275,15 @@ def _expand_prefix(source: RealSource, count: int) -> Expansion:
     )
 
 
-def expand(source: RealSource, count: int, *, max_bits: Optional[int] = None) -> Expansion:
+def expand(source: RealSource, count: int) -> Expansion:
     """First `count` best approximations of the source value.
 
     Rational sources terminate exactly (possibly with fewer entries) with
     the canonical last partial quotient >= 2.  Other sources escalate the
     enclosure precision until each emitted convergent is certified and its
     distance enclosure is tight relative to the next denominator.  If the
-    precision cap is reached first, the certified prefix is returned with
-    capped=True and cap_reason set.
+    source's precision cap, its max_bits, is reached first, the certified
+    prefix is returned with capped=True and cap_reason set.
     """
     if count < 1:
         raise ValueError("count must be >= 1")
@@ -292,8 +292,8 @@ def expand(source: RealSource, count: int, *, max_bits: Optional[int] = None) ->
     if source.kind is Kind.PQ_STREAM:
         return _expand_prefix(source, count)
 
-    effective_cap = source.max_bits if max_bits is None else min(max_bits, source.max_bits)
-    bits = min(128, effective_cap)
+    cap = source.max_bits
+    bits = min(128, cap)
     last_good: Optional[Tuple[List[int], DyadicInterval, int]] = None
     while True:
         try:
@@ -313,15 +313,15 @@ def expand(source: RealSource, count: int, *, max_bits: Optional[int] = None) ->
                 return _build_irrational(
                     pqs, interval, count, bits, capped=False, cap_reason=None
                 )
-        if bits >= effective_cap:
+        if bits >= cap:
             return _capped_expansion(
                 pqs,
                 interval,
                 count,
                 bits,
-                f"precision cap {effective_cap} bits reached",
+                f"precision cap {cap} bits reached",
             )
-        bits = min(bits * 2, effective_cap)
+        bits = min(bits * 2, cap)
 
 
 def _rational_records(source: RealSource, q_max: int) -> List[RecordPoint]:

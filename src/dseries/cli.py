@@ -251,7 +251,7 @@ def _outward_floats(iv) -> Tuple[float, float]:
 
 def _cmd_cf(args: argparse.Namespace, cfg: Config, outputs: List[str]) -> Tuple[dict, int]:
     source = parse_alpha(args.alpha, max_bits=cfg.max_bits)
-    exp = cfrac.expand(source, args.terms, max_bits=cfg.max_bits)
+    exp = cfrac.expand(source, args.terms)
     convs = []
     for c in exp.convergents:
         lo, hi = _outward_floats(c.dist)
@@ -275,7 +275,7 @@ def _cmd_classify(args: argparse.Namespace, cfg: Config, outputs: List[str]) -> 
     source = parse_alpha(args.alpha, max_bits=cfg.max_bits)
     f = parse_f(args.f)
     certs = [parse_cert(c) for c in (args.cert or [])]
-    budget = Budget(convergents=args.budget, max_bits=cfg.max_bits)
+    budget = Budget(convergents=args.budget)
     verdict = criterion.classify(source, f, budget, certs)
     payload = {
         "schema": 1,
@@ -380,9 +380,9 @@ def _cmd_liouville(args: argparse.Namespace, cfg: Config, outputs: List[str]) ->
     spec = _liouville_spec(args.schedule, args.base, args.digits, args.start)
     source = realsource.make_liouville(spec, max_bits=cfg.max_bits)
     f = parse_f(f"pow:{args.p}")
-    levels, exp, error = criterion.staircase_levels(source, f, args.terms, max_bits=cfg.max_bits)
+    levels, exp, error = criterion.staircase_levels(source, f, args.terms)
     qalpha = cfrac.q_alpha(exp.convergents)
-    verdict = criterion.classify(source, f, Budget(max_bits=cfg.max_bits))
+    verdict = criterion.classify(source, f, Budget())
     payload = {
         "schema": 1,
         "alpha": format_alpha(source),

@@ -20,7 +20,7 @@ from typing import Dict, List, Optional, Sequence, Tuple, Union
 from . import cfrac
 from .cfrac import Expansion, QAlphaEntry
 from .errors import CertificateError, PrecisionLimitError
-from .realsource import Constant, Kind, LiouvilleSpec, RealSource, Schedule, liouville_partial
+from .realsource import Constant, Kind, RealSource, Schedule, _exceeds_power_multiple, liouville_partial
 
 __all__ = [
     "FDescriptor",
@@ -285,7 +285,6 @@ class Verdict:
 @dataclass(frozen=True)
 class Budget:
     convergents: int = 24
-    max_bits: Optional[int] = None
 
 
 def _liouville_divergence(source: RealSource, p: Fraction) -> Optional[str]:
@@ -325,7 +324,7 @@ def _expansion_evidence(
 ) -> Tuple[Tuple[QAlphaEntry, ...], CriterionSeries, Tuple[str, ...]]:
     notes: List[str] = []
     try:
-        exp = cfrac.expand(source, budget.convergents, max_bits=budget.max_bits)
+        exp = cfrac.expand(source, budget.convergents)
     except PrecisionLimitError as exc:
         return (), CriterionSeries((), ()), (f"expansion unavailable: {exc}",)
     if exp.capped:
@@ -460,16 +459,8 @@ class StaircaseLevel:
     verification: Optional[str]
 
 
-def _exponent_as_float(spec: LiouvilleSpec, k: int) -> float:
-    e = spec.exponent(k, 10 ** 15)
-    if e is not None:
-        return float(e)
-    lg = spec.exponent_log10(k)
-    return math.inf if lg > 307 else 10.0 ** lg
-
-
 def staircase_levels(
-    source: RealSource, f: FDescriptor, terms: int, *, max_bits: Optional[int] = None
+    source: RealSource, f: FDescriptor, terms: int
 ) -> Tuple[Tuple[StaircaseLevel, ...], Expansion, Optional[str]]:
     """The first `terms` levels of a staircase source, from its start level.
 
@@ -494,8 +485,9 @@ def staircase_levels(
         lam = liouville_partial(spec, level)
         q = lam.denominator
         lg_q = math.log10(q)
-        e_next = _exponent_as_float(spec, level + 1)
-        if math.isinf(e_next):
+        # e_next is exact, or None (read as inf) beyond float range.
+        e_next = spec.exponent(level + 1, 10 ** 307)
+        if e_next is None:
             q_next_lg = term_lg = math.inf
         else:
             q_next_lg = e_next - lg_q - _LOG10_20_3
@@ -505,17 +497,13 @@ def staircase_levels(
                 term_lg = float(1 - f.p) * q_next_lg - 2 * lg_q
         # Legendre gap certificate: the remaining tail is < 4*10^-e_next, so
         # 8 q^2 < 10^e_next forces lambda to be a convergent of alpha.
-        e_next_int = spec.exponent(level + 1, 10 ** 6)
-        if e_next_int is not None:
-            gap_ok = len(str(8 * q * q)) <= e_next_int
-        else:
-            gap_ok = e_next > 2.0 * len(str(q)) + 1
+        gap_ok = e_next is None or not _exceeds_power_multiple(8 * q * q + 1, 1, e_next)
         verification = "gap_bound" if gap_ok else None
         levels.append(StaircaseLevel(level, e_here, lam, q_next_lg, term_lg, verification))
     top_den = levels[-1].lam.denominator if levels else None
     count = 24
     while True:
-        exp = cfrac.expand(source, count, max_bits=max_bits)
+        exp = cfrac.expand(source, count)
         reached = exp.convergents and top_den and exp.convergents[-1].q >= top_den
         if exp.capped or reached or count >= 384:
             break

@@ -182,33 +182,40 @@ class LiouvilleSpec:
             return e if e <= limit else None
         e = 1
         for _ in range(k - 1):
-            # e_{k+1} = 100^{e_k} has about 2*e_k decimal digits; refuse to
+            # e_{k+1} = 100^{e_k} = 10^(2 e_k) exceeds 2^(6 e_k); refuse to
             # materialize it once that provably exceeds the limit.
-            if 2 * e > len(str(limit)) + 1:
+            if 6 * e >= limit.bit_length():
                 return None
             e = 100 ** e
             if e > limit:
                 return None
         return e
 
-    def exponent_log10(self, k: int) -> float:
-        """log10(e_k) as a float, computable even when e_k is huge."""
-        if k < 1:
-            raise ValueError("exponent index must be >= 1")
-        if self.schedule is Schedule.FACTORIAL:
-            return math.lgamma(k + 1) / math.log(10.0)
-        # tower: log10(e_{j+1}) = 2 * e_j, carrying e_j exactly while it fits
-        e = 1
-        for step in range(k - 1):
-            if e > 10 ** 304:
-                return math.inf
-            if step == k - 2:
-                return 2.0 * e
-            if 2 * e > 400:
-                # the level after next has log10 = 2 * 100^e, beyond float range
-                return math.inf
-            e = 100 ** e
-        return 0.0
+    def last_level(self, limit: int) -> int:
+        """The largest level whose exponent is at most `limit`, or start - 1
+        when there is none."""
+        k = self.start
+        while self.exponent(k, limit) is not None:
+            k += 1
+        return k - 1
+
+    def truncation(self, level: int) -> Tuple[int, int]:
+        """lambda_level = base + sum_{start <= k <= level} d_k 10^-e_k as an
+        exact (num, den) with den = base_den * 10^e_level, not reduced; levels
+        below start give the base.  Raises PrecisionLimitError when an
+        exponent exceeds 10^9."""
+        # Exponents increase, so the top one decides before anything is built.
+        if level >= self.start and self.exponent(level, 10 ** 9) is None:
+            raise PrecisionLimitError(f"exponent e_{level} is not representable")
+        num, den = self.base_num, self.base_den
+        last_e = 0
+        for k in range(self.start, level + 1):
+            e = self.exponent(k, 10 ** 9)
+            step = 10 ** (e - last_e)
+            num = num * step + self.digit(k) * self.base_den
+            den *= step
+            last_e = e
+        return num, den
 
 
 @dataclass(eq=False)
@@ -320,23 +327,12 @@ class RealSource:
         spec = self.liouville
         assert spec is not None
         dec = _liouville_places(level)
-        # Materialized truncation num / den with den = base_den * 10^e_last.
-        num, den = spec.base_num, spec.base_den
-        k = spec.start
-        last_e = 0
-        while True:
-            e = spec.exponent(k, dec)
-            if e is None:
-                break
-            step = 10 ** (e - last_e)
-            num = num * step + spec.digit(k) * spec.base_den
-            den *= step
-            last_e = e
-            k += 1
+        last = spec.last_level(dec)
+        num, den = spec.truncation(last)
         # Tail bound: digits <= 3 and exponents strictly increase, so
         # sum_{k > K} d_k 10^-e_k < (10/3) * 10^-e_{K+1} <= (10/3) * 10^-(dec+1).
         # The bound is bound_num / (bound_coef * 10^bound_pow).
-        e_next = spec.exponent(k, 8 * dec)
+        e_next = spec.exponent(last + 1, 8 * dec)
         if e_next is not None:
             bound_num, bound_coef, bound_pow = 10, 3, e_next
         else:
@@ -404,6 +400,8 @@ def _exceeds_power_multiple(lhs: int, rhs: int, n: int) -> bool:
     """
     if rhs == 0:
         return True
+    if lhs.bit_length() <= 3 * n:
+        return False  # lhs < 8^n <= 10^n
     pow_bits = n * _LOG2_10_LO // _LOG2_10_DEN
     if pow_bits == n * _LOG2_10_HI // _LOG2_10_DEN:
         # rhs * 10^n has bit length rbits or rbits + 1
@@ -594,13 +592,7 @@ def liouville_partial(spec: LiouvilleSpec, level: int) -> Fraction:
 
     The exponents must be materializable; levels below start return the base.
     """
-    total = Fraction(spec.base_num, spec.base_den)
-    for k in range(spec.start, level + 1):
-        e = spec.exponent(k, 10 ** 9)
-        if e is None:
-            raise PrecisionLimitError(f"exponent e_{k} is not representable")
-        total += Fraction(spec.digit(k), 10 ** e)
-    return total
+    return Fraction(*spec.truncation(level))
 
 
 def liouville_truncation(source: RealSource, bits: int) -> Tuple[int, Fraction]:
@@ -612,8 +604,5 @@ def liouville_truncation(source: RealSource, bits: int) -> Tuple[int, Fraction]:
     if source.kind is not Kind.LIOUVILLE:
         raise ValueError("not a Liouville source")
     spec = source.liouville
-    dec = _liouville_places(_ladder_level(bits + _GRID_GUARD))
-    k = spec.start
-    while spec.exponent(k, dec) is not None:
-        k += 1
-    return k - 1, liouville_partial(spec, k - 1)
+    level = spec.last_level(_liouville_places(_ladder_level(bits + _GRID_GUARD)))
+    return level, liouville_partial(spec, level)

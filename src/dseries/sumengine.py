@@ -572,10 +572,9 @@ def drift_predict(
         / q
         * (f.antiderivative(float(N + M)) - f.antiderivative(float(N)))
     )
-    sign = -1 if N % 2 == 0 else 1
     return DriftPrediction(
         magnitude=magnitude,
-        sign=sign,
+        sign=-1,
         error_allowance=DRIFT_ALLOWANCE_FACTOR * q * f.eval(float(N)),
     )
 

@@ -22,18 +22,18 @@ def test_01_expansion_matches_brute_force_records():
     # denominators of expand() restricted to q <= 1e5 equal the brute-force
     # record list at 256-bit precision, for six sources of all flavors
     sources = [
-        ds.make_constant("pi"),
-        ds.make_constant("invpi"),
-        ds.make_surd(0, 1, 2, 1),
-        ds.make_surd(1, 1, 5, 2),
-        ds.make_constant("e"),
-        ds.make_rational(355, 113),
+        ds.make_constant("pi", max_bits=4096),
+        ds.make_constant("invpi", max_bits=4096),
+        ds.make_surd(0, 1, 2, 1, max_bits=4096),
+        ds.make_surd(1, 1, 5, 2, max_bits=4096),
+        ds.make_constant("e", max_bits=4096),
+        ds.make_rational(355, 113, max_bits=4096),
     ]
     for src in sources:
         brute = [r.q for r in ds.brute_force_best(src, 10 ** 5, bits=256)]
         count = 32
         while True:
-            exp = ds.expand(src, count, max_bits=4096)
+            exp = ds.expand(src, count)
             done = exp.exact or exp.capped or (
                 exp.convergents and exp.convergents[-1].q > 10 ** 5
             )

@@ -110,7 +110,7 @@ def test_expand_capped_on_prefix_stream():
 
 
 def test_expand_capped_by_max_bits():
-    exp = ds.expand(ds.make_constant("pi"), 40, max_bits=128)
+    exp = ds.expand(ds.make_constant("pi", max_bits=128), 40)
     assert exp.capped
     assert len(exp.convergents) < 40
     # what was emitted is still correct

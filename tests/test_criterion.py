@@ -2,6 +2,9 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
@@ -290,3 +293,35 @@ def test_staircase_levels_match_the_cli_report(tmp_path, schedule, p, terms, ver
 def test_staircase_levels_need_a_staircase_source():
     with pytest.raises(ValueError):
         ds.staircase_levels(ds.make_constant("pi"), ds.make_power_f(1), 3)
+
+
+def test_staircase_levels_past_the_decimal_string_limit():
+    # level 7 has q = 10^5040, so 8 q^2 has more than 4300 decimal digits
+    source = ds.make_liouville(ds.LiouvilleSpec())
+    levels, exp, error = ds.staircase_levels(source, ds.make_power_f(Fraction(1, 2)), 7)
+    assert error is None
+    assert [lv.exponent for lv in levels] == [math.factorial(k) for k in range(1, 8)]
+    assert levels[-1].lam.denominator == 10 ** 5040
+    assert all(lv.verification is not None for lv in levels[1:])
+
+
+def test_tower_staircase_level_two_returns_promptly():
+    # e_3 = 10^200: the Legendre gap test must decide without building
+    # 10^(10^200).  The call runs in a child with capped memory and time, so
+    # a regression fails here instead of exhausting the machine.
+    code = (
+        "import resource\n"
+        "resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))\n"
+        "import dseries as ds\n"
+        "src = ds.make_liouville(ds.LiouvilleSpec(schedule=ds.Schedule.TOWER100))\n"
+        "levels, _, error = ds.staircase_levels(src, ds.make_power_f(1), 2)\n"
+        "print(error, [(lv.exponent, lv.q_next_log10_lower > 1e199) for lv in levels])\n"
+    )
+    package_root = os.path.dirname(os.path.dirname(ds.__file__))
+    paths = [package_root] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(paths))
+    proc = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "None [(1, False), (100, True)]"

@@ -445,3 +445,104 @@ def test_deep_tower_enclosure_matches_fraction_reference():
     src = ds.make_liouville(ds.LiouvilleSpec(digits=(3, 1), schedule=ds.Schedule.TOWER100))
     iv = ds.approximate(src, 16384)
     assert (iv.lo, iv.hi) == _ref_approximate(src, 16384)
+
+
+# -- staircase truncation and exponents ----------------------------------------------
+
+
+def _ref_exponent(schedule, k):
+    """e_k when it is at most 10^9, else None."""
+    if schedule is ds.Schedule.FACTORIAL:
+        e = math.factorial(k)
+        return e if e <= 10 ** 9 else None
+    return {1: 1, 2: 100}.get(k)
+
+
+@st.composite
+def _truncation_cases(draw):
+    base_den = draw(st.integers(1, 10 ** 6))
+    base_num = draw(st.integers(-10 ** 6, 10 ** 6))
+    g = math.gcd(base_num, base_den)
+    spec = ds.LiouvilleSpec(
+        base_num=base_num // g,
+        base_den=base_den // g,
+        digits=tuple(draw(st.lists(st.sampled_from([1, 3]), min_size=1, max_size=4))),
+        start=draw(st.integers(1, 5)),
+        schedule=draw(st.sampled_from(list(ds.Schedule))),
+    )
+    # representable levels (factorial kept to e <= 8! for speed), levels
+    # below start, and levels whose exponent exceeds 10^9
+    top, bad = (8, 13) if spec.schedule is ds.Schedule.FACTORIAL else (2, 3)
+    level = draw(st.one_of(st.integers(0, top), st.integers(bad, bad + 10)))
+    return spec, level
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=_truncation_cases())
+def test_truncation_matches_fraction_sum(case):
+    spec, level = case
+    ks = range(spec.start, level + 1)
+    exps = [_ref_exponent(spec.schedule, k) for k in ks]
+    if None in exps:
+        with pytest.raises(ds.PrecisionLimitError):
+            spec.truncation(level)
+        with pytest.raises(ds.PrecisionLimitError):
+            ds.liouville_partial(spec, level)
+        return
+    num, den = spec.truncation(level)
+    expect = Fraction(spec.base_num, spec.base_den) + sum(
+        (Fraction(spec.digit(k), 10 ** e) for k, e in zip(ks, exps)), Fraction(0)
+    )
+    assert Fraction(num, den) == expect == ds.liouville_partial(spec, level)
+    if exps:
+        assert den == spec.base_den * 10 ** exps[-1]
+        assert spec.last_level(exps[-1]) == level
+    else:
+        assert (num, den) == (spec.base_num, spec.base_den)
+
+
+def _old_exponent(spec, k, limit):
+    """LiouvilleSpec.exponent with its former decimal-length tower guard."""
+    if spec.schedule is ds.Schedule.FACTORIAL:
+        e = math.factorial(k)
+        return e if e <= limit else None
+    e = 1
+    for _ in range(k - 1):
+        if 2 * e > len(str(limit)) + 1:
+            return None
+        e = 100 ** e
+        if e > limit:
+            return None
+    return e
+
+
+def test_exponent_guard_matches_the_decimal_length_guard():
+    limits = {1, 2, 99, 100, 101, 10 ** 9}
+    for j in (199, 200, 201, 400):
+        limits |= {10 ** j - 1, 10 ** j, 10 ** j + 1}
+    for j in (6, 7, 8, 660, 664, 665, 670):
+        limits |= {2 ** j - 1, 2 ** j, 2 ** j + 1}
+    for schedule in ds.Schedule:
+        spec = ds.LiouvilleSpec(schedule=schedule)
+        for k in range(1, 7):
+            for limit in limits:
+                assert spec.exponent(k, limit) == _old_exponent(spec, k, limit), (schedule, k, limit)
+
+
+def test_last_level_is_the_top_level_within_the_limit():
+    spec = ds.LiouvilleSpec(start=3)
+    assert spec.last_level(5) == 2  # e_3 = 6 > 5: nothing at or after start
+    assert spec.last_level(6) == 3
+    assert spec.last_level(10 ** 9) == 12
+    assert ds.LiouvilleSpec(schedule=ds.Schedule.TOWER100).last_level(10 ** 300) == 3
+
+
+def test_power_comparison_early_exit_matches_exact_comparison():
+    # lhs of at most 3n bits is below 8^n <= 10^n; check the boundary exactly
+    for n in range(0, 40):
+        for rhs in (1, 2, 3, 7, 10):
+            near = {2 ** (3 * n) - 1, 2 ** (3 * n), 2 ** (3 * n) + 1}
+            near |= {rhs * 10 ** n - 1, rhs * 10 ** n, rhs * 10 ** n + 1}
+            for lhs in near - {0}:
+                assert realsource._exceeds_power_multiple(lhs, rhs, n) == (lhs > rhs * 10 ** n)
+
