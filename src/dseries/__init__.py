@@ -9,14 +9,13 @@ for power weights f(x) = x^-p with 0 < p <= 1 and real alpha given exactly
 explicit continued fraction).  Submodules:
 
 - realsource: exact number descriptions and certified dyadic enclosures
-- cfrac: certified continued-fraction expansion and best-approximation tools
+- cfrac: certified continued-fraction expansion and the even-denominator pairs
 - criterion: the power weight, criterion terms, measure certificates, classifier
-- sumengine: high-accuracy partial sums with rounding-error accounting
+- sumengine: partial sums with rounding-error bounds, and the drift law
 - cli: the ``dseries`` command-line front end
 """
 
 from .errors import (
-    AmbiguousOrderError,
     CertificateError,
     DSeriesError,
     PrecisionLimitError,
@@ -44,8 +43,6 @@ from .cfrac import (
     Convergent,
     Expansion,
     QAlphaEntry,
-    RecordPoint,
-    brute_force_best,
     expand,
     q_alpha,
 )
@@ -68,22 +65,14 @@ from .criterion import (
     staircase_levels,
 )
 from .sumengine import (
-    ApConstant,
     DriftPrediction,
-    OscIntegralResult,
     PartialSumResult,
     SumTrace,
     TraceRow,
-    a_p_constant,
-    alternating_tail_check,
     drift_predict,
-    fourier_abs_sin,
     geometric_checkpoints,
-    geometric_sum,
-    osc_integral,
     partial_sum_direct,
     partial_sum_periodic,
-    progression_sum_bound_check,
     scan_partial_sums,
 )
 
@@ -96,7 +85,6 @@ __all__ = [
     "ResourceLimitError",
     "PrecisionLimitError",
     "TermLimitError",
-    "AmbiguousOrderError",
     "CertificateError",
     # realsource
     "DEFAULT_MAX_BITS",
@@ -117,10 +105,8 @@ __all__ = [
     # cfrac
     "Convergent",
     "QAlphaEntry",
-    "RecordPoint",
     "Expansion",
     "expand",
-    "brute_force_best",
     "q_alpha",
     # criterion
     "FDescriptor",
@@ -144,17 +130,9 @@ __all__ = [
     "DriftPrediction",
     "TraceRow",
     "SumTrace",
-    "OscIntegralResult",
-    "ApConstant",
     "partial_sum_direct",
     "partial_sum_periodic",
     "scan_partial_sums",
     "geometric_checkpoints",
     "drift_predict",
-    "fourier_abs_sin",
-    "geometric_sum",
-    "osc_integral",
-    "a_p_constant",
-    "alternating_tail_check",
-    "progression_sum_bound_check",
 ]

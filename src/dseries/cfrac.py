@@ -3,10 +3,9 @@
 expand() turns a RealSource into its sequence of best approximations
 (record minimizers of ||q * alpha||), working on certified enclosures: a
 partial quotient is accepted only when it is shared by every point of the
-current enclosure, with automatic precision escalation.  brute_force_best()
-is the independent record scan used as an oracle.  q_alpha() extracts the
-subsequence of even denominators whose successor is at least twice as large,
-which drives the convergence criterion.
+current enclosure, with automatic precision escalation.  q_alpha() extracts
+the subsequence of even denominators whose successor is at least twice as
+large, which drives the convergence criterion.
 """
 
 from __future__ import annotations
@@ -15,16 +14,14 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import List, Optional, Sequence, Tuple
 
-from .errors import AmbiguousOrderError, PrecisionLimitError
+from .errors import PrecisionLimitError
 from .realsource import DyadicInterval, Kind, RealSource
 
 __all__ = [
     "Convergent",
     "QAlphaEntry",
-    "RecordPoint",
     "Expansion",
     "expand",
-    "brute_force_best",
     "q_alpha",
 ]
 
@@ -33,8 +30,8 @@ __all__ = [
 class Convergent:
     """One best rational approximation a/q of the source value.
 
-    n is the 1-based position in the emitted sequence, cf_index the position
-    in the raw recurrence (0 = integer part).  dist encloses ||q * alpha||.
+    n is the 1-based position in the emitted sequence.  dist encloses
+    ||q * alpha||.
     """
 
     n: int
@@ -42,11 +39,6 @@ class Convergent:
     q: int
     partial_quotient: int
     dist: DyadicInterval
-    cf_index: int
-
-    @property
-    def from_integer_part(self) -> bool:
-        return self.cf_index == 0
 
 
 @dataclass(frozen=True)
@@ -62,15 +54,6 @@ class QAlphaEntry:
             raise ValueError("entry denominator must be even")
         if self.q_next < 2 * self.q:
             raise ValueError("successor must be at least twice the denominator")
-
-
-@dataclass(frozen=True)
-class RecordPoint:
-    """Record minimizer found by the brute-force scan."""
-
-    q: int
-    a: int
-    dist: DyadicInterval
 
 
 @dataclass(frozen=True)
@@ -147,7 +130,6 @@ def _expand_rational(source: RealSource, count: int) -> Expansion:
                 q=q_n,
                 partial_quotient=pqs[idx],
                 dist=DyadicInterval.enclosing(v, v, grid),
-                cf_index=idx,
             )
         )
     exact = len(emitted) <= count
@@ -190,7 +172,6 @@ def _build_irrational(
                 q=q_n,
                 partial_quotient=a,
                 dist=DyadicInterval(lo1, hi1, interval.exp).abs(),
-                cf_index=idx,
             )
         )
     return Expansion(
@@ -322,92 +303,6 @@ def expand(source: RealSource, count: int) -> Expansion:
                 f"precision cap {cap} bits reached",
             )
         bits = min(bits * 2, cap)
-
-
-def _rational_records(source: RealSource, q_max: int) -> List[RecordPoint]:
-    a, den = source.a, source.q
-    grid = _dist_grid_bits(den)
-    out: List[RecordPoint] = []
-    best: Optional[Fraction] = None
-    for q in range(1, q_max + 1):
-        r = (a * q) % den
-        num = min(r, den - r)
-        v = Fraction(num, den)
-        if best is None or v < best:
-            best = v
-            floor_part = (a * q - r) // den
-            nearest = floor_part + (1 if 2 * r > den else 0)
-            out.append(
-                RecordPoint(q=q, a=nearest, dist=DyadicInterval.enclosing(v, v, grid))
-            )
-            if num == 0:
-                break
-    return out
-
-
-def brute_force_best(source: RealSource, q_max: int, *, bits: int = 256) -> List[RecordPoint]:
-    """Record minimizers of ||q * alpha|| for q = 1..q_max, scanned directly.
-
-    Exact integer arithmetic for rational sources; otherwise an
-    enclosure-driven scan at the given working precision that raises
-    AmbiguousOrderError if two candidate records cannot be separated.
-    """
-    if not 1 <= q_max <= 10 ** 7:
-        raise ValueError("q_max must be in [1, 10^7]")
-    if source.kind is Kind.RATIONAL:
-        return _rational_records(source, q_max)
-
-    interval = source.approximate(bits)
-    lo_i, hi_i, shift = interval.lo_m, interval.hi_m, interval.exp
-    scale = 1 << shift
-    half = scale >> 1
-    out: List[RecordPoint] = []
-    best_lo: Optional[int] = None
-    best_hi: Optional[int] = None
-    for q in range(1, q_max + 1):
-        c_lo = q * lo_i
-        c_hi = q * hi_i
-        k = (c_lo + half) // scale
-        k2 = (c_hi + half) // scale
-        if k2 == k:
-            e1 = c_lo - k * scale
-            e2 = c_hi - k * scale
-            if e1 >= 0:
-                d_lo, d_hi = e1, e2
-            elif e2 <= 0:
-                d_lo, d_hi = -e2, -e1
-            else:
-                d_lo, d_hi = 0, max(-e1, e2)
-            nearest = k
-        elif k2 == k + 1:
-            d1 = abs(c_lo - k * scale)
-            d2 = abs(c_hi - k2 * scale)
-            d_lo, d_hi = min(d1, d2), half
-            nearest = k if d1 <= d2 else k2
-        else:
-            raise AmbiguousOrderError(
-                f"enclosure too wide at q={q}; increase working precision"
-            )
-        if best_lo is None:
-            pass  # q = 1 is always the first record
-        elif d_hi < best_lo:
-            pass  # certified strict improvement
-        elif d_lo >= best_hi:
-            continue
-        else:
-            raise AmbiguousOrderError(
-                f"cannot order candidate record at q={q} against the current "
-                f"best at {bits} working bits"
-            )
-        best_lo, best_hi = d_lo, d_hi
-        out.append(
-            RecordPoint(
-                q=q,
-                a=nearest,
-                dist=DyadicInterval(d_lo, d_hi, shift),
-            )
-        )
-    return out
 
 
 def q_alpha(convergents: Sequence[Convergent]) -> List[QAlphaEntry]:

@@ -24,7 +24,7 @@ from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from . import __version__, cfrac, criterion, realsource, sumengine
 from .criterion import Budget, FDescriptor, MeasureCertificate, Outcome
-from .errors import AmbiguousOrderError, DSeriesError, ResourceLimitError
+from .errors import DSeriesError, ResourceLimitError
 from .realsource import (
     DEFAULT_MAX_BITS,
     Kind,
@@ -575,7 +575,7 @@ def console_main(argv: Optional[Sequence[str]] = None) -> int:
         message = str(exc) if known else f"{type(exc).__name__}: {exc}"
         print(f"error: {message}", file=sys.stderr)
         manifest["error"] = message
-        code = 2 if isinstance(exc, (ResourceLimitError, AmbiguousOrderError)) else 1
+        code = 2 if isinstance(exc, ResourceLimitError) else 1
     manifest["outputs"] = outputs
     manifest["duration_s"] = time.perf_counter() - start
     _write_manifest(manifest_path, manifest)

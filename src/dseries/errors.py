@@ -19,11 +19,6 @@ class TermLimitError(ResourceLimitError):
     """A summation range exceeds the configured term cap."""
 
 
-class AmbiguousOrderError(DSeriesError):
-    """Two candidate record distances could not be ordered at the working
-    precision."""
-
-
 class CertificateError(DSeriesError):
     """A certificate was supplied for a source it cannot apply to
     (CLI exit code 1)."""

@@ -76,17 +76,20 @@ def cf_convergents(pqs: List[int]) -> List[Tuple[int, int]]:
 
 
 def record_points_fraction(alpha: Fraction, q_max: int) -> List[Tuple[int, int]]:
-    """Strict records of |q*alpha - p| over q = 1..q_max, exact arithmetic."""
+    """Strict records (p, q) of |q*alpha - p| over q = 1..q_max, with p the
+    nearest integer to q*alpha.
+
+    Exact integer arithmetic on residues: with alpha = num/den and
+    r = q*num mod den, |q*alpha - p| = min(r, den - r)/den, and p rounds up
+    when 2r > den."""
+    num, den = alpha.numerator, alpha.denominator
     records = []
     best = None
     for q in range(1, q_max + 1):
-        scaled = alpha * q
-        p = math.floor(scaled)
-        if scaled - p > Fraction(1, 2):
-            p += 1
-        d = abs(scaled - p)
+        r = q * num % den
+        d = min(r, den - r)
         if best is None or d < best:
-            records.append((p, q))
+            records.append(((q * num - r) // den + (2 * r > den), q))
             best = d
             if d == 0:
                 break

@@ -13,24 +13,26 @@ from fractions import Fraction
 import pytest
 
 import dseries as ds
+import lemmas
+from conftest import record_points_fraction, sqrt_fraction
 
 
 F1 = ds.make_power_f(1)
 
 
-def test_01_expansion_matches_brute_force_records():
-    # denominators of expand() restricted to q <= 1e5 equal the brute-force
-    # record list at 256-bit precision, for six sources of all flavors
-    sources = [
-        ds.make_constant("pi", max_bits=4096),
-        ds.make_constant("invpi", max_bits=4096),
-        ds.make_surd(0, 1, 2, 1, max_bits=4096),
-        ds.make_surd(1, 1, 5, 2, max_bits=4096),
-        ds.make_constant("e", max_bits=4096),
-        ds.make_rational(355, 113, max_bits=4096),
+def test_01_expansion_matches_brute_force_records(pi_oracle, sqrt2_oracle, e_oracle):
+    # the convergents of expand() with q <= 1e5 are exactly the brute-force
+    # records (p, q) of the 120-digit oracles, for six sources of all flavors
+    cases = [
+        (ds.make_constant("pi", max_bits=4096), pi_oracle),
+        (ds.make_constant("invpi", max_bits=4096), 1 / pi_oracle),
+        (ds.make_surd(0, 1, 2, 1, max_bits=4096), sqrt2_oracle),
+        (ds.make_surd(1, 1, 5, 2, max_bits=4096), (1 + sqrt_fraction(5, 120)) / 2),
+        (ds.make_constant("e", max_bits=4096), e_oracle),
+        (ds.make_rational(355, 113, max_bits=4096), Fraction(355, 113)),
     ]
-    for src in sources:
-        brute = [r.q for r in ds.brute_force_best(src, 10 ** 5, bits=256)]
+    for src, oracle in cases:
+        brute = record_points_fraction(oracle, 10 ** 5)
         count = 32
         while True:
             exp = ds.expand(src, count)
@@ -40,7 +42,7 @@ def test_01_expansion_matches_brute_force_records():
             if done:
                 break
             count *= 2
-        mine = [c.q for c in exp.convergents if c.q <= 10 ** 5]
+        mine = [(c.a, c.q) for c in exp.convergents if c.q <= 10 ** 5]
         assert mine == brute, src
 
 
@@ -85,17 +87,17 @@ def test_05_fourier_identity_within_truncation_bound():
     worst = 0.0
     for _ in range(10 ** 4):
         x = rng.random()
-        value, _ = ds.fourier_abs_sin(x, 10 ** 4)
+        value, _ = lemmas.fourier_abs_sin(x, 10 ** 4)
         worst = max(worst, abs(value - abs(math.sin(math.pi * x))))
     assert worst <= bound, worst
 
 
 def test_06_oscillatory_constant_two_ways():
     for p in (0.25, 0.5, 0.75):
-        r = ds.a_p_constant(p)
+        r = lemmas.a_p_constant(p)
         assert abs(r.closed_form - r.quadrature) <= 1.0e-6, p
         assert r.closed_form > p / (1.0 - p), p
-    half = ds.a_p_constant(0.5)
+    half = lemmas.a_p_constant(0.5)
     assert abs(half.closed_form - math.sqrt(math.pi / 2.0)) <= 1.0e-6
 
 
@@ -174,13 +176,13 @@ def test_11_lemma_bounds_survive_fuzzing():
         f = ds.make_power_f(p)
         X = rng.uniform(1.0, 1000.0)
         Y = X + rng.uniform(0.0, 500.0)
-        s, bound = ds.alternating_tail_check(f, X, Y)
+        s, bound = lemmas.alternating_tail_check(f, X, Y)
         assert abs(s) <= bound, (float(p), X, Y)
 
     for _ in range(trials):
         q = rng.randint(3, 500)
         r = q + rng.randint(0, 10 ** 5)
-        total, bound = ds.progression_sum_bound_check(q, r)
+        total, bound = lemmas.progression_sum_bound_check(q, r)
         assert total < bound, (q, r)
 
     for _ in range(trials):
@@ -188,7 +190,7 @@ def test_11_lemma_bounds_survive_fuzzing():
         if abs(alpha - round(alpha)) < 1e-9:
             alpha += 0.1
         N = rng.randint(1, 10 ** 5)
-        value, bound = ds.geometric_sum(alpha, N)
+        value, bound = lemmas.geometric_sum(alpha, N)
         assert abs(value) <= bound, (alpha, N)
 
     inf_cases = 0
@@ -200,6 +202,6 @@ def test_11_lemma_bounds_survive_fuzzing():
             inf_cases += 1
         else:
             mu = nu + 10 ** rng.uniform(-1.0, 2.0)
-        res = ds.osc_integral(p, nu, mu)
+        res = lemmas.osc_integral(p, nu, mu)
         assert abs(res.value) <= res.lemma_bound + res.quad_error, (p, nu, mu)
     assert inf_cases > 50  # the infinite-tail branch is genuinely exercised

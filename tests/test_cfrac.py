@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 import dseries as ds
 from dseries import cfrac
-from conftest import cf_convergents, euclid_cf, record_points_fraction
+from conftest import cf_convergents, euclid_cf
 
 
 def test_sqrt2_denominators_match_known_sequence():
@@ -35,8 +35,6 @@ def test_e_partial_quotients_match_series_oracle(e_oracle):
     # part convergent because a_1 = 1, but the quotient list is complete.
     oracle = euclid_cf(e_oracle)[:21]
     assert list(exp.partial_quotients) == oracle
-    assert not exp.convergents[0].from_integer_part
-    assert exp.convergents[0].cf_index == 1
     assert (exp.convergents[0].a, exp.convergents[0].q) == (3, 1)
 
 
@@ -115,38 +113,6 @@ def test_expand_capped_by_max_bits():
     assert len(exp.convergents) < 40
     # what was emitted is still correct
     assert [c.q for c in exp.convergents][:4] == [1, 7, 106, 113]
-
-
-def test_brute_force_best_matches_fraction_oracle_rational():
-    alpha = Fraction(355, 113)
-    records = ds.brute_force_best(ds.make_rational(355, 113), 1000)
-    oracle = record_points_fraction(alpha, 1000)
-    assert [(r.a, r.q) for r in records] == oracle
-
-
-@settings(max_examples=60, deadline=None)
-@given(a=st.integers(0, 500), q=st.integers(1, 500))
-def test_brute_force_best_random_rationals(a, q):
-    records = ds.brute_force_best(ds.make_rational(a, q), 400)
-    oracle = record_points_fraction(Fraction(a, q), 400)
-    assert [(r.a, r.q) for r in records] == oracle
-
-
-def test_brute_force_best_irrational_matches_oracle(sqrt2_oracle):
-    records = ds.brute_force_best(ds.make_surd(0, 1, 2, 1), 10 ** 4)
-    oracle = record_points_fraction(sqrt2_oracle, 10 ** 4)
-    assert [(r.a, r.q) for r in records] == oracle
-
-
-def test_brute_force_distances_strictly_decrease():
-    records = ds.brute_force_best(ds.make_constant("pi"), 10 ** 4)
-    for cur, nxt in zip(records, records[1:]):
-        assert nxt.dist.hi < cur.dist.lo
-
-
-def test_brute_force_rejects_oversized_qmax():
-    with pytest.raises(ValueError):
-        ds.brute_force_best(ds.make_constant("pi"), 10 ** 7 + 1)
 
 
 def test_q_alpha_filters_even_doubling_denominators():

@@ -10,6 +10,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 import dseries as ds
+import lemmas
 from dseries import realsource, sumengine
 from dseries.realsource import Kind
 from conftest import mp_partial_sum, mp_prefix_sums
@@ -518,23 +519,26 @@ def test_drift_sign_depends_on_parity_anchor():
     assert ds.drift_predict(1, 2, f, 10, 100).sign == -1
 
 
+# The lemma checkers of tests/lemmas.py.
+
+
 def test_fourier_abs_sin_known_points():
-    v, err = ds.fourier_abs_sin(0.5, 1000)
+    v, err = lemmas.fourier_abs_sin(0.5, 1000)
     assert abs(v - 1.0) <= err
     # x = 0 attains the truncation bound exactly; allow float-eval noise
-    v0, err0 = ds.fourier_abs_sin(0.0, 1000)
+    v0, err0 = lemmas.fourier_abs_sin(0.0, 1000)
     assert abs(v0 - 0.0) <= err0 + 1e-12
-    v3, err3 = ds.fourier_abs_sin(1.0 / 3.0, 500)
+    v3, err3 = lemmas.fourier_abs_sin(1.0 / 3.0, 500)
     assert abs(v3 - math.sin(math.pi / 3.0)) <= err3
 
 
 def test_fourier_error_bound_formula():
-    _, err = ds.fourier_abs_sin(0.25, 10 ** 4)
+    _, err = lemmas.fourier_abs_sin(0.25, 10 ** 4)
     assert err == pytest.approx(2.0 / (math.pi * 20001.0), rel=1e-12)
 
 
 def test_geometric_sum_spec_example():
-    value, bound = ds.geometric_sum(0.1, 5)
+    value, bound = lemmas.geometric_sum(0.1, 5)
     assert abs(value) == pytest.approx(3.23607, abs=1e-5)
     assert abs(value) <= bound + 1e-12
     # oracle: direct complex sum
@@ -544,11 +548,11 @@ def test_geometric_sum_spec_example():
 
 def test_geometric_sum_rejects_integer_alpha():
     with pytest.raises(ValueError):
-        ds.geometric_sum(3.0, 10)
+        lemmas.geometric_sum(3.0, 10)
 
 
 def test_osc_integral_spec_window():
-    res = ds.osc_integral(0.5, math.pi / 2.0, 3.0 * math.pi / 2.0)
+    res = lemmas.osc_integral(0.5, math.pi / 2.0, 3.0 * math.pi / 2.0)
     assert res.lemma_bound == pytest.approx(2.0 * (math.pi / 2.0) ** -0.5, rel=1e-12)
     assert res.lemma_bound == pytest.approx(1.5957691, abs=1e-6)
     assert abs(res.value) <= res.lemma_bound
@@ -560,18 +564,16 @@ def test_osc_integral_spec_window():
 
 
 def test_osc_integral_infinite_tail_against_mpmath():
-    res = ds.osc_integral(0.5, 1.0)
+    res = lemmas.osc_integral(0.5, 1.0)
+    # int_1^inf cos(t)/sqrt(t) dt = Re(i^(1/2) Gamma(1/2, -i)), in closed form
     with mpmath.workdps(40):
-        oracle = float(
-            mpmath.quadosc(
-                lambda t: mpmath.cos(t) / mpmath.sqrt(t), [1, mpmath.inf], period=2 * mpmath.pi
-            )
-        )
+        half = mpmath.mpf(1) / 2
+        oracle = float(mpmath.re(1j ** half * mpmath.gammainc(half, -1j)))
     assert res.value == pytest.approx(oracle, abs=1e-7)
 
 
 def test_a_p_constant_half():
-    r = ds.a_p_constant(Fraction(1, 2))
+    r = lemmas.a_p_constant(Fraction(1, 2))
     assert r.closed_form == pytest.approx(math.sqrt(math.pi / 2.0), rel=1e-12)
     assert abs(r.quadrature - r.closed_form) <= 1e-6
     assert r.closed_form > r.lower_bound
@@ -579,43 +581,43 @@ def test_a_p_constant_half():
 
 def test_a_p_constant_rejects_p_one():
     with pytest.raises(ValueError):
-        ds.a_p_constant(1)
+        lemmas.a_p_constant(1)
 
 
 def test_progression_sum_bound_spec_values():
-    s, bound = ds.progression_sum_bound_check(3, 100)
+    s, bound = lemmas.progression_sum_bound_check(3, 100)
     assert bound == pytest.approx(2.0 / 9.0, rel=1e-12)
     # independent enumeration over k = 3, 9, ..., 99
     oracle = sum(1.0 / (k * k - 1.0) for k in range(3, 101, 6))
     assert s == pytest.approx(oracle, rel=1e-12)
     assert s < bound
-    s2, _ = ds.progression_sum_bound_check(3, 3)
+    s2, _ = lemmas.progression_sum_bound_check(3, 3)
     assert s2 == pytest.approx(0.125, rel=1e-12)
-    s3, _ = ds.progression_sum_bound_check(10, 10 ** 4)
+    s3, _ = lemmas.progression_sum_bound_check(10, 10 ** 4)
     assert s3 < 0.02
 
 
 def test_progression_sum_rejects_bad_types():
     with pytest.raises(TypeError):
-        ds.progression_sum_bound_check(3.0, 100)
+        lemmas.progression_sum_bound_check(3.0, 100)
 
 
 def test_alternating_tail_within_first_term():
     f = ds.make_power_f(1)
-    s, bound = ds.alternating_tail_check(f, 10, 20)
+    s, bound = lemmas.alternating_tail_check(f, 10, 20)
     assert bound == pytest.approx(0.1, rel=1e-12)
     assert abs(s) <= bound
     # inclusive range: sum over n = 10..20 starts with +f(10)
     oracle = sum((-1.0) ** n / n for n in range(10, 21))
     assert s == pytest.approx(oracle, rel=1e-12)
     # X = Y keeps the single boundary term, making the bound tight
-    s2, bound2 = ds.alternating_tail_check(f, 10, 10)
+    s2, bound2 = lemmas.alternating_tail_check(f, 10, 10)
     assert abs(s2) == pytest.approx(bound2, rel=1e-12)
 
 
 def test_alternating_tail_real_endpoints():
     f = ds.make_power_f(Fraction(1, 2))
-    s, bound = ds.alternating_tail_check(f, 10.5, 30.7)
+    s, bound = lemmas.alternating_tail_check(f, 10.5, 30.7)
     oracle = sum((-1.0) ** n / math.sqrt(n) for n in range(11, 31))
     assert s == pytest.approx(oracle, rel=1e-12)
     assert abs(s) <= bound
