@@ -47,7 +47,6 @@ from .cfrac import (
     q_alpha,
 )
 from .criterion import (
-    Budget,
     CriterionSeries,
     CriterionTerm,
     FDescriptor,
@@ -113,7 +112,6 @@ __all__ = [
     "CriterionTerm",
     "CriterionSeries",
     "MeasureCertificate",
-    "Budget",
     "Outcome",
     "VerdictCertificate",
     "Verdict",

@@ -15,7 +15,7 @@ from fractions import Fraction
 from typing import List, Optional, Sequence, Tuple
 
 from .errors import PrecisionLimitError
-from .realsource import DyadicInterval, Kind, RealSource
+from .realsource import DyadicInterval, Kind, RealSource, _recurrence
 
 __all__ = [
     "Convergent",
@@ -85,17 +85,6 @@ def _common_pqs(interval: DyadicInterval, limit: int) -> List[int]:
             break
         n_lo, d_lo, n_hi, d_hi = d_hi, r_hi, d_lo, r_lo
     return out
-
-
-def _recurrence(pqs: Sequence[int]) -> List[Tuple[int, int]]:
-    convs: List[Tuple[int, int]] = []
-    pm1, qm1 = 1, 0
-    pm2, qm2 = 0, 1
-    for a in pqs:
-        pm1, pm2 = a * pm1 + pm2, pm1
-        qm1, qm2 = a * qm1 + qm2, qm1
-        convs.append((pm1, qm1))
-    return convs
 
 
 def _emit_start(pqs: Sequence[int]) -> int:

@@ -14,16 +14,14 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import re
 import sys
 import time
-from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from . import __version__, cfrac, criterion, realsource, sumengine
-from .criterion import Budget, FDescriptor, MeasureCertificate, Outcome
+from .criterion import FDescriptor, MeasureCertificate, Outcome
 from .errors import DSeriesError, ResourceLimitError
 from .realsource import (
     DEFAULT_MAX_BITS,
@@ -38,7 +36,6 @@ __all__ = [
     "format_alpha",
     "parse_f",
     "parse_cert",
-    "Config",
     "console_main",
     "main",
 ]
@@ -180,49 +177,19 @@ def parse_cert(text: str) -> MeasureCertificate:
     raise ValueError(f"unrecognized certificate spec {text!r}")
 
 
-@dataclass(frozen=True)
-class Config:
-    max_bits: int = DEFAULT_MAX_BITS
-    max_terms: int = sumengine.DEFAULT_MAX_TERMS
-    workers: int = 1
-
-
-def _load_config(path: Optional[str]) -> Config:
-    """Defaults <- config file (flag or DSERIES_CONFIG env); flags win later."""
-    values = {"max_bits": DEFAULT_MAX_BITS, "max_terms": sumengine.DEFAULT_MAX_TERMS, "workers": 1}
-    path = path or os.environ.get("DSERIES_CONFIG")
-    if path:
-        try:
-            with open(path, "r", encoding="utf-8") as fh:
-                lines = fh.readlines()
-        except OSError as exc:
-            raise ValueError(f"cannot read config file {path}: {exc}") from None
-        for i, line in enumerate(lines, start=1):
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            key, eq, value = line.partition("=")
-            key, value = key.strip(), value.strip()
-            if not eq or key not in values:
-                raise ValueError(f"config line {i}: expected max_bits/max_terms/workers = value")
-            try:
-                values[key] = int(value)
-            except ValueError:
-                raise ValueError(f"config line {i}: {key} must be an integer") from None
-    return Config(**values)
-
-
-def _resolve_config(args: argparse.Namespace) -> Config:
-    cfg = _load_config(getattr(args, "config", None))
-    for key in ("max_bits", "max_terms", "workers"):
-        if getattr(args, key, None) is not None:
-            cfg = replace(cfg, **{key: getattr(args, key)})
-    if cfg.max_bits < 64 or cfg.max_terms < 1 or not 1 <= cfg.workers <= _MAX_WORKERS:
+def _resolve_config(args: argparse.Namespace) -> Dict[str, int]:
+    """The caps: each flag given, or its default; checked before any work."""
+    caps = {
+        "max_bits": DEFAULT_MAX_BITS if args.max_bits is None else args.max_bits,
+        "max_terms": sumengine.DEFAULT_MAX_TERMS if args.max_terms is None else args.max_terms,
+        "workers": 1 if args.workers is None else args.workers,
+    }
+    if caps["max_bits"] < 64 or caps["max_terms"] < 1 or not 1 <= caps["workers"] <= _MAX_WORKERS:
         raise ValueError(
             "config values out of range: need max_bits >= 64, max_terms >= 1, "
             f"1 <= workers <= {_MAX_WORKERS}"
         )
-    return cfg
+    return caps
 
 
 def _fmt17(x: float) -> str:
@@ -249,8 +216,8 @@ def _outward_floats(iv) -> Tuple[float, float]:
 # -- subcommands --------------------------------------------------------------
 
 
-def _cmd_cf(args: argparse.Namespace, cfg: Config, outputs: List[str]) -> Tuple[dict, int]:
-    source = parse_alpha(args.alpha, max_bits=cfg.max_bits)
+def _cmd_cf(args: argparse.Namespace, caps: dict, outputs: List[str]) -> Tuple[dict, int]:
+    source = parse_alpha(args.alpha, max_bits=caps["max_bits"])
     exp = cfrac.expand(source, args.terms)
     convs = []
     for c in exp.convergents:
@@ -271,12 +238,11 @@ def _cmd_cf(args: argparse.Namespace, cfg: Config, outputs: List[str]) -> Tuple[
     return payload, (2 if exp.capped else 0)
 
 
-def _cmd_classify(args: argparse.Namespace, cfg: Config, outputs: List[str]) -> Tuple[dict, int]:
-    source = parse_alpha(args.alpha, max_bits=cfg.max_bits)
+def _cmd_classify(args: argparse.Namespace, caps: dict, outputs: List[str]) -> Tuple[dict, int]:
+    source = parse_alpha(args.alpha, max_bits=caps["max_bits"])
     f = parse_f(args.f)
     certs = [parse_cert(c) for c in (args.cert or [])]
-    budget = Budget(convergents=args.budget)
-    verdict = criterion.classify(source, f, budget, certs)
+    verdict = criterion.classify(source, f, args.budget, certs)
     payload = {
         "schema": 1,
         "alpha": format_alpha(source),
@@ -296,28 +262,28 @@ def _result_dict(r: sumengine.PartialSumResult, duration: float) -> dict:
     }
 
 
-def _cmd_sum(args: argparse.Namespace, cfg: Config, outputs: List[str]) -> Tuple[dict, int]:
-    source = parse_alpha(args.alpha, max_bits=cfg.max_bits)
+def _cmd_sum(args: argparse.Namespace, caps: dict, outputs: List[str]) -> Tuple[dict, int]:
+    source = parse_alpha(args.alpha, max_bits=caps["max_bits"])
     f = parse_f(args.f)
+    if args.mode != "direct" and source.kind is not Kind.RATIONAL:
+        raise ValueError("periodic mode requires a rational alpha (rat:a/q)")
     N, M = args.N, args.M
     results: Dict[str, dict] = {}
     t0 = time.perf_counter()
     if args.trace:
         trace = sumengine.scan_partial_sums(
-            source, f, N, M, max_terms=cfg.max_terms, workers=cfg.workers
+            source, f, N, M, max_terms=caps["max_terms"], workers=caps["workers"]
         )
         rd = trace.final
     elif args.mode != "periodic":
         rd = sumengine.partial_sum_direct(
-            source, f, N, M, max_terms=cfg.max_terms, workers=cfg.workers
+            source, f, N, M, max_terms=caps["max_terms"], workers=caps["workers"]
         )
     if args.mode != "periodic":
         results["direct"] = _result_dict(rd, time.perf_counter() - t0)
     if args.mode in ("periodic", "both"):
-        if source.kind is not Kind.RATIONAL:
-            raise ValueError("periodic mode requires a rational alpha (rat:a/q)")
         t0 = time.perf_counter()
-        rp = sumengine.partial_sum_periodic(source.a, source.q, f, N, M, max_terms=cfg.max_terms)
+        rp = sumengine.partial_sum_periodic(source.a, source.q, f, N, M, max_terms=caps["max_terms"])
         results["periodic"] = _result_dict(rp, time.perf_counter() - t0)
     payload = {
         "schema": 1,
@@ -345,11 +311,11 @@ def _cmd_sum(args: argparse.Namespace, cfg: Config, outputs: List[str]) -> Tuple
     return payload, 0
 
 
-def _cmd_drift(args: argparse.Namespace, cfg: Config, outputs: List[str]) -> Tuple[dict, int]:
+def _cmd_drift(args: argparse.Namespace, caps: dict, outputs: List[str]) -> Tuple[dict, int]:
     f = parse_f(args.f)
     pred = sumengine.drift_predict(args.a, args.q, f, args.N, args.M)
     measured = sumengine.partial_sum_periodic(
-        args.a, args.q, f, args.N, args.M, max_terms=cfg.max_terms
+        args.a, args.q, f, args.N, args.M, max_terms=caps["max_terms"]
     )
     gap = abs(measured.value - pred.predicted)
     payload = {
@@ -376,13 +342,13 @@ def _cmd_drift(args: argparse.Namespace, cfg: Config, outputs: List[str]) -> Tup
     return payload, 0
 
 
-def _cmd_liouville(args: argparse.Namespace, cfg: Config, outputs: List[str]) -> Tuple[dict, int]:
+def _cmd_liouville(args: argparse.Namespace, caps: dict, outputs: List[str]) -> Tuple[dict, int]:
     spec = _liouville_spec(args.schedule, args.base, args.digits, args.start)
-    source = realsource.make_liouville(spec, max_bits=cfg.max_bits)
+    source = realsource.make_liouville(spec, max_bits=caps["max_bits"])
     f = parse_f(f"pow:{args.p}")
     levels, exp, error = criterion.staircase_levels(source, f, args.terms)
     qalpha = cfrac.q_alpha(exp.convergents)
-    verdict = criterion.classify(source, f, Budget())
+    verdict = criterion.classify(source, f)
     payload = {
         "schema": 1,
         "alpha": format_alpha(source),
@@ -437,16 +403,22 @@ def _nonneg_int(text: str) -> int:
     return value
 
 
+def _manifest_parser() -> argparse.ArgumentParser:
+    """The parser of --manifest alone, which every subcommand inherits."""
+    parser = argparse.ArgumentParser(add_help=False, allow_abbrev=False, exit_on_error=False)
+    parser.add_argument("--manifest", default=_DEFAULT_MANIFEST, help="run manifest path")
+    return parser
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--config", help="key=value config file (max_bits, max_terms, workers)")
+    common = argparse.ArgumentParser(add_help=False, parents=[_manifest_parser()])
     common.add_argument("--max-bits", dest="max_bits", type=int, help="precision cap override")
     common.add_argument("--max-terms", dest="max_terms", type=int, help="term cap override")
     common.add_argument("--workers", type=int, help="worker threads for sums (1 to 64)")
-    common.add_argument("--manifest", default=_DEFAULT_MANIFEST, help="run manifest path")
     common.add_argument("--json", dest="json_path", help="write the JSON document here instead of stdout")
 
-    # no abbreviated flags, so _prescan_manifest and argparse agree on --manifest
+    # no abbreviated flags, so a failed parse and a successful one read the
+    # same --manifest: the manifest parser refuses abbreviations too
     parser = argparse.ArgumentParser(
         prog="dseries",
         allow_abbrev=False,
@@ -498,15 +470,6 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _prescan_manifest(argv: Sequence[str]) -> str:
-    for i, item in enumerate(argv):
-        if item == "--manifest" and i + 1 < len(argv):
-            return argv[i + 1]
-        if item.startswith("--manifest="):
-            return item.split("=", 1)[1]
-    return _DEFAULT_MANIFEST
-
-
 def _write_manifest(path: str, manifest: dict) -> None:
     try:
         with open(path, "w", encoding="utf-8") as fh:
@@ -530,13 +493,17 @@ def console_main(argv: Optional[Sequence[str]] = None) -> int:
         "duration_s": 0.0,
         "error": None,
     }
-    manifest_path = _prescan_manifest(argv)
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _build_parser().parse_args(argv)
     except SystemExit as exc:
         code = 0 if exc.code == 0 else 1
         if code:
+            # argparse drops a failed subparser's namespace, so read
+            # --manifest again on its own
+            try:
+                manifest_path = _manifest_parser().parse_known_args(argv)[0].manifest
+            except argparse.ArgumentError:
+                manifest_path = _DEFAULT_MANIFEST
             manifest["error"] = "argument parsing failed"
             manifest["duration_s"] = time.perf_counter() - start
             _write_manifest(manifest_path, manifest)
@@ -547,17 +514,11 @@ def console_main(argv: Optional[Sequence[str]] = None) -> int:
         for k, v in vars(args).items()
         if k != "func"
     }
-    manifest_path = args.manifest
     outputs: List[str] = []
     code = 0
     try:
-        cfg = _resolve_config(args)
-        manifest["caps"] = {
-            "max_bits": cfg.max_bits,
-            "max_terms": cfg.max_terms,
-            "workers": cfg.workers,
-        }
-        payload, code = args.func(args, cfg, outputs)
+        manifest["caps"] = caps = _resolve_config(args)
+        payload, code = args.func(args, caps, outputs)
         if payload is not None:
             text = json.dumps(payload, sort_keys=True, indent=2) + "\n"
             if args.json_path:
@@ -578,7 +539,7 @@ def console_main(argv: Optional[Sequence[str]] = None) -> int:
         code = 2 if isinstance(exc, ResourceLimitError) else 1
     manifest["outputs"] = outputs
     manifest["duration_s"] = time.perf_counter() - start
-    _write_manifest(manifest_path, manifest)
+    _write_manifest(args.manifest, manifest)
     return code
 
 

@@ -27,7 +27,6 @@ __all__ = [
     "CriterionTerm",
     "CriterionSeries",
     "MeasureCertificate",
-    "Budget",
     "Outcome",
     "VerdictCertificate",
     "Verdict",
@@ -101,10 +100,6 @@ class CriterionTerm:
     value: float
     log10_value: float
     rel_err: float = _TERM_REL_ERR
-
-
-def _log10_fraction(x: Fraction) -> float:
-    return math.log10(x.numerator) - math.log10(x.denominator)
 
 
 def _power_term(p: Fraction, entry: QAlphaEntry) -> CriterionTerm:
@@ -282,11 +277,6 @@ class Verdict:
         }
 
 
-@dataclass(frozen=True)
-class Budget:
-    convergents: int = 24
-
-
 def _liouville_divergence(source: RealSource, p: Fraction) -> Optional[str]:
     """Reason string when the staircase family forces divergence, else None.
 
@@ -320,11 +310,11 @@ def _liouville_divergence(source: RealSource, p: Fraction) -> Optional[str]:
 
 
 def _expansion_evidence(
-    source: RealSource, f: FDescriptor, budget: Budget
+    source: RealSource, f: FDescriptor, budget: int
 ) -> Tuple[Tuple[QAlphaEntry, ...], CriterionSeries, Tuple[str, ...]]:
     notes: List[str] = []
     try:
-        exp = cfrac.expand(source, budget.convergents)
+        exp = cfrac.expand(source, budget)
     except PrecisionLimitError as exc:
         return (), CriterionSeries((), ()), (f"expansion unavailable: {exc}",)
     if exp.capped:
@@ -336,7 +326,7 @@ def _expansion_evidence(
 def classify(
     source: RealSource,
     f: FDescriptor,
-    budget: Optional[Budget] = None,
+    budget: int = 24,
     certs: Sequence[MeasureCertificate] = (),
 ) -> Verdict:
     """Decision ladder for the alternating sine-weighted series.
@@ -351,7 +341,6 @@ def classify(
        provably unbounded: diverges.
     5. Otherwise Inconclusive, carrying computed partial sums as evidence.
     """
-    budget = budget or Budget()
     for cert in certs:
         cert.check_applicable(source)
 
@@ -429,7 +418,7 @@ def classify(
     return Verdict(
         outcome=Outcome.INCONCLUSIVE,
         certificate=VerdictCertificate.EVIDENCE,
-        parameters={"entries_found": len(entries), "budget_convergents": budget.convergents},
+        parameters={"entries_found": len(entries), "budget_convergents": budget},
         evidence=series.terms,
         evidence_partial_sum=series.total,
         notes=notes

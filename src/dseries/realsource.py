@@ -23,7 +23,7 @@ import threading
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
-from typing import Optional, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 from .errors import PrecisionLimitError
 
@@ -375,14 +375,22 @@ def _liouville_places(level: int) -> int:
     return int(math.ceil((level + 2) * _LOG10_2)) + 3
 
 
-def _prefix_convergents(pqs: Tuple[int, ...]) -> Tuple[Tuple[int, int], Tuple[int, int]]:
-    """(p_k, q_k) and (p_{k-1}, q_{k-1}) of a partial-quotient prefix."""
+def _recurrence(pqs: Sequence[int]) -> List[Tuple[int, int]]:
+    """(p_n, q_n) of every prefix a_0..a_n of the partial quotients."""
+    convs: List[Tuple[int, int]] = []
     pm1, qm1 = 1, 0
     pm2, qm2 = 0, 1
     for a in pqs:
         pm1, pm2 = a * pm1 + pm2, pm1
         qm1, qm2 = a * qm1 + qm2, qm1
-    return (pm1, qm1), (pm2, qm2)
+        convs.append((pm1, qm1))
+    return convs
+
+
+def _prefix_convergents(pqs: Tuple[int, ...]) -> Tuple[Tuple[int, int], Tuple[int, int]]:
+    """(p_k, q_k) and (p_{k-1}, q_{k-1}) of a partial-quotient prefix."""
+    convs = [(1, 0)] + _recurrence(pqs)
+    return convs[-1], convs[-2]
 
 
 def _ceil_div(n: int, d: int) -> int:

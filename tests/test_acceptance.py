@@ -103,7 +103,7 @@ def test_06_oscillatory_constant_two_ways():
 
 def test_07_inverse_pi_certificate_pipeline():
     verdict = ds.classify(
-        ds.make_constant("invpi"), F1, ds.Budget(convergents=20),
+        ds.make_constant("invpi"), F1, 20,
         [ds.mahler_certificate()],
     )
     assert verdict.outcome is ds.Outcome.CONVERGES
@@ -120,7 +120,7 @@ def test_08_even_denominator_index_set_structure():
     exp = ds.expand(phi, 50)
     assert len(exp.convergents) == 50
     assert ds.q_alpha(exp.convergents) == []
-    verdict = ds.classify(phi, F1, ds.Budget(convergents=50))
+    verdict = ds.classify(phi, F1, 50)
     assert verdict.outcome is ds.Outcome.CONVERGES
     assert verdict.certificate is ds.VerdictCertificate.QALPHA_EMPTY_STRUCTURAL
     # sqrt(2): the index set starts (2,5), (12,29), (70,169)

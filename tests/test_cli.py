@@ -1,4 +1,4 @@
-"""Command-line layer: grammar round-trips, config precedence, manifests,
+"""Command-line layer: grammar round-trips, cap flags, manifests,
 exit codes, and the JSON/CSV payload shapes of every subcommand."""
 
 import json
@@ -12,7 +12,6 @@ import pytest
 
 import dseries as ds
 from dseries.cli import (
-    Config,
     _outward_floats,
     console_main,
     format_alpha,
@@ -139,51 +138,7 @@ def test_parse_cert_forms():
             parse_cert(bad)
 
 
-# -- config layering -----------------------------------------------------------
-
-
-def test_config_file_then_flag_precedence(tmp_path):
-    cfgfile = tmp_path / "ds.cfg"
-    cfgfile.write_text("# comment\nmax_bits = 512\nworkers = 2\n")
-    argv = ["classify", "rat:1/3", "--f", "pow:1", "--config", str(cfgfile)]
-    code, payload, mani = run(argv, tmp_path, "file_only")
-    assert code == 0
-    assert mani["caps"] == {"max_bits": 512, "max_terms": Config().max_terms, "workers": 2}
-    code, payload, mani = run(argv + ["--max-bits", "256"], tmp_path, "flag_wins")
-    assert code == 0
-    assert mani["caps"]["max_bits"] == 256
-    assert mani["caps"]["workers"] == 2
-
-
-def test_config_env_and_flag_override(tmp_path, monkeypatch):
-    envfile = tmp_path / "env.cfg"
-    envfile.write_text("max_bits=1024\n")
-    monkeypatch.setenv("DSERIES_CONFIG", str(envfile))
-    code, _, mani = run(["classify", "rat:1/3", "--f", "pow:1"], tmp_path, "env")
-    assert code == 0 and mani["caps"]["max_bits"] == 1024
-    flagfile = tmp_path / "flag.cfg"
-    flagfile.write_text("max_bits=2048\n")
-    code, _, mani = run(
-        ["classify", "rat:1/3", "--f", "pow:1", "--config", str(flagfile)],
-        tmp_path,
-        "cfg_flag",
-    )
-    assert code == 0 and mani["caps"]["max_bits"] == 2048
-
-
-@pytest.mark.parametrize(
-    "content", ["max_bits=fast\n", "colors=3\n", "max_bits\n"]
-)
-def test_config_bad_file_rejected(tmp_path, content):
-    cfgfile = tmp_path / "bad.cfg"
-    cfgfile.write_text(content)
-    code, payload, mani = run(
-        ["classify", "rat:1/3", "--f", "pow:1", "--config", str(cfgfile)],
-        tmp_path,
-        "badcfg",
-    )
-    assert code == 1 and payload is None
-    assert "config" in mani["error"]
+# -- cap flags -----------------------------------------------------------------
 
 
 def test_config_out_of_range_flag(tmp_path):
@@ -195,17 +150,14 @@ def test_config_out_of_range_flag(tmp_path):
     assert code == 1 and "max_bits" in mani["error"]
 
 
-@pytest.mark.parametrize("where", ["flag", "file"])
-def test_config_rejects_more_than_64_workers_before_summing(tmp_path, monkeypatch, where):
+@pytest.mark.parametrize("extra", [["--workers", "100000"]], ids=["flag"])
+def test_config_rejects_more_than_64_workers_before_summing(tmp_path, monkeypatch, extra):
     from dseries import sumengine
 
     def never(*args, **kwargs):
         raise AssertionError("a sum started")
 
     monkeypatch.setattr(sumengine, "partial_sum_direct", never)
-    cfgfile = tmp_path / "many.cfg"
-    cfgfile.write_text("workers = 100000\n")
-    extra = ["--workers", "100000"] if where == "flag" else ["--config", str(cfgfile)]
     code, payload, mani = run(
         ["sum", "rat:1/3", "--f", "pow:1", "--M", "10", *extra], tmp_path, "manyw"
     )
@@ -252,6 +204,40 @@ def test_manifest_written_on_usage_failure(tmp_path):
     mani = json.loads(manifest.read_text())
     assert mani["error"] == "argument parsing failed"
     assert mani["command"] is None
+
+
+def test_last_manifest_wins_on_success_and_usage_failure(tmp_path):
+    a, b = tmp_path / "a.json", tmp_path / "b.json"
+    argv = ["classify", "rat:1/3", "--f", "pow:1", "--json", str(tmp_path / "o.json")]
+    assert console_main(argv + ["--manifest", str(a), "--manifest", str(b)]) == 0
+    assert not a.exists() and json.loads(b.read_text())["error"] is None
+    b.unlink()
+    assert console_main(["classify", "--manifest", str(a), "--manifest", str(b)]) == 1
+    assert not a.exists()
+    assert json.loads(b.read_text())["error"] == "argument parsing failed"
+
+
+def test_usage_failure_reads_manifest_equals_form(tmp_path):
+    path = tmp_path / "eq.json"
+    assert console_main(["sum", "rat:1/3", "--M", "0", f"--manifest={path}"]) == 1
+    assert json.loads(path.read_text())["error"] == "argument parsing failed"
+
+
+def test_manifest_flag_without_value_falls_back_to_default(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    assert console_main(["classify", "rat:1/3", "--f", "pow:1", "--manifest"]) == 1
+    mani = json.loads((tmp_path / "dseries_manifest.json").read_text())
+    assert mani["error"] == "argument parsing failed"
+
+
+def test_config_file_flag_is_gone(tmp_path):
+    cfgfile = tmp_path / "ds.cfg"
+    cfgfile.write_text("max_bits = 512\n")
+    code, payload, mani = run(
+        ["classify", "rat:1/3", "--f", "pow:1", "--config", str(cfgfile)], tmp_path, "cfg"
+    )
+    assert code == 1 and payload is None
+    assert mani["error"] == "argument parsing failed"
 
 
 def test_help_and_version_exit_zero(tmp_path, capsys):
@@ -407,6 +393,28 @@ def test_sum_periodic_needs_rational(tmp_path):
     )
     assert code == 1 and payload is None
     assert "rational" in mani["error"]
+
+
+@pytest.mark.parametrize(
+    "extra",
+    [["--mode", "both"], ["--mode", "periodic", "--trace", "t.csv"]],
+    ids=["both", "periodic_trace"],
+)
+def test_sum_periodic_refusal_precedes_any_sum(tmp_path, monkeypatch, extra):
+    from dseries import sumengine
+
+    def never(*args, **kwargs):
+        raise AssertionError("a sum started")
+
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr(sumengine, "partial_sum_direct", never)
+    monkeypatch.setattr(sumengine, "scan_partial_sums", never)
+    code, payload, mani = run(
+        ["sum", "const:pi", "--f", "pow:1", "--M", "20000000", *extra], tmp_path, "early"
+    )
+    assert code == 1 and payload is None
+    assert mani["error"] == "periodic mode requires a rational alpha (rat:a/q)"
+    assert not (tmp_path / "t.csv").exists()
 
 
 def test_sum_window_past_2_53_exits_2_with_manifest(tmp_path):

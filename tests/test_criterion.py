@@ -152,7 +152,7 @@ def test_classify_invpi_with_mahler():
     v = ds.classify(
         ds.make_constant("invpi"),
         ds.make_power_f(1),
-        ds.Budget(convergents=20),
+        20,
         certs=[ds.mahler_certificate()],
     )
     assert v.outcome is ds.Outcome.CONVERGES
@@ -255,7 +255,7 @@ def test_budget_limits_expansion_depth():
     v = ds.classify(
         ds.make_constant("e"),
         ds.make_power_f(Fraction(1, 2)),
-        ds.Budget(convergents=5),
+        5,
     )
     assert v.outcome is ds.Outcome.INCONCLUSIVE
 
