@@ -154,13 +154,15 @@ def _build_irrational(
         if idx < start:
             continue
         p_n, q_n = convs[idx]
+        # |q_k x - p_k|: q_k > 0, so lo1 <= hi1
+        lo, hi = (lo1, hi1) if lo1 >= 0 else (-hi1, -lo1) if hi1 <= 0 else (0, max(-lo1, hi1))
         emitted.append(
             Convergent(
                 n=idx - start + 1,
                 a=p_n,
                 q=q_n,
                 partial_quotient=a,
-                dist=DyadicInterval(lo1, hi1, interval.exp).abs(),
+                dist=DyadicInterval(lo, hi, interval.exp),
             )
         )
     return Expansion(

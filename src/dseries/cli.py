@@ -200,45 +200,89 @@ def _json_float(x: float):
     return x if math.isfinite(x) else str(x)
 
 
+def _round_dyadic(m: int, exp: int, up: bool) -> float:
+    """m * 2^-exp rounded to a double toward +inf (up) or -inf; past the
+    largest double, ldexp raises OverflowError."""
+    # drop the bits of m below the result's last place (53 bits, or 2^-1074)
+    shift = max(m.bit_length() - 53, exp - 1074)
+    if shift <= 0:
+        return math.ldexp(m, -exp)  # exact
+    top = m >> shift  # floor, for either sign
+    if up and top << shift != m:
+        top += 1
+    return math.ldexp(top, shift - exp)
+
+
 def _outward_floats(iv) -> Tuple[float, float]:
     """Tightest doubles lo <= iv.lo and hi >= iv.hi."""
-    scale = 1 << iv.exp
-    lo, hi = iv.lo_m / scale, iv.hi_m / scale  # int / int rounds correctly
-    n, d = lo.as_integer_ratio()
-    if n * scale > iv.lo_m * d:
-        lo = math.nextafter(lo, -math.inf)
-    n, d = hi.as_integer_ratio()
-    if n * scale < iv.hi_m * d:
-        hi = math.nextafter(hi, math.inf)
-    return lo, hi
+    return _round_dyadic(iv.lo_m, iv.exp, False), _round_dyadic(iv.hi_m, iv.exp, True)
+
+
+def _digits(n: int, str_bits: float) -> str:
+    """Decimal text of n.  Past str_bits bits, where str() would hit Python's
+    limit on int-to-str conversion, the slower Decimal conversion runs."""
+    if n.bit_length() <= str_bits:
+        return str(n)
+    from decimal import Decimal
+
+    return str(Decimal(n))
+
+
+def _document(payload: dict) -> str:
+    return json.dumps(payload, sort_keys=True, indent=2) + "\n"
+
+
+def _json_list(items: List[str]) -> str:
+    """A list of JSON texts laid out as a value of a top-level key."""
+    return "[\n%s\n  ]" % ",\n".join(items) if items else "[]"
+
+
+_CONVERGENT_ROW = """    {
+      "a": "%s",
+      "dist_hi": %r,
+      "dist_lo": %r,
+      "n": %d,
+      "pq": "%s",
+      "q": "%s"
+    }"""
+
+
+def _cf_document(alpha: str, exp: cfrac.Expansion) -> str:
+    """The cf document, byte for byte _document() of its payload: json's
+    indenting encoder is pure Python, so the two long lists are written
+    here from one fixed layout, and json escapes the outer scalars."""
+    limit = getattr(sys, "get_int_max_str_digits", int)()  # no limit before 3.10.7
+    str_bits = 3 * limit if limit else math.inf  # 3 bits < 1 digit
+    rows = []
+    for c in exp.convergents:
+        lo, hi = _outward_floats(c.dist)  # finite, so %r is json's float text
+        rows.append(_CONVERGENT_ROW % (
+            _digits(c.a, str_bits), hi, lo, c.n,
+            _digits(c.partial_quotient, str_bits), _digits(c.q, str_bits),
+        ))
+    quotients = ['    "%s"' % _digits(a, str_bits) for a in exp.partial_quotients]
+    return (
+        '{\n  "alpha": %s,\n  "cap_reason": %s,\n  "capped": %s,\n  "convergents": %s,\n'
+        '  "exact": %s,\n  "partial_quotients": %s,\n  "schema": 1\n}\n'
+    ) % (
+        json.dumps(alpha), json.dumps(exp.cap_reason), json.dumps(exp.capped), _json_list(rows),
+        json.dumps(exp.exact), _json_list(quotients),
+    )
 
 
 # -- subcommands --------------------------------------------------------------
 
+# each subcommand returns its JSON document, exit code and manifest error
+_Result = Tuple[str, int, Optional[str]]
 
-def _cmd_cf(args: argparse.Namespace, caps: dict, outputs: List[str]) -> Tuple[dict, int]:
+
+def _cmd_cf(args: argparse.Namespace, caps: dict, outputs: List[str]) -> _Result:
     source = parse_alpha(args.alpha, max_bits=caps["max_bits"])
     exp = cfrac.expand(source, args.terms)
-    convs = []
-    for c in exp.convergents:
-        lo, hi = _outward_floats(c.dist)
-        convs.append(
-            {"n": c.n, "a": str(c.a), "q": str(c.q), "pq": str(c.partial_quotient),
-             "dist_lo": lo, "dist_hi": hi}
-        )
-    payload = {
-        "schema": 1,
-        "alpha": format_alpha(source),
-        "exact": exp.exact,
-        "capped": exp.capped,
-        "cap_reason": exp.cap_reason,
-        "partial_quotients": [str(a) for a in exp.partial_quotients],
-        "convergents": convs,
-    }
-    return payload, (2 if exp.capped else 0)
+    return _cf_document(format_alpha(source), exp), (2 if exp.capped else 0), None
 
 
-def _cmd_classify(args: argparse.Namespace, caps: dict, outputs: List[str]) -> Tuple[dict, int]:
+def _cmd_classify(args: argparse.Namespace, caps: dict, outputs: List[str]) -> _Result:
     source = parse_alpha(args.alpha, max_bits=caps["max_bits"])
     f = parse_f(args.f)
     certs = [parse_cert(c) for c in (args.cert or [])]
@@ -249,7 +293,7 @@ def _cmd_classify(args: argparse.Namespace, caps: dict, outputs: List[str]) -> T
         "f": f.name,
         **verdict.to_json_dict(),
     }
-    return payload, (0 if verdict.outcome is not Outcome.INCONCLUSIVE else 3)
+    return _document(payload), (0 if verdict.outcome is not Outcome.INCONCLUSIVE else 3), None
 
 
 def _result_dict(r: sumengine.PartialSumResult, duration: float) -> dict:
@@ -262,7 +306,7 @@ def _result_dict(r: sumengine.PartialSumResult, duration: float) -> dict:
     }
 
 
-def _cmd_sum(args: argparse.Namespace, caps: dict, outputs: List[str]) -> Tuple[dict, int]:
+def _cmd_sum(args: argparse.Namespace, caps: dict, outputs: List[str]) -> _Result:
     source = parse_alpha(args.alpha, max_bits=caps["max_bits"])
     f = parse_f(args.f)
     if args.mode != "direct" and source.kind is not Kind.RATIONAL:
@@ -308,10 +352,10 @@ def _cmd_sum(args: argparse.Namespace, caps: dict, outputs: List[str]) -> Tuple[
                 fh.write(f"{row.m},{_fmt17(row.value)},{_fmt17(row.rounding_bound)}\n")
         outputs.append(args.trace)
         payload["trace"] = args.trace
-    return payload, 0
+    return _document(payload), 0, None
 
 
-def _cmd_drift(args: argparse.Namespace, caps: dict, outputs: List[str]) -> Tuple[dict, int]:
+def _cmd_drift(args: argparse.Namespace, caps: dict, outputs: List[str]) -> _Result:
     f = parse_f(args.f)
     pred = sumengine.drift_predict(args.a, args.q, f, args.N, args.M)
     measured = sumengine.partial_sum_periodic(
@@ -339,10 +383,10 @@ def _cmd_drift(args: argparse.Namespace, caps: dict, outputs: List[str]) -> Tupl
         "within_allowance": gap <= pred.error_allowance + measured.rounding_bound,
         "relative_magnitude_gap": abs(abs(measured.value) - pred.magnitude) / pred.magnitude,
     }
-    return payload, 0
+    return _document(payload), 0, None
 
 
-def _cmd_liouville(args: argparse.Namespace, caps: dict, outputs: List[str]) -> Tuple[dict, int]:
+def _cmd_liouville(args: argparse.Namespace, caps: dict, outputs: List[str]) -> _Result:
     spec = _liouville_spec(args.schedule, args.base, args.digits, args.start)
     source = realsource.make_liouville(spec, max_bits=caps["max_bits"])
     f = parse_f(f"pow:{args.p}")
@@ -383,7 +427,7 @@ def _cmd_liouville(args: argparse.Namespace, caps: dict, outputs: List[str]) -> 
         },
         "error": error,
     }
-    return payload, (2 if error else 0)
+    return _document(payload), (2 if error else 0), error
 
 
 # -- driver -------------------------------------------------------------------
@@ -518,17 +562,14 @@ def console_main(argv: Optional[Sequence[str]] = None) -> int:
     code = 0
     try:
         manifest["caps"] = caps = _resolve_config(args)
-        payload, code = args.func(args, caps, outputs)
-        if payload is not None:
-            text = json.dumps(payload, sort_keys=True, indent=2) + "\n"
-            if args.json_path:
-                with open(args.json_path, "w", encoding="utf-8") as fh:
-                    fh.write(text)
-                outputs.append(args.json_path)
-            else:
-                sys.stdout.write(text)
-        if payload is not None and payload.get("error"):
-            manifest["error"] = payload["error"]
+        text, code, error = args.func(args, caps, outputs)
+        if args.json_path:
+            with open(args.json_path, "w", encoding="utf-8") as fh:
+                fh.write(text)
+            outputs.append(args.json_path)
+        else:
+            sys.stdout.write(text)
+        manifest["error"] = error
     except Exception as exc:
         # the boundary: every failure ends in a message, a manifest and exit
         # 1 or 2, never a traceback

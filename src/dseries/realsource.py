@@ -120,14 +120,6 @@ class DyadicInterval:
     def __contains__(self, x) -> bool:
         return self.lo <= Fraction(x) <= self.hi
 
-    def abs(self) -> "DyadicInterval":
-        """Interval image under x -> |x|."""
-        if self.lo_m >= 0:
-            return self
-        if self.hi_m <= 0:
-            return DyadicInterval(-self.hi_m, -self.lo_m, self.exp)
-        return DyadicInterval(0, max(-self.lo_m, self.hi_m), self.exp)
-
     @staticmethod
     def enclosing(lo: Fraction, hi: Fraction, grid_bits: int) -> "DyadicInterval":
         """Smallest interval with endpoints on the 2^-grid_bits grid

@@ -4,13 +4,21 @@ exit codes, and the JSON/CSV payload shapes of every subcommand."""
 import json
 import math
 import os
+import re
+import shlex
 import subprocess
 import sys
+from decimal import Decimal
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import dseries as ds
+from dseries import cfrac
+from dseries.realsource import _recurrence
 from dseries.cli import (
     _outward_floats,
     console_main,
@@ -318,6 +326,96 @@ def test_cf_sqrt2_partial_quotients(tmp_path):
     )
     assert code == 0
     assert payload["partial_quotients"] == ["1", "2", "2", "2", "2"]
+
+
+def _reference_outward_floats(iv):
+    """The division-based rounding the cf writer used before: int / int
+    rounds to nearest, then one step outward where that missed."""
+    scale = 1 << iv.exp
+    lo, hi = iv.lo_m / scale, iv.hi_m / scale
+    n, d = lo.as_integer_ratio()
+    if n * scale > iv.lo_m * d:
+        lo = math.nextafter(lo, -math.inf)
+    n, d = hi.as_integer_ratio()
+    if n * scale < iv.hi_m * d:
+        hi = math.nextafter(hi, math.inf)
+    return lo, hi
+
+
+def _reference_cf_document(alpha, terms, max_bits):
+    """The cf document built as a dict and written by json.dumps."""
+    source = parse_alpha(alpha, max_bits=max_bits)
+    exp = cfrac.expand(source, terms)
+    convs = []
+    for c in exp.convergents:
+        lo, hi = _reference_outward_floats(c.dist)
+        convs.append(
+            {"n": c.n, "a": str(c.a), "q": str(c.q), "pq": str(c.partial_quotient),
+             "dist_lo": lo, "dist_hi": hi}
+        )
+    payload = {
+        "schema": 1,
+        "alpha": format_alpha(source),
+        "exact": exp.exact,
+        "capped": exp.capped,
+        "cap_reason": exp.cap_reason,
+        "partial_quotients": [str(a) for a in exp.partial_quotients],
+        "convergents": convs,
+    }
+    return json.dumps(payload, sort_keys=True, indent=2) + "\n"
+
+
+@pytest.mark.parametrize(
+    "alpha, terms, max_bits",
+    [
+        # the four certify sources; pi's and e's tails reach dist_hi = 5e-324
+        ("const:pi", 1000, ds.DEFAULT_MAX_BITS),
+        ("const:e", 1000, ds.DEFAULT_MAX_BITS),
+        ("const:invpi", 1000, ds.DEFAULT_MAX_BITS),
+        ("surd:(-9-5*sqrt(96))/4", 1000, ds.DEFAULT_MAX_BITS),
+        ("rat:355/113", 10, ds.DEFAULT_MAX_BITS),  # fewer convergents than asked
+        ("cf:[0;2,4]", 10, ds.DEFAULT_MAX_BITS),  # capped, with a cap_reason
+        ("cf:[5]", 12, ds.DEFAULT_MAX_BITS),  # no convergent at all
+        ("liouville:tower100", 5, 1000),  # capped by --max-bits
+    ],
+)
+def test_cf_document_is_byte_identical_to_json_dumps(tmp_path, alpha, terms, max_bits):
+    out = tmp_path / "doc.json"
+    argv = ["cf", alpha, "--terms", str(terms), "--max-bits", str(max_bits)]
+    code = console_main(argv + ["--json", str(out), "--manifest", str(tmp_path / "m.json")])
+    text = out.read_text(encoding="utf-8")
+    assert text == _reference_cf_document(alpha, terms, max_bits)
+    assert code == (2 if json.loads(text)["capped"] else 0)
+    if alpha in ("const:pi", "const:e"):
+        assert '"dist_hi": 5e-324' in text
+
+
+def test_cf_writes_integers_past_the_str_digit_limit(tmp_path):
+    alpha = "liouville:factorial,base=1/7,digits=31"
+    out = tmp_path / "big.json"
+    argv = ["cf", alpha, "--terms", "200", "--json", str(out)]
+    assert console_main(argv + ["--manifest", str(tmp_path / "m.json")]) == 0
+    payload = json.loads(out.read_text())
+    # int(str) would hit the same limit, so read the digits through Decimal
+    pqs = [int(Decimal(a)) for a in payload["partial_quotients"]]
+    assert pqs == list(cfrac.expand(parse_alpha(alpha), 200).partial_quotients)
+    rec = _recurrence(pqs)
+    start = cfrac._emit_start(pqs)
+    assert len(payload["convergents"]) == 200
+    for c in payload["convergents"]:
+        idx = start + c["n"] - 1
+        assert (int(Decimal(c["a"])), int(Decimal(c["q"])), int(Decimal(c["pq"]))) == (
+            *rec[idx], pqs[idx]
+        )
+    assert max(len(c["q"]) for c in payload["convergents"]) > 4300
+
+
+def test_readme_cf_example_is_verbatim_output(tmp_path, capsys):
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    m = re.search(r"```sh\ndseries (cf .*?)\n```\n\n```json\n(.*?)```", readme, re.S)
+    argv = shlex.split(m.group(1))
+    assert console_main(argv + ["--manifest", str(tmp_path / "m.json")]) == 0
+    assert capsys.readouterr().out == m.group(2)
 
 
 # -- sum -----------------------------------------------------------------------
@@ -628,6 +726,34 @@ def test_payload_goes_to_stdout_without_json_flag(tmp_path, capsys):
 )
 def test_outward_floats_are_the_tightest_enclosing_doubles(lo_m, hi_m, exp):
     iv = ds.DyadicInterval(lo_m, hi_m, exp)
+    lo, hi = _outward_floats(iv)
+    assert Fraction(lo) <= iv.lo < Fraction(math.nextafter(lo, math.inf))
+    assert Fraction(math.nextafter(hi, -math.inf)) < iv.hi <= Fraction(hi)
+
+
+@st.composite
+def _dyadic_endpoints(draw):
+    """(m, exp) with |m| up to 10^4 bits, exp up to 9000 and m * 2^-exp below
+    2^1022: general values, exact doubles and subnormal results."""
+    kind = draw(st.sampled_from(["any", "exact", "subnormal"]))
+    if kind == "exact":
+        m = draw(st.integers(-(2 ** 53), 2 ** 53)) << draw(st.integers(0, 7000))
+    else:
+        bits = draw(st.integers(0, 10_000 if kind == "any" else 7_800))
+        m = draw(st.integers(-(1 << bits), 1 << bits))
+    low = max(0, m.bit_length() - 1022)
+    if kind == "subnormal":
+        exp = m.bit_length() + draw(st.integers(1022, 1130))
+    else:
+        exp = draw(st.integers(low, 9000))
+    return m, exp
+
+
+@settings(max_examples=400, deadline=None)
+@given(_dyadic_endpoints())
+def test_outward_floats_match_their_exact_definition(m_exp):
+    m, exp = m_exp
+    iv = ds.DyadicInterval(m, m, exp)
     lo, hi = _outward_floats(iv)
     assert Fraction(lo) <= iv.lo < Fraction(math.nextafter(lo, math.inf))
     assert Fraction(math.nextafter(hi, -math.inf)) < iv.hi <= Fraction(hi)
