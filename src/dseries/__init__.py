@@ -32,7 +32,6 @@ from .realsource import (
     Schedule,
     approximate,
     liouville_partial,
-    liouville_truncation,
     make_constant,
     make_liouville,
     make_pq_stream,
@@ -100,7 +99,6 @@ __all__ = [
     "make_pq_stream",
     "approximate",
     "liouville_partial",
-    "liouville_truncation",
     # cfrac
     "Convergent",
     "QAlphaEntry",

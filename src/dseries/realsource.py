@@ -42,7 +42,6 @@ __all__ = [
     "make_pq_stream",
     "approximate",
     "liouville_partial",
-    "liouville_truncation",
 ]
 
 DEFAULT_MAX_BITS = 1 << 20
@@ -593,16 +592,3 @@ def liouville_partial(spec: LiouvilleSpec, level: int) -> Fraction:
     The exponents must be materializable; levels below start return the base.
     """
     return Fraction(*spec.truncation(level))
-
-
-def liouville_truncation(source: RealSource, bits: int) -> Tuple[int, Fraction]:
-    """(level N, exact lambda_N) used internally by approximate(source, bits).
-
-    Exposed so tests can verify |midpoint - lambda_N| against the documented
-    tail bound.
-    """
-    if source.kind is not Kind.LIOUVILLE:
-        raise ValueError("not a Liouville source")
-    spec = source.liouville
-    level = spec.last_level(_liouville_places(_ladder_level(bits + _GRID_GUARD)))
-    return level, liouville_partial(spec, level)

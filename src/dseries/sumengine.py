@@ -11,9 +11,12 @@ rounding drift.  One odd polynomial with a proven error bound then gives
 |sin(pi y)| for every term and for the periodic class weights, so nothing
 depends on the platform's sine.  Windows ending past 2^53 are refused,
 since n is then no longer exact in float64.  Direct sums and checkpoint
-scans share one loop: terms are summed pairwise in chunks of 2^14 on a
-fixed grid and the chunk sums are added exactly, so no result depends on
-the worker count.  Each worker thread evaluates its contiguous block of
+scans share one loop: terms are summed pairwise in chunks of 2^14 on the
+grid N + 1 + j*2^14, fixed by N alone, and the chunk sums are added
+exactly, so no result depends on the worker count.  A checkpoint inside a
+chunk reads that chunk's prefix instead of cutting it, so a scan row does
+not depend on the other checkpoints and a scan's final result is the
+direct sum.  Each worker thread evaluates its contiguous block of
 chunks two at a time in its own four reused work rows (1 MiB), so the
 kernel runs in cache and allocates nothing per chunk.
 The periodic path exploits a rational alpha = a/q by computing one sine
@@ -25,9 +28,10 @@ from __future__ import annotations
 
 import math
 import threading
+from bisect import bisect_left, bisect_right
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Callable, Collection, List, Optional, Sequence, Tuple
+from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -315,18 +319,6 @@ def _chunk_bound(absf: float, length: int, coeff: float) -> float:
     return absf * (coeff + pairwise)
 
 
-def _chunk_ranges(N: int, M: int, cuts: Collection[int]) -> List[Tuple[int, int]]:
-    """Half-open index ranges covering n = N+1 .. N+M.
-
-    Boundaries sit on the grid N + 1 + j*_CHUNK, whatever the worker count,
-    plus an extra boundary after each term count m in `cuts`."""
-    stops = set(range(N + 1 + _CHUNK, N + M + 1, _CHUNK))
-    stops.update(N + 1 + m for m in cuts)
-    stops.add(N + M + 1)
-    bounds = [N + 1] + sorted(stops)
-    return list(zip(bounds, bounds[1:]))
-
-
 def _fsum_add(partials: List[float], x: float) -> None:
     """Add x to an exact running sum kept as Shewchuk's non-overlapping
     partials, so math.fsum(partials) is the correctly rounded total."""
@@ -344,68 +336,77 @@ def _fsum_add(partials: List[float], x: float) -> None:
 
 
 def _sum(
-    source: RealSource, f: FDescriptor, N: int, M: int, cps: set[int], workers: int, track_max: bool
+    source: RealSource, f: FDescriptor, N: int, M: int, cps: Sequence[int], workers: int,
+    track_max: bool,
 ) -> SumTrace:
     """The one chunk loop behind partial_sum_direct and scan_partial_sums.
 
-    Each worker evaluates a contiguous block of the chunks, as many per
-    term_fn call as fit in _BATCH terms.  The chunk records are folded in
-    index order, adding the sums and the bounds exactly, so nothing depends
-    on the worker count.  Rounding is monotone, so the largest
-    |fl(run_i + offset)| over a chunk's running sums run_i sits at the
-    largest or the smallest run_i: only those two are kept.
+    Chunks sit on the grid N + 1 + j*_CHUNK, fixed by N alone.  Each worker
+    evaluates a contiguous block of them, two per term_fn call.  A checkpoint
+    m (cps is ascending) inside a chunk reads that chunk's prefix: the sum
+    and the bound of the terms up to m, added to the exact running sums of
+    the whole chunks before it, so a row depends on neither the other
+    checkpoints nor the worker count.  The whole chunks are folded in index
+    order, adding the sums and the bounds exactly, and their fold is the
+    result.  Rounding is monotone, so the largest |fl(run_i + offset)| over
+    a chunk's running sums run_i sits at the largest or the smallest run_i:
+    only those two are kept.
     """
     term_fn, coeff = _make_term_fn(source, f, N, M)
-    ranges = _chunk_ranges(N, M, cps)
 
-    def eval_block(block: Sequence[Tuple[int, int]]) -> list:
-        records = []  # (m, chunk sum, chunk bound, ((m, run_m) at the extremes))
-        i = 0
-        while i < len(block):
-            start = block[i][0]
-            j = i + 1
-            while j < len(block) and block[j][1] - start <= _BATCH:
-                j += 1
-            terms, fv = term_fn(start, block[j - 1][1])
-            for lo, hi in block[i:j]:
+    def eval_block(first: int, last: int) -> list:
+        records = []  # (chunk sum, chunk bound, extremes, prefix reads)
+        for start in range(first, last, _BATCH):
+            stop = min(start + _BATCH, last)
+            terms, fv = term_fn(start, stop)
+            for lo in range(start, stop, _CHUNK):
+                hi = min(lo + _CHUNK, stop)
                 part = slice(lo - start, hi - start)
                 extremes: Sequence[Tuple[int, float]] = ()
                 if track_max:
                     run = np.cumsum(terms[part])
                     at = sorted({int(np.argmax(run)), int(np.argmin(run))})
                     extremes = [(lo + k - N, float(run[k])) for k in at]
+                reads = []  # (m, prefix sum, prefix bound) per checkpoint in the chunk
+                m0 = lo - N  # the chunk's first term count
+                for m in cps[bisect_left(cps, m0) : bisect_right(cps, hi - 1 - N)]:
+                    k = m - m0 + 1  # the chunk's terms up to m
+                    head = slice(part.start, part.start + k)
+                    prefix_bound = _chunk_bound(float(np.sum(fv[head])), k, coeff)
+                    reads.append((m, float(np.sum(terms[head])), prefix_bound))
                 bound = _chunk_bound(float(np.sum(fv[part])), hi - lo, coeff)
-                records.append((hi - 1 - N, float(np.sum(terms[part])), bound, extremes))
-            i = j
+                records.append((float(np.sum(terms[part])), bound, extremes, reads))
         return records
 
-    nblocks = max(1, min(workers, len(ranges)))
+    chunks = -(-M // _CHUNK)
+    nblocks = max(1, min(workers, chunks))
+    grid = [min(N + 1 + chunks * i // nblocks * _CHUNK, N + M + 1) for i in range(nblocks + 1)]
     if nblocks > 1:
-        cut = [len(ranges) * i // nblocks for i in range(nblocks + 1)]
         with ThreadPoolExecutor(max_workers=nblocks) as pool:
-            blocks = pool.map(eval_block, [ranges[a:b] for a, b in zip(cut, cut[1:])])
+            blocks = pool.map(eval_block, grid, grid[1:])
             records = [r for block in blocks for r in block]
     else:
-        records = eval_block(ranges)
+        records = eval_block(*grid)
 
     partials: List[float] = []  # exact running sum of the chunk sums
     bounds: List[float] = []  # exact running sum of the chunk bounds
     rows: List[TraceRow] = []
     max_abs, max_at = 0.0, None
-    for m, chunk_sum, chunk_bound, extremes in records:
+    for chunk_sum, chunk_bound, extremes, reads in records:
         offset = math.fsum(partials)
         for at, run in extremes:
             if abs(run + offset) > max_abs:
                 max_abs, max_at = abs(run + offset), at
+        for m, s, b in reads:
+            value = math.fsum(partials + [s])
+            rows.append(TraceRow(m, value, math.fsum(bounds + [b]) + 2 * _EPS * abs(value)))
         _fsum_add(partials, chunk_sum)
         _fsum_add(bounds, chunk_bound)
-        if m in cps or m == M:
-            value = math.fsum(partials)
-            rows.append(TraceRow(m, value, math.fsum(bounds) + 2 * _EPS * abs(value)))
-    last = rows[-1] if M in cps else rows.pop()  # the row at M is the final result
+    value = math.fsum(partials)
+    bound = math.fsum(bounds) + 2 * _EPS * abs(value)
     return SumTrace(
         rows=tuple(rows),
-        final=PartialSumResult(last.value, last.rounding_bound, terms=M, mode="direct"),
+        final=PartialSumResult(value, bound, terms=M, mode="direct"),
         max_abs=max_abs if track_max else None,
         max_abs_at=max_at if track_max else None,
     )
@@ -428,7 +429,7 @@ def partial_sum_direct(
     with exact accumulation.
     """
     _require_range(N, M, max_terms)
-    return _sum(source, f, N, M, set(), workers, False).final
+    return _sum(source, f, N, M, [], workers, False).final
 
 
 def partial_sum_periodic(
@@ -521,10 +522,12 @@ def scan_partial_sums(
 ) -> SumTrace:
     """Single pass over the terms recording running sums at checkpoints.
 
-    With track_max, also records the largest |S(m)| over every m = 1..M
-    (not just checkpoints) and an m attaining it.  Rows, bounds and maxima
-    do not depend on `workers`, and the final result equals
-    partial_sum_direct over the same window bit for bit.
+    The chunk grid is partial_sum_direct's, fixed by N alone; a checkpoint
+    inside a chunk reads the chunk's prefix.  So the final result equals
+    partial_sum_direct over the same window bit for bit, and a row at m
+    depends on neither `workers` nor the other checkpoints.  With track_max,
+    also records the largest |S(m)| over every m = 1..M (not just
+    checkpoints) and an m attaining it; it does not depend on `workers`.
     """
     _require_range(N, M, max_terms)
     if checkpoints is None:
@@ -533,7 +536,7 @@ def scan_partial_sums(
         cps = sorted(set(int(c) for c in checkpoints))
         if cps and (cps[0] < 1 or cps[-1] > M):
             raise ValueError("checkpoints must lie in [1, M]")
-    return _sum(source, f, N, M, set(cps), workers, track_max)
+    return _sum(source, f, N, M, cps, workers, track_max)
 
 
 def drift_predict(

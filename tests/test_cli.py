@@ -418,6 +418,25 @@ def test_readme_cf_example_is_verbatim_output(tmp_path, capsys):
     assert capsys.readouterr().out == m.group(2)
 
 
+def _abridged_like(actual, shown):
+    """actual cut to the keys and list lengths that shown has."""
+    if isinstance(shown, dict) and isinstance(actual, dict):
+        return {k: _abridged_like(actual[k], v) for k, v in shown.items() if k in actual}
+    if isinstance(shown, list) and isinstance(actual, list):
+        return [_abridged_like(a, v) for a, v in zip(actual, shown)]
+    return actual
+
+
+@pytest.mark.parametrize("command", ["sum", "drift", "classify"])
+def test_readme_abridged_example_shows_the_output(tmp_path, capsys, command):
+    # the block shows a subset of the keys, and only the first entries of a list
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    m = re.search(rf"```sh\ndseries ({command} .*?)\n```\n\n```json\n(.*?)```", readme, re.S)
+    shown = json.loads(m.group(2))
+    assert console_main(shlex.split(m.group(1)) + ["--manifest", str(tmp_path / "m.json")]) == 0
+    assert _abridged_like(json.loads(capsys.readouterr().out), shown) == shown
+
+
 # -- sum -----------------------------------------------------------------------
 
 

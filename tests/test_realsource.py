@@ -131,15 +131,6 @@ def test_liouville_tower_unrepresentable_level():
         ds.liouville_partial(spec, 3)
 
 
-def test_liouville_truncation_brackets_alpha():
-    spec = ds.LiouvilleSpec()
-    src = ds.make_liouville(spec)
-    level, value = ds.liouville_truncation(src, 64)
-    iv = ds.approximate(src, 200)
-    assert value <= iv.hi
-    assert level >= 2
-
-
 def test_pq_stream_prefix_enclosure():
     # a deep prefix certifies real bits; the exact truncation value lies inside
     big = 2 ** 32

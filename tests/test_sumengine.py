@@ -423,8 +423,8 @@ def test_scan_rows_match_direct_sums():
 
 
 def test_scan_checkpoints_equal_direct_sums_bit_for_bit():
-    # checkpoints on the chunk grid, then one inside a chunk: the scan splits
-    # the window exactly where partial_sum_direct(M=m) does
+    # checkpoints on the chunk grid, then one inside a chunk: each row sums
+    # the chunks and the prefix that partial_sum_direct(M=m) sums
     src = ds.make_constant("e")
     f = ds.make_power_f(Fraction(1, 2))
     N, M = 17, 8 * CHUNK + 5
@@ -433,8 +433,35 @@ def test_scan_checkpoints_equal_direct_sums_bit_for_bit():
     assert [row.m for row in trace.rows] == cps
     for row in trace.rows:
         assert row.value == ds.partial_sum_direct(src, f, N, row.m).value
-    d = ds.partial_sum_direct(src, f, N, M)
-    assert abs(trace.final.value - d.value) <= trace.final.rounding_bound + d.rounding_bound
+    assert repr(trace.final) == repr(ds.partial_sum_direct(src, f, N, M))
+
+
+@st.composite
+def _scan_windows(draw):
+    M = draw(st.integers(1, 3 * CHUNK + 100))
+    on_grid = st.sampled_from(sorted({min(j * CHUNK, M) for j in range(1, 5)}))
+    cps = draw(st.lists(st.one_of(st.integers(1, M), on_grid), max_size=5))
+    return draw(st.integers(0, 10 ** 6)), M, sorted(set(cps))
+
+
+@settings(max_examples=30, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(spec=_BOUND_SOURCES, window=_scan_windows(), workers=st.integers(1, 3))
+def test_scan_rows_are_prefix_reads_of_the_direct_grid(spec, window, workers):
+    # the scan sums the chunks partial_sum_direct sums, whatever checkpoints
+    # it is asked for; a checkpoint inside a chunk only reads its prefix
+    source, _ = _bound_case(spec)
+    N, M, cps = window
+    f = ds.make_power_f(Fraction(1, 2))
+    scan = ds.scan_partial_sums(source, f, N, M, cps, workers=workers)
+    assert repr(scan.final) == repr(ds.partial_sum_direct(source, f, N, M))
+    assert [row.m for row in scan.rows] == cps
+    for row in scan.rows:
+        assert repr(row) == repr(ds.scan_partial_sums(source, f, N, M, [row.m]).rows[0])
+        if source.kind is Kind.RATIONAL:
+            # an irrational's argument error grows with N + M, so only a
+            # rational row is the direct sum of the shorter window
+            d = ds.partial_sum_direct(source, f, N, row.m)
+            assert (row.value, row.rounding_bound) == (d.value, d.rounding_bound)
 
 
 @pytest.mark.parametrize("source", [ds.make_constant("e"), ds.make_rational(3, 8)])
