@@ -15,120 +15,20 @@ explicit continued fraction).  Submodules:
 - cli: the ``dseries`` command-line front end
 """
 
-from .errors import (
-    CertificateError,
-    DSeriesError,
-    PrecisionLimitError,
-    ResourceLimitError,
-    TermLimitError,
-)
-from .realsource import (
-    DEFAULT_MAX_BITS,
-    Constant,
-    DyadicInterval,
-    Kind,
-    LiouvilleSpec,
-    RealSource,
-    Schedule,
-    approximate,
-    liouville_partial,
-    make_constant,
-    make_liouville,
-    make_pq_stream,
-    make_rational,
-    make_surd,
-)
-from .cfrac import (
-    Convergent,
-    Expansion,
-    QAlphaEntry,
-    expand,
-    q_alpha,
-)
-from .criterion import (
-    CriterionSeries,
-    CriterionTerm,
-    FDescriptor,
-    MeasureCertificate,
-    Outcome,
-    StaircaseLevel,
-    Verdict,
-    VerdictCertificate,
-    classify,
-    criterion_partial_sum,
-    mahler_certificate,
-    make_power_f,
-    measure_tail_bound,
-    roth_certificate,
-    staircase_levels,
-)
-from .sumengine import (
-    DriftPrediction,
-    PartialSumResult,
-    SumTrace,
-    TraceRow,
-    drift_predict,
-    geometric_checkpoints,
-    partial_sum_direct,
-    partial_sum_periodic,
-    scan_partial_sums,
-)
+from . import cfrac, criterion, errors, realsource, sumengine
+from .errors import *
+from .realsource import *
+from .cfrac import *
+from .criterion import *
+from .sumengine import *
 
 __version__ = "0.1.0"
 
 __all__ = [
     "__version__",
-    # errors
-    "DSeriesError",
-    "ResourceLimitError",
-    "PrecisionLimitError",
-    "TermLimitError",
-    "CertificateError",
-    # realsource
-    "DEFAULT_MAX_BITS",
-    "Kind",
-    "Constant",
-    "Schedule",
-    "DyadicInterval",
-    "LiouvilleSpec",
-    "RealSource",
-    "make_rational",
-    "make_surd",
-    "make_constant",
-    "make_liouville",
-    "make_pq_stream",
-    "approximate",
-    "liouville_partial",
-    # cfrac
-    "Convergent",
-    "QAlphaEntry",
-    "Expansion",
-    "expand",
-    "q_alpha",
-    # criterion
-    "FDescriptor",
-    "CriterionTerm",
-    "CriterionSeries",
-    "MeasureCertificate",
-    "Outcome",
-    "VerdictCertificate",
-    "Verdict",
-    "make_power_f",
-    "criterion_partial_sum",
-    "measure_tail_bound",
-    "roth_certificate",
-    "mahler_certificate",
-    "classify",
-    "StaircaseLevel",
-    "staircase_levels",
-    # sumengine
-    "PartialSumResult",
-    "DriftPrediction",
-    "TraceRow",
-    "SumTrace",
-    "partial_sum_direct",
-    "partial_sum_periodic",
-    "scan_partial_sums",
-    "geometric_checkpoints",
-    "drift_predict",
+    *errors.__all__,
+    *realsource.__all__,
+    *cfrac.__all__,
+    *criterion.__all__,
+    *sumengine.__all__,
 ]

@@ -10,12 +10,18 @@ large, which drives the convergence criterion.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from fractions import Fraction
+from dataclasses import dataclass, replace
 from typing import List, Optional, Sequence, Tuple
 
 from .errors import PrecisionLimitError
-from .realsource import DyadicInterval, Kind, RealSource, _recurrence
+from .realsource import (
+    DyadicInterval,
+    Kind,
+    RealSource,
+    _prefix_convergents,
+    _prefix_interval,
+    _recurrence,
+)
 
 __all__ = [
     "Convergent",
@@ -111,14 +117,14 @@ def _expand_rational(source: RealSource, count: int) -> Expansion:
     emitted: List[Convergent] = []
     for n, idx in enumerate(range(start, len(convs)), start=1):
         p_n, q_n = convs[idx]
-        v = Fraction(abs(q_n * a - p_n * q), q)
+        r = abs(q_n * a - p_n * q) << grid  # ||q_n alpha|| = r / (q 2^grid)
         emitted.append(
             Convergent(
                 n=n,
                 a=p_n,
                 q=q_n,
                 partial_quotient=pqs[idx],
-                dist=DyadicInterval.enclosing(v, v, grid),
+                dist=DyadicInterval(r // q, -(-r // q), grid),
             )
         )
     exact = len(emitted) <= count
@@ -219,32 +225,20 @@ def _expand_prefix(source: RealSource, count: int) -> Expansion:
     the final convergent (whose distance range touches zero) is never
     emitted.
     """
-    pqs = list(source.pqs)
-    rec = _recurrence(pqs)
-    k = len(pqs) - 1
-    p_k, q_k = rec[k]
-    p_k1, q_k1 = rec[k - 1] if k >= 1 else (1, 0)
-    lo = Fraction(p_k, q_k)
-    hi = Fraction(p_k + p_k1, q_k + q_k1)
-    if lo > hi:
-        lo, hi = hi, lo
-    interval = DyadicInterval.enclosing(lo, hi, _dist_grid_bits(q_k + q_k1))
+    pqs = source.pqs
+    convs = _prefix_convergents(pqs)
+    (_, q_k), (_, q_k1) = convs
+    grid = _dist_grid_bits(q_k + q_k1)
+    interval = DyadicInterval(*_prefix_interval(convs, grid), grid)
     m = _certified_emit_count(pqs, interval, count)
-    exp = _build_irrational(pqs, interval, m, 0, capped=m < count, cap_reason=None)
     reason = None
     if m < count:
         reason = (
             f"partial-quotient prefix of {len(pqs)} quotients certifies "
             f"only {m} of {count} convergents"
         )
-    return Expansion(
-        convergents=exp.convergents,
-        partial_quotients=tuple(pqs),
-        exact=False,
-        capped=m < count,
-        cap_reason=reason,
-        bits_used=0,
-    )
+    exp = _build_irrational(pqs, interval, m, 0, capped=m < count, cap_reason=reason)
+    return replace(exp, partial_quotients=pqs)
 
 
 def expand(source: RealSource, count: int) -> Expansion:

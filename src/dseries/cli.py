@@ -161,13 +161,11 @@ def parse_f(text: str) -> FDescriptor:
 
 
 def parse_cert(text: str) -> MeasureCertificate:
-    """Certificate spec: roth | mahler[:C] | measure:mu,C."""
+    """Certificate spec: roth | mahler | measure:mu,C (a user's constant C)."""
     if text == "roth":
         return criterion.roth_certificate()
     if text == "mahler":
         return criterion.mahler_certificate()
-    if text.startswith("mahler:"):
-        return criterion.mahler_certificate(C=float(text.split(":", 1)[1]))
     if text.startswith("measure:"):
         body = text.split(":", 1)[1]
         parts = body.split(",")
@@ -482,7 +480,7 @@ def _build_parser() -> argparse.ArgumentParser:
     s = command("classify", "convergence verdict")
     s.add_argument("alpha")
     s.add_argument("--f", required=True, help="weight spec, e.g. pow:1 or pow:1/2")
-    s.add_argument("--cert", action="append", help="roth | mahler[:C] | measure:mu,C")
+    s.add_argument("--cert", action="append", help="roth | mahler | measure:mu,C")
     s.add_argument("--budget", type=_positive_int, default=24, help="expansion budget (convergents)")
     s.set_defaults(func=_cmd_classify)
 

@@ -20,7 +20,7 @@ from typing import Dict, List, Optional, Sequence, Tuple, Union
 from . import cfrac
 from .cfrac import Expansion, QAlphaEntry
 from .errors import CertificateError, PrecisionLimitError
-from .realsource import Constant, Kind, RealSource, Schedule, _exceeds_power_multiple, liouville_partial
+from .realsource import Constant, Kind, RealSource, Schedule, _exceeds_power_multiple
 
 __all__ = [
     "FDescriptor",
@@ -123,26 +123,19 @@ def _power_term(p: Fraction, entry: QAlphaEntry) -> CriterionTerm:
 @dataclass(frozen=True)
 class CriterionSeries:
     terms: Tuple[CriterionTerm, ...]
-    partial_sums: Tuple[float, ...]
-
-    @property
-    def total(self) -> float:
-        return self.partial_sums[-1] if self.partial_sums else 0.0
+    total: float
 
 
 def criterion_partial_sum(
     entries: Sequence[QAlphaEntry], f: FDescriptor
 ) -> CriterionSeries:
-    """Evaluate the criterion terms for the given entries, with running sums."""
-    terms: List[CriterionTerm] = []
-    sums: List[float] = []
-    acc = 0.0
-    for entry in entries:
-        term = _power_term(f.p, entry)
-        terms.append(term)
-        acc += term.value
-        sums.append(acc)
-    return CriterionSeries(terms=tuple(terms), partial_sums=tuple(sums))
+    """Evaluate the criterion terms for the given entries, and their sum
+    accumulated in entry order."""
+    terms = tuple(_power_term(f.p, entry) for entry in entries)
+    total = 0.0
+    for term in terms:  # not sum(), which compensates from Python 3.12
+        total += term.value
+    return CriterionSeries(terms=terms, total=total)
 
 
 @dataclass(frozen=True)
@@ -196,8 +189,8 @@ def roth_certificate() -> MeasureCertificate:
     return MeasureCertificate(mu=2.5, C=1.0, label="roth", eventual=True)
 
 
-def mahler_certificate(C: float = 10.0) -> MeasureCertificate:
-    return MeasureCertificate(mu=42.0, C=C, label="mahler")
+def mahler_certificate() -> MeasureCertificate:
+    return MeasureCertificate(mu=42.0, C=10.0, label="mahler")
 
 
 def measure_tail_bound(
@@ -316,7 +309,7 @@ def _expansion_evidence(
     try:
         exp = cfrac.expand(source, budget)
     except PrecisionLimitError as exc:
-        return (), CriterionSeries((), ()), (f"expansion unavailable: {exc}",)
+        return (), CriterionSeries((), 0.0), (f"expansion unavailable: {exc}",)
     if exp.capped:
         notes.append(f"expansion capped: {exp.cap_reason}")
     entries = tuple(cfrac.q_alpha(exp.convergents))
@@ -471,7 +464,7 @@ def staircase_levels(
                 f"representable; reporting levels below {level} only"
             )
             break
-        lam = liouville_partial(spec, level)
+        lam = Fraction(*spec.truncation(level))
         q = lam.denominator
         lg_q = math.log10(q)
         # e_next is exact, or None (read as inf) beyond float range.

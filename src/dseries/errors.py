@@ -1,5 +1,13 @@
 """Exception types shared across the toolkit."""
 
+__all__ = [
+    "DSeriesError",
+    "ResourceLimitError",
+    "PrecisionLimitError",
+    "TermLimitError",
+    "CertificateError",
+]
+
 
 class DSeriesError(Exception):
     """Base class for toolkit errors."""

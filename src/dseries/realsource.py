@@ -40,8 +40,6 @@ __all__ = [
     "make_constant",
     "make_liouville",
     "make_pq_stream",
-    "approximate",
-    "liouville_partial",
 ]
 
 DEFAULT_MAX_BITS = 1 << 20
@@ -118,16 +116,6 @@ class DyadicInterval:
 
     def __contains__(self, x) -> bool:
         return self.lo <= Fraction(x) <= self.hi
-
-    @staticmethod
-    def enclosing(lo: Fraction, hi: Fraction, grid_bits: int) -> "DyadicInterval":
-        """Smallest interval with endpoints on the 2^-grid_bits grid
-        containing [lo, hi].  Rounds outward."""
-        return DyadicInterval(
-            (lo.numerator << grid_bits) // lo.denominator,
-            -((-hi.numerator << grid_bits) // hi.denominator),
-            grid_bits,
-        )
 
 
 @dataclass(frozen=True)
@@ -339,17 +327,14 @@ class RealSource:
         return lo, hi
 
     def _raw_stream(self, level: int) -> Tuple[int, int]:
-        # The set of reals whose expansion starts with the prefix is the
-        # closed interval between the last convergent and its mediant with
-        # the one before; its width is 1 / (q_k (q_k + q_{k-1})).
-        (pk, qk), (pk1, qk1) = _prefix_convergents(self.pqs)
+        convs = _prefix_convergents(self.pqs)
+        (_, qk), (_, qk1) = convs
         if qk * (qk + qk1) < 1 << level:
             raise PrecisionLimitError(
                 "partial-quotient prefix exhausted: cannot certify "
                 f"{level} bits from {len(self.pqs)} quotients"
             )
-        ends = ((pk << level, qk), ((pk + pk1) << level, qk + qk1))
-        return min(n // d for n, d in ends), max(_ceil_div(n, d) for n, d in ends)
+        return _prefix_interval(convs, level)
 
 
 def _ladder_level(grid: int) -> int:
@@ -382,6 +367,20 @@ def _prefix_convergents(pqs: Tuple[int, ...]) -> Tuple[Tuple[int, int], Tuple[in
     """(p_k, q_k) and (p_{k-1}, q_{k-1}) of a partial-quotient prefix."""
     convs = [(1, 0)] + _recurrence(pqs)
     return convs[-1], convs[-2]
+
+
+def _prefix_interval(
+    convs: Tuple[Tuple[int, int], Tuple[int, int]], level: int
+) -> Tuple[int, int]:
+    """Floor and ceiling at scale 2^level of the ends of the set of reals
+    whose expansion starts with a prefix, given its _prefix_convergents.
+
+    That set is the closed interval between the last convergent and its
+    mediant with the one before; its width is 1 / (q_k (q_k + q_{k-1})).
+    """
+    (pk, qk), (pk1, qk1) = convs
+    ends = ((pk << level, qk), ((pk + pk1) << level, qk + qk1))
+    return min(n // d for n, d in ends), max(_ceil_div(n, d) for n, d in ends)
 
 
 def _ceil_div(n: int, d: int) -> int:
@@ -580,15 +579,3 @@ def make_pq_stream(
         return src
     return RealSource(Kind.PQ_STREAM, pqs=pqs, max_bits=max_bits)
 
-
-def approximate(source: RealSource, bits: int) -> DyadicInterval:
-    """Module-level alias for RealSource.approximate."""
-    return source.approximate(bits)
-
-
-def liouville_partial(spec: LiouvilleSpec, level: int) -> Fraction:
-    """Exact truncation lambda_level = base + sum_{start <= k <= level} d_k 10^-e_k.
-
-    The exponents must be materializable; levels below start return the base.
-    """
-    return Fraction(*spec.truncation(level))

@@ -129,8 +129,6 @@ class TraceRow:
 class SumTrace:
     rows: Tuple[TraceRow, ...]
     final: PartialSumResult
-    max_abs: Optional[float] = None
-    max_abs_at: Optional[int] = None
 
 
 def _require_range(N: int, M: int, max_terms: int) -> None:
@@ -336,8 +334,7 @@ def _fsum_add(partials: List[float], x: float) -> None:
 
 
 def _sum(
-    source: RealSource, f: FDescriptor, N: int, M: int, cps: Sequence[int], workers: int,
-    track_max: bool,
+    source: RealSource, f: FDescriptor, N: int, M: int, cps: Sequence[int], workers: int
 ) -> SumTrace:
     """The one chunk loop behind partial_sum_direct and scan_partial_sums.
 
@@ -348,25 +345,18 @@ def _sum(
     the whole chunks before it, so a row depends on neither the other
     checkpoints nor the worker count.  The whole chunks are folded in index
     order, adding the sums and the bounds exactly, and their fold is the
-    result.  Rounding is monotone, so the largest |fl(run_i + offset)| over
-    a chunk's running sums run_i sits at the largest or the smallest run_i:
-    only those two are kept.
+    result.
     """
     term_fn, coeff = _make_term_fn(source, f, N, M)
 
     def eval_block(first: int, last: int) -> list:
-        records = []  # (chunk sum, chunk bound, extremes, prefix reads)
+        records = []  # (chunk sum, chunk bound, prefix reads)
         for start in range(first, last, _BATCH):
             stop = min(start + _BATCH, last)
             terms, fv = term_fn(start, stop)
             for lo in range(start, stop, _CHUNK):
                 hi = min(lo + _CHUNK, stop)
                 part = slice(lo - start, hi - start)
-                extremes: Sequence[Tuple[int, float]] = ()
-                if track_max:
-                    run = np.cumsum(terms[part])
-                    at = sorted({int(np.argmax(run)), int(np.argmin(run))})
-                    extremes = [(lo + k - N, float(run[k])) for k in at]
                 reads = []  # (m, prefix sum, prefix bound) per checkpoint in the chunk
                 m0 = lo - N  # the chunk's first term count
                 for m in cps[bisect_left(cps, m0) : bisect_right(cps, hi - 1 - N)]:
@@ -375,7 +365,7 @@ def _sum(
                     prefix_bound = _chunk_bound(float(np.sum(fv[head])), k, coeff)
                     reads.append((m, float(np.sum(terms[head])), prefix_bound))
                 bound = _chunk_bound(float(np.sum(fv[part])), hi - lo, coeff)
-                records.append((float(np.sum(terms[part])), bound, extremes, reads))
+                records.append((float(np.sum(terms[part])), bound, reads))
         return records
 
     chunks = -(-M // _CHUNK)
@@ -391,12 +381,7 @@ def _sum(
     partials: List[float] = []  # exact running sum of the chunk sums
     bounds: List[float] = []  # exact running sum of the chunk bounds
     rows: List[TraceRow] = []
-    max_abs, max_at = 0.0, None
-    for chunk_sum, chunk_bound, extremes, reads in records:
-        offset = math.fsum(partials)
-        for at, run in extremes:
-            if abs(run + offset) > max_abs:
-                max_abs, max_at = abs(run + offset), at
+    for chunk_sum, chunk_bound, reads in records:
         for m, s, b in reads:
             value = math.fsum(partials + [s])
             rows.append(TraceRow(m, value, math.fsum(bounds + [b]) + 2 * _EPS * abs(value)))
@@ -404,12 +389,7 @@ def _sum(
         _fsum_add(bounds, chunk_bound)
     value = math.fsum(partials)
     bound = math.fsum(bounds) + 2 * _EPS * abs(value)
-    return SumTrace(
-        rows=tuple(rows),
-        final=PartialSumResult(value, bound, terms=M, mode="direct"),
-        max_abs=max_abs if track_max else None,
-        max_abs_at=max_at if track_max else None,
-    )
+    return SumTrace(tuple(rows), PartialSumResult(value, bound, terms=M, mode="direct"))
 
 
 def partial_sum_direct(
@@ -429,7 +409,7 @@ def partial_sum_direct(
     with exact accumulation.
     """
     _require_range(N, M, max_terms)
-    return _sum(source, f, N, M, [], workers, False).final
+    return _sum(source, f, N, M, [], workers).final
 
 
 def partial_sum_periodic(
@@ -516,7 +496,6 @@ def scan_partial_sums(
     M: int,
     checkpoints: Optional[Sequence[int]] = None,
     *,
-    track_max: bool = False,
     max_terms: int = DEFAULT_MAX_TERMS,
     workers: int = 1,
 ) -> SumTrace:
@@ -525,9 +504,7 @@ def scan_partial_sums(
     The chunk grid is partial_sum_direct's, fixed by N alone; a checkpoint
     inside a chunk reads the chunk's prefix.  So the final result equals
     partial_sum_direct over the same window bit for bit, and a row at m
-    depends on neither `workers` nor the other checkpoints.  With track_max,
-    also records the largest |S(m)| over every m = 1..M (not just
-    checkpoints) and an m attaining it; it does not depend on `workers`.
+    depends on neither `workers` nor the other checkpoints.
     """
     _require_range(N, M, max_terms)
     if checkpoints is None:
@@ -536,7 +513,7 @@ def scan_partial_sums(
         cps = sorted(set(int(c) for c in checkpoints))
         if cps and (cps[0] < 1 or cps[-1] > M):
             raise ValueError("checkpoints must lie in [1, M]")
-    return _sum(source, f, N, M, cps, workers, track_max)
+    return _sum(source, f, N, M, cps, workers)
 
 
 def drift_predict(

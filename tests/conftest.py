@@ -3,7 +3,8 @@
 Everything here is computed independently of the package code paths: pi via
 a Machin formula in exact rational arithmetic, square roots via isqrt, e
 via its factorial series, continued fractions via the Euclidean algorithm,
-and reference sums via mpmath at high working precision.
+and reference sums via mpmath at high working precision or, for long
+rational windows, a float64 brute-force running sum.
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ from fractions import Fraction
 from typing import List, Tuple
 
 import mpmath
+import numpy as np
 import pytest
 
 
@@ -125,6 +127,20 @@ def mp_prefix_sums(alpha, p: float, N: int, M: int, dps: int = 60) -> List[float
 def mp_partial_sum(alpha, p: float, N: int, M: int, dps: int = 60) -> float:
     """Reference sum of (-1)^n n^-p |sin(n pi alpha)| over n = N+1..N+M."""
     return mp_prefix_sums(alpha, p, N, M, dps)[-1]
+
+
+def max_abs_running_sum(a: int, q: int, p: float, N: int, M: int) -> float:
+    """Largest |S(m)| over m = 1..M for alpha = a/q, S(m) the sum of
+    (-1)^n n^-p |sin(n pi a/q)| over n = N+1..N+m: a brute-force running
+    sum in float64, with n*a reduced modulo q exactly and numpy's sine."""
+    best, offset = 0.0, 0.0
+    for lo in range(N + 1, N + M + 1, 1 << 20):
+        n = np.arange(lo, min(lo + (1 << 20), N + M + 1), dtype=np.int64)
+        terms = np.abs(np.sin(np.pi * (n * a % q) / q)) * n.astype(np.float64) ** -p
+        terms[n % 2 == 1] *= -1.0
+        run = offset + np.cumsum(terms)
+        best, offset = max(best, float(np.max(np.abs(run)))), float(run[-1])
+    return best
 
 
 @pytest.fixture(scope="session")

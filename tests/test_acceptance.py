@@ -14,7 +14,7 @@ import pytest
 
 import dseries as ds
 import lemmas
-from conftest import record_points_fraction, sqrt_fraction
+from conftest import max_abs_running_sum, record_points_fraction, sqrt_fraction
 
 
 F1 = ds.make_power_f(1)
@@ -63,10 +63,8 @@ def test_02_rational_parity_verdicts_are_exact():
 def test_03_odd_q_partial_sums_stay_bounded():
     # running max of |S| over ten million terms stays below q * f(N) = q/100
     for a, q in [(1, 3), (2, 5), (3, 7)]:
-        trace = ds.scan_partial_sums(
-            ds.make_rational(a, q), F1, 100, 10 ** 7, track_max=True
-        )
-        assert trace.max_abs <= q / 100.0, (a, q, trace.max_abs)
+        peak = max_abs_running_sum(a, q, 1.0, 100, 10 ** 7)
+        assert peak <= q / 100.0, (a, q, peak)
 
 
 def test_04_even_q_drift_is_reproduced_within_one_percent():
@@ -142,7 +140,7 @@ def test_09_staircase_divergence_evidence():
             break
         count *= 2
     assert not exp.capped
-    lam3 = ds.liouville_partial(spec, 3)
+    lam3 = Fraction(*spec.truncation(3))
     assert lam3 == Fraction(110001, 10 ** 6)
     assert (lam3.numerator, lam3.denominator) in {
         (c.a, c.q) for c in exp.convergents

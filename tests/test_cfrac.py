@@ -171,6 +171,14 @@ def test_common_pqs_match_fraction_euclid(lo_m, width, exp, limit):
     assert cfrac._common_pqs(iv, limit) == _ref_common_pqs(iv.lo, iv.hi, limit)
 
 
+def _distance_image(c, lo: Fraction, hi: Fraction):
+    """{|q x - p| : lo <= x <= hi} for the convergent p/q = c.a/c.q."""
+    lo, hi = c.q * lo - c.a, c.q * hi - c.a
+    if lo < 0 < hi:
+        return Fraction(0), max(-lo, hi)
+    return tuple(sorted((abs(lo), abs(hi))))
+
+
 @pytest.mark.parametrize(
     "source",
     [
@@ -185,9 +193,47 @@ def test_distances_match_fraction_image_of_the_enclosure(source):
     exp = ds.expand(source, 120)
     iv = source.approximate(exp.bits_used)
     for c in exp.convergents:
-        lo, hi = c.q * iv.lo - c.a, c.q * iv.hi - c.a
-        if lo < 0 < hi:
-            expect = (Fraction(0), max(-lo, hi))
-        else:
-            expect = tuple(sorted((abs(lo), abs(hi))))
-        assert (c.dist.lo, c.dist.hi) == expect
+        assert (c.dist.lo, c.dist.hi) == _distance_image(c, iv.lo, iv.hi)
+
+
+@settings(max_examples=150, deadline=None)
+@given(a=st.integers(-10 ** 18, 10 ** 18), q=st.integers(1, 10 ** 18))
+def test_rational_distances_are_the_exact_distance_on_the_grid(a, q):
+    alpha = Fraction(a, q)
+    grid = cfrac._dist_grid_bits(alpha.denominator)
+    exp = ds.expand(ds.make_rational(a, q), 200)
+    assert exp.exact
+    for c in exp.convergents:
+        x = c.q * alpha
+        exact = min(x - math.floor(x), math.ceil(x) - x)  # ||q alpha||
+        scaled = exact * 2 ** grid
+        assert c.dist == ds.DyadicInterval(math.floor(scaled), math.ceil(scaled), grid)
+
+
+@st.composite
+def _prefixes(draw):
+    """Partial-quotient prefixes of 1 to 12 quotients, with a_1 = 1 or >= 2."""
+    pqs = [draw(st.integers(-20, 20))]
+    length = draw(st.integers(1, 12))
+    if length > 1:
+        pqs.append(draw(st.one_of(st.just(1), st.integers(2, 60))))
+    pqs += draw(st.lists(st.integers(1, 60), min_size=length - len(pqs), max_size=length - len(pqs)))
+    return pqs
+
+
+@settings(max_examples=200, deadline=None)
+@given(pqs=_prefixes())
+def test_prefix_distances_are_the_image_of_the_exact_prefix_interval(pqs):
+    # the reals whose expansion starts with pqs lie between the last
+    # convergent and its mediant with the one before; each distance is the
+    # image of that interval rounded outward to the grid, as 0.1.0 computed
+    # it with Fractions
+    (p_prev, q_prev), (p, q) = ([(1, 0)] + cf_convergents(pqs))[-2:]
+    lo, hi = sorted((Fraction(p, q), Fraction(p + p_prev, q + q_prev)))
+    grid = cfrac._dist_grid_bits(q + q_prev)
+    lo = Fraction(math.floor(lo * 2 ** grid), 2 ** grid)
+    hi = Fraction(math.ceil(hi * 2 ** grid), 2 ** grid)
+    exp = ds.expand(ds.make_pq_stream(pqs), 16)
+    assert exp.partial_quotients == tuple(pqs)
+    for c in exp.convergents:
+        assert (c.dist.lo, c.dist.hi, c.dist.exp) == (*_distance_image(c, lo, hi), grid)

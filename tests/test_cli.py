@@ -137,11 +137,10 @@ def test_parse_cert_forms():
     assert parse_cert("roth").label == "roth"
     m = parse_cert("mahler")
     assert m.label == "mahler"
-    m40 = parse_cert("mahler:40")
-    assert m40.C == 40.0
     u = parse_cert("measure:2.5,1")
     assert (u.mu, u.C, u.label) == (2.5, 1.0, "user")
-    for bad in ("measure:2.5", "measure:a,b", "junk"):
+    # a user's constant is measure:mu,C, never labelled mahler
+    for bad in ("mahler:40", "measure:2.5", "measure:a,b", "junk"):
         with pytest.raises(ValueError):
             parse_cert(bad)
 

@@ -70,7 +70,10 @@ def test_criterion_partial_sum_invpi_leading_term():
     series = ds.criterion_partial_sum(entries, ds.make_power_f(1))
     # (1/22^2) * ln(333)
     assert series.terms[0].value == pytest.approx(math.log(333) / 484, rel=1e-9)
-    assert series.partial_sums[-1] == series.total
+    running = 0.0
+    for term in series.terms:
+        running += term.value
+    assert series.total == running  # accumulated in entry order, bit for bit
 
 
 def test_criterion_term_log_space_for_huge_q_next():

@@ -23,7 +23,7 @@ def _contains(iv, x: Fraction, slack: Fraction = Fraction(0)) -> bool:
 
 def test_rational_enclosure_is_tight():
     src = ds.make_rational(22, 7)
-    iv = ds.approximate(src, 128)
+    iv = src.approximate(128)
     assert _contains(iv, Fraction(22, 7))
     assert iv.width <= Fraction(1, 2 ** 128)
 
@@ -37,32 +37,32 @@ def test_rational_reduces_and_rejects_zero_denominator():
 
 def test_pi_enclosure_matches_machin_oracle(pi_oracle):
     src = ds.make_constant("pi")
-    iv = ds.approximate(src, 300)
+    iv = src.approximate(300)
     # oracle is within 10^-120 of pi, enclosure within 2^-300
     assert _contains(iv, pi_oracle, slack=Fraction(1, 10 ** 119))
     assert iv.width <= Fraction(1, 2 ** 300)
 
 
 def test_invpi_times_pi_straddles_one():
-    pi_iv = ds.approximate(ds.make_constant("pi"), 200)
-    inv_iv = ds.approximate(ds.make_constant("invpi"), 200)
+    pi_iv = ds.make_constant("pi").approximate(200)
+    inv_iv = ds.make_constant("invpi").approximate(200)
     assert pi_iv.lo * inv_iv.lo < 1 < pi_iv.hi * inv_iv.hi
 
 
 def test_e_enclosure_matches_series_oracle(e_oracle):
-    iv = ds.approximate(ds.make_constant("e"), 300)
+    iv = ds.make_constant("e").approximate(300)
     assert _contains(iv, e_oracle, slack=Fraction(1, 10 ** 119))
 
 
 def test_surd_enclosure_matches_isqrt_oracle(sqrt2_oracle):
-    iv = ds.approximate(ds.make_surd(0, 1, 2, 1), 300)
+    iv = ds.make_surd(0, 1, 2, 1).approximate(300)
     assert _contains(iv, sqrt2_oracle, slack=Fraction(1, 10 ** 119))
 
 
 def test_surd_general_form():
     # (1 + 2*sqrt(3)) / 5
     oracle = (1 + 2 * sqrt_fraction(3, 80)) / 5
-    iv = ds.approximate(ds.make_surd(1, 2, 3, 5), 200)
+    iv = ds.make_surd(1, 2, 3, 5).approximate(200)
     assert _contains(iv, oracle, slack=Fraction(1, 10 ** 79))
 
 
@@ -88,21 +88,21 @@ def test_unknown_constant_message():
 
 def test_enclosures_are_nested_downward():
     src = ds.make_constant("pi")
-    wide = ds.approximate(src, 100)
-    tight = ds.approximate(src, 400)
+    wide = src.approximate(100)
+    tight = src.approximate(400)
     assert wide.lo <= tight.lo and tight.hi <= wide.hi
 
 
 def test_precision_cap_raises():
     src = ds.make_constant("pi", max_bits=256)
-    ds.approximate(src, 256)
+    src.approximate(256)
     with pytest.raises(ds.PrecisionLimitError):
-        ds.approximate(src, 257)
+        src.approximate(257)
 
 
 def test_liouville_partial_matches_direct_series():
     spec = ds.LiouvilleSpec()
-    lam = ds.liouville_partial(spec, 4)
+    lam = Fraction(*spec.truncation(4))
     expect = sum(Fraction(1, 10 ** f) for f in (1, 2, 6, 24))
     assert lam == expect
     assert lam.denominator == 10 ** 24
@@ -110,7 +110,7 @@ def test_liouville_partial_matches_direct_series():
 
 def test_liouville_base_and_digits():
     spec = ds.LiouvilleSpec(base_num=1, base_den=7, digits=(1, 3), start=1)
-    lam = ds.liouville_partial(spec, 3)
+    lam = Fraction(*spec.truncation(3))
     expect = Fraction(1, 7) + Fraction(1, 10) + Fraction(3, 100) + Fraction(1, 10 ** 6)
     assert lam == expect
 
@@ -118,8 +118,8 @@ def test_liouville_base_and_digits():
 def test_liouville_enclosure_contains_partial():
     spec = ds.LiouvilleSpec()
     src = ds.make_liouville(spec)
-    iv = ds.approximate(src, 128)
-    lam4 = ds.liouville_partial(spec, 4)
+    iv = src.approximate(128)
+    lam4 = Fraction(*spec.truncation(4))
     # alpha lies between lambda_4 and lambda_4 + 2*10^-120
     assert iv.lo <= lam4 + Fraction(2, 10 ** 120)
     assert iv.hi >= lam4
@@ -128,18 +128,18 @@ def test_liouville_enclosure_contains_partial():
 def test_liouville_tower_unrepresentable_level():
     spec = ds.LiouvilleSpec(schedule=ds.Schedule.TOWER100)
     with pytest.raises(ds.PrecisionLimitError):
-        ds.liouville_partial(spec, 3)
+        spec.truncation(3)
 
 
 def test_pq_stream_prefix_enclosure():
     # a deep prefix certifies real bits; the exact truncation value lies inside
     big = 2 ** 32
     src = ds.make_pq_stream([0, big, big])
-    iv = ds.approximate(src, 64)
+    iv = src.approximate(64)
     assert _contains(iv, Fraction(big, big * big + 1))
     # a shallow prefix cannot certify anything at the grid base
     with pytest.raises(ds.PrecisionLimitError):
-        ds.approximate(ds.make_pq_stream([0, 2, 4]), 64)
+        ds.make_pq_stream([0, 2, 4]).approximate(64)
 
 
 def test_pq_stream_all_ones_tail_is_surd():
@@ -148,7 +148,7 @@ def test_pq_stream_all_ones_tail_is_surd():
     assert src.kind is ds.Kind.QUADRATIC_SURD
     assert src.all_ones_tail
     oracle = (1 + sqrt_fraction(5, 80)) / 1 / 2
-    iv = ds.approximate(src, 200)
+    iv = src.approximate(200)
     assert _contains(iv, oracle, slack=Fraction(1, 10 ** 79))
 
 
@@ -157,7 +157,7 @@ def test_pq_stream_tail_after_prefix():
     src = ds.make_pq_stream([0, 2], all_ones_tail=True)
     phi = (1 + sqrt_fraction(5, 80)) / 2
     oracle = 1 / (2 + 1 / phi)
-    iv = ds.approximate(src, 200)
+    iv = src.approximate(200)
     assert _contains(iv, oracle, slack=Fraction(1, 10 ** 77))
 
 
@@ -290,9 +290,9 @@ def test_integer_enclosures_match_fraction_reference(src, bits):
         expect = _ref_approximate(src, bits)
     except ds.PrecisionLimitError:
         with pytest.raises(ds.PrecisionLimitError):
-            ds.approximate(src, bits)
+            src.approximate(bits)
         return
-    iv = ds.approximate(src, bits)
+    iv = src.approximate(bits)
     assert (iv.lo, iv.hi) == expect
     assert iv.exp == bits + 32
 
@@ -357,7 +357,7 @@ def test_concurrent_pi_and_invpi_requests_match_one_thread(monkeypatch):
 
     def serve(reqs, out):
         barrier.wait()
-        out.extend(ds.approximate(ds.make_constant(name), bits) for name, bits in reqs)
+        out.extend(ds.make_constant(name).approximate(bits) for name, bits in reqs)
 
     monkeypatch.setattr(realsource, "_pi_cache", (0, 3))
     barrier = threading.Barrier(len(requests), timeout=60)
@@ -377,7 +377,7 @@ def test_concurrent_pi_and_invpi_requests_match_one_thread(monkeypatch):
     top = max(realsource._ladder_level(bits + 32) for reqs in requests for _, bits in reqs)
     assert realsource._pi_cache[0] == top + 6
     monkeypatch.setattr(realsource, "_pi_cache", (0, 3))
-    alone = [[ds.approximate(ds.make_constant(name), bits) for name, bits in reqs] for reqs in requests]
+    alone = [[ds.make_constant(name).approximate(bits) for name, bits in reqs] for reqs in requests]
     assert results == alone
 
 
@@ -434,7 +434,7 @@ def test_log2_10_bracket_holds():
 
 def test_deep_tower_enclosure_matches_fraction_reference():
     src = ds.make_liouville(ds.LiouvilleSpec(digits=(3, 1), schedule=ds.Schedule.TOWER100))
-    iv = ds.approximate(src, 16384)
+    iv = src.approximate(16384)
     assert (iv.lo, iv.hi) == _ref_approximate(src, 16384)
 
 
@@ -477,14 +477,12 @@ def test_truncation_matches_fraction_sum(case):
     if None in exps:
         with pytest.raises(ds.PrecisionLimitError):
             spec.truncation(level)
-        with pytest.raises(ds.PrecisionLimitError):
-            ds.liouville_partial(spec, level)
         return
     num, den = spec.truncation(level)
     expect = Fraction(spec.base_num, spec.base_den) + sum(
         (Fraction(spec.digit(k), 10 ** e) for k, e in zip(ks, exps)), Fraction(0)
     )
-    assert Fraction(num, den) == expect == ds.liouville_partial(spec, level)
+    assert Fraction(num, den) == expect
     if exps:
         assert den == spec.base_den * 10 ** exps[-1]
         assert spec.last_level(exps[-1]) == level

@@ -469,14 +469,10 @@ def test_scan_does_not_depend_on_workers(source):
     f = ds.make_power_f(Fraction(1, 2))
     M = 8 * CHUNK + 123
     cps = ds.geometric_checkpoints(M) + [CHUNK, 5 * CHUNK + 77]
-    runs = [
-        ds.scan_partial_sums(source, f, 5, M, cps, track_max=True, workers=w)
-        for w in (1, 2, 4)
-    ]
-    # repr tells every two distinct doubles apart: rows, bounds, max_abs and
-    # max_abs_at are all bit-identical
+    runs = [ds.scan_partial_sums(source, f, 5, M, cps, workers=w) for w in (1, 2, 4)]
+    # repr tells every two distinct doubles apart: rows and bounds are all
+    # bit-identical
     assert len({repr(r) for r in runs}) == 1
-    assert runs[0].max_abs_at is not None
 
 
 @pytest.mark.parametrize("source, p, N, M", KERNEL_WINDOWS)
@@ -495,31 +491,6 @@ def test_running_exact_sum_matches_fsum_of_every_prefix():
     for i, x in enumerate(xs, 1):
         sumengine._fsum_add(partials, x)
         assert math.fsum(partials) == math.fsum(xs[:i])
-
-
-def test_scan_track_max_across_many_chunks():
-    # alpha = 1/2: only odd n contribute, each pushing S further below zero,
-    # so |S(m)| is largest first at the last odd m
-    f = ds.make_power_f(1)
-    M = 8 * CHUNK + 10
-    trace = ds.scan_partial_sums(ds.make_rational(1, 2), f, 0, M, track_max=True)
-    assert trace.max_abs_at == M - 1
-    assert abs(trace.max_abs - abs(trace.final.value)) <= trace.final.rounding_bound
-
-
-def test_scan_track_max_matches_bruteforce():
-    src = ds.make_rational(3, 8)
-    f = ds.make_power_f(1)
-    trace = ds.scan_partial_sums(src, f, 0, 3000, track_max=True)
-    # brute force running max
-    best, best_at, acc = -1.0, 0, 0.0
-    table = [abs(math.sin(math.pi * n * 3 / 8)) for n in range(8)]
-    for n in range(1, 3001):
-        acc += (-1.0) ** n * table[n % 8] / n
-        if abs(acc) > best:
-            best, best_at = abs(acc), n
-    assert trace.max_abs == pytest.approx(best, abs=1e-9)
-    assert trace.max_abs_at == best_at
 
 
 def test_drift_prediction_against_measured_q2():
