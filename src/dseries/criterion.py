@@ -190,7 +190,19 @@ def roth_certificate() -> MeasureCertificate:
 
 
 def mahler_certificate() -> MeasureCertificate:
-    return MeasureCertificate(mu=42.0, C=10.0, label="mahler")
+    """q_next <= q^41 for every convergent a/q, q >= 2, of pi or 1/pi.
+
+    Mahler (1953) proves |pi - a/b| > b^-42 for all integers a and b >= 2,
+    and a convergent a/q of alpha satisfies |alpha - a/q| < 1/(q q_next).
+    * pi: the two give q^-42 < 1/(q q_next), so q_next < q^41.
+    * 1/pi: multiplying by q pi gives |q - a pi| < pi/q_next <= pi, hence
+      a < (q + pi)/pi.  If a >= 2, Mahler's bound for q/a gives
+      a^-42 < pi/(a q_next), so q_next < pi a^41 < q^41 (1 + pi/q)^41 / pi^40
+      <= q^41, as (1 + pi/q)^41 <= (1 + pi/2)^41 < e^39 < pi^40 for q >= 2.
+      If a = 1, |q - pi| >= pi - 3 gives q_next < pi/(pi - 3) < 23 < q^41.
+    So the growth law holds with mu = 42 and C = 1, and nothing is eventual.
+    """
+    return MeasureCertificate(mu=42.0, C=1.0, label="mahler")
 
 
 def measure_tail_bound(

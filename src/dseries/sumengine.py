@@ -7,21 +7,22 @@ the certified enclosure midpoint otherwise) and reduces n*alpha modulo 1 by
 table lookup: n = g + k with g on a grid of step 2^15 fixed by N, and
 frac(n*num/den) = T[k] + B_g, where both parts are correctly rounded from
 exact integer residues, so the reduced argument never accumulates O(M)
-rounding drift.  One odd polynomial with a proven error bound then gives
-|sin(pi y)| for every term and for the periodic class weights, so nothing
-depends on the platform's sine.  Windows ending past 2^53 are refused,
-since n is then no longer exact in float64.  Direct sums and checkpoint
-scans share one loop: terms are summed pairwise in chunks of 2^14 on the
-grid N + 1 + j*2^14, fixed by N alone, and the chunk sums are added
-exactly, so no result depends on the worker count.  A checkpoint inside a
-chunk reads that chunk's prefix instead of cutting it, so a scan row does
-not depend on the other checkpoints and a scan's final result is the
-direct sum.  Each worker thread evaluates its contiguous block of
-chunks two at a time in its own four reused work rows (1 MiB), so the
-kernel runs in cache and allocates nothing per chunk.
-The periodic path exploits a rational alpha = a/q by computing one sine
-weight per residue class that occurs in the window.  Every result carries
-an explicit worst-case rounding bound.
+rounding drift.  The periodic path exploits a rational alpha = a/q instead:
+the weight of n depends on n mod q alone, so it reads a table of one weight
+per residue class that occurs in the window.  One odd polynomial with a
+proven error bound gives |sin(pi y)| for every term and every class
+weight, so nothing depends on the platform's sine.  Windows ending past
+2^53 are refused, since n is then no longer exact in float64.  Every sum
+(direct, periodic, checkpoint scan) runs through one loop: terms are
+summed pairwise in chunks of 2^14 on the grid N + 1 + j*2^14, fixed by N
+alone, and the chunk sums are added exactly, so no result depends on the
+worker count.  A checkpoint inside a chunk reads that chunk's prefix
+instead of cutting it, so a scan row does not depend on the other
+checkpoints and a scan's final result is the direct sum.  Each worker
+thread evaluates its contiguous block of chunks two at a time in its own
+four reused work rows (1 MiB), so the kernel runs in cache and allocates
+nothing per chunk.  Every result carries an explicit worst-case rounding
+bound.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ import math
 import threading
 from bisect import bisect_left, bisect_right
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -334,20 +335,26 @@ def _fsum_add(partials: List[float], x: float) -> None:
 
 
 def _sum(
-    source: RealSource, f: FDescriptor, N: int, M: int, cps: Sequence[int], workers: int
+    term_fn: Callable[[int, int], Tuple[np.ndarray, np.ndarray]],
+    coeff: float,
+    N: int,
+    M: int,
+    cps: Sequence[int],
+    workers: int,
 ) -> SumTrace:
-    """The one chunk loop behind partial_sum_direct and scan_partial_sums.
+    """The one chunk loop behind every sum: direct, scan and periodic.
 
-    Chunks sit on the grid N + 1 + j*_CHUNK, fixed by N alone.  Each worker
-    evaluates a contiguous block of them, two per term_fn call.  A checkpoint
-    m (cps is ascending) inside a chunk reads that chunk's prefix: the sum
-    and the bound of the terms up to m, added to the exact running sums of
-    the whole chunks before it, so a row depends on neither the other
-    checkpoints nor the worker count.  The whole chunks are folded in index
-    order, adding the sums and the bounds exactly, and their fold is the
-    result.
+    term_fn(lo, hi) returns the signed terms for n in [lo, hi) and the
+    magnitudes that coeff multiplies in the bound (f(n) on the direct path,
+    w*f(n) on the periodic one).  Chunks sit on the grid N + 1 + j*_CHUNK,
+    fixed by N alone.  Each worker evaluates a contiguous block of them, two
+    per term_fn call.  A checkpoint m (cps is ascending) inside a chunk
+    reads that chunk's prefix: the sum and the bound of the terms up to m,
+    added to the exact running sums of the whole chunks before it, so a row
+    depends on neither the other checkpoints nor the worker count.  The
+    whole chunks are folded in index order, adding the sums and the bounds
+    exactly, and their fold is the result.
     """
-    term_fn, coeff = _make_term_fn(source, f, N, M)
 
     def eval_block(first: int, last: int) -> list:
         records = []  # (chunk sum, chunk bound, prefix reads)
@@ -409,7 +416,7 @@ def partial_sum_direct(
     with exact accumulation.
     """
     _require_range(N, M, max_terms)
-    return _sum(source, f, N, M, [], workers).final
+    return _sum(*_make_term_fn(source, f, N, M), N, M, [], workers).final
 
 
 def partial_sum_periodic(
@@ -421,58 +428,39 @@ def partial_sum_periodic(
     *,
     max_terms: int = DEFAULT_MAX_TERMS,
 ) -> PartialSumResult:
-    """Residue-class evaluation of S(a/q; M, N).
+    """S(a/q; M, N) from one sine weight per residue class of n mod q.
 
-    Each class n = h (mod q) shares one weight |sin(pi a h / q)|; for even
-    q the class has constant sign, for odd q it alternates.  Classes are
-    summed separately (chunked, pairwise) and combined exactly.  With
-    k = a h mod q, a weight is _sinpi_into(min(k, q - k) / q): the quotient
-    is correctly rounded (relative error at most 2^-53, which moves
+    The weight of n depends on n mod q alone, so the weights of the first
+    min(q, M) terms form a table, repeated cyclically to cover every batch:
+    a batch from lo reads the contiguous slice starting at (lo - N - 1) mod q.
+    With k = a n mod q, a weight is _sinpi_into(min(k, q - k) / q): the
+    quotient is correctly rounded (relative error at most 2^-53, which moves
     sin(pi y) by at most that relatively, since pi y cot(pi y) <= 1 on
     (0, 1/2]), and the polynomial adds a relative 1e-15, so 2e-15 covers a
-    weight's relative error.
+    weight's relative error.  The terms w*f(n), signed, run through the
+    chunk loop of the direct path, with w*f(n) as the magnitudes that this
+    relative error multiplies.
     """
     if q < 1:
         raise ValueError("q must be positive")
     if math.gcd(a, q) != 1:
         raise ValueError("a/q must be in lowest terms")
     _require_range(N, M, max_terms)
-    if M < q:
-        # each class holds at most one term: visit only the M that occur
-        classes: Sequence[int] = sorted((n - 1) % q + 1 for n in range(N + 1, N + M + 1))
-    else:
-        classes = range(1, q + 1)
-    y = np.array([min(k, q - k) / q for k in ((a * h) % q for h in classes)])
-    weights = _sinpi_into(y, np.empty_like(y), np.empty_like(y)).tolist()
-    class_sums: List[float] = []
-    absf_total = 0.0
-    bound = 0.0
-    for h, w in zip(classes, weights):
-        first = N + 1 + ((h - (N + 1)) % q)
-        count = (N + M - first) // q + 1
-        if w == 0.0:
-            continue
-        pieces: List[float] = []
-        absf_cls = 0.0
-        for start_idx in range(0, count, _CHUNK):
-            stop_idx = min(start_idx + _CHUNK, count)
-            ns = first + q * np.arange(start_idx, stop_idx, dtype=np.int64)
-            nf = ns.astype(np.float64)
-            fv = np.power(nf, -float(f.p))
-            if q % 2 == 0:
-                signs = 1.0 if first % 2 == 0 else -1.0
-                terms = signs * fv
-            else:
-                terms = (1.0 - 2.0 * (ns & 1)) * fv
-            pieces.append(float(np.sum(terms)))
-            absf_cls += float(np.sum(fv))
-        s_cls = math.fsum(pieces) * w
-        class_sums.append(s_cls)
-        absf_total += absf_cls * w
-        bound += _chunk_bound(absf_cls * w, count, 2.0e-15)
-    value = math.fsum(class_sums)
-    bound += 2 * _EPS * abs(value) + 2 * _EPS * absf_total
-    return PartialSumResult(value=value, rounding_bound=bound, terms=M, mode="periodic")
+    y = np.array([min(k, q - k) / q for k in (a * n % q for n in range(N + 1, N + 1 + min(q, M)))])
+    weights = np.resize(_sinpi_into(y, np.empty_like(y), np.empty_like(y)), min(M, q + _BATCH))
+    neg_p = -float(f.p)
+
+    def batch(lo: int, hi: int) -> Tuple[np.ndarray, np.ndarray]:
+        k = hi - lo
+        wf, out = _work_buffers(k)[:2]
+        np.add(_INDEX[:k], float(lo), out=wf)
+        np.power(wf, neg_p, out=wf)
+        offset = (lo - N - 1) % q
+        wf *= weights[offset : offset + k]
+        np.copyto(out, wf)
+        return _apply_signs(out, lo), wf
+
+    return replace(_sum(batch, 2.0e-15, N, M, [], 1).final, mode="periodic")
 
 
 def geometric_checkpoints(M: int) -> List[int]:
@@ -513,7 +501,7 @@ def scan_partial_sums(
         cps = sorted(set(int(c) for c in checkpoints))
         if cps and (cps[0] < 1 or cps[-1] > M):
             raise ValueError("checkpoints must lie in [1, M]")
-    return _sum(source, f, N, M, cps, workers)
+    return _sum(*_make_term_fn(source, f, N, M), N, M, cps, workers)
 
 
 def drift_predict(

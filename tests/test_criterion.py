@@ -11,6 +11,7 @@ import pytest
 
 import dseries as ds
 from dseries.criterion import FDescriptor
+from conftest import pi_fraction
 
 
 def test_make_power_f_validates_range():
@@ -143,6 +144,32 @@ def test_mahler_certificate_pairing():
         cert.check_applicable(ds.make_constant("e"))
     with pytest.raises(ds.CertificateError):
         cert.check_applicable(ds.make_surd(0, 1, 2, 1))
+
+
+def test_mahler_growth_law_holds_on_first_1000_convergents():
+    # the derived constant C = 1: q_next <= q^41 for every convergent with
+    # q >= 2, on quotients shared by two rational bounds of pi (or 1/pi)
+    def quotients(x, count):
+        out = []
+        for _ in range(count):
+            out.append(math.floor(x))
+            x = 1 / (x - out[-1])
+        return out
+
+    cert = ds.mahler_certificate()
+    assert (cert.mu, cert.C, cert.eventual) == (42.0, 1.0, False)
+    pi, eps = pi_fraction(1100), Fraction(20, 10 ** 1100)
+    for alpha in (pi, 1 / pi):
+        pqs = quotients(alpha - eps, 1001)
+        assert pqs == quotients(alpha + eps, 1001)
+        qs = [1, pqs[1]]
+        for a in pqs[2:]:
+            qs.append(a * qs[-1] + qs[-2])
+        pairs = [(q, q_next) for q, q_next in zip(qs, qs[1:]) if q >= 2]
+        assert len(pairs) >= 998
+        assert all(q_next <= q ** 41 for q, q_next in pairs)
+        # the law holds with room to spare: the largest exponent seen is below 3
+        assert max(math.log(q_next) / math.log(q) for q, q_next in pairs) < 3
 
 
 def test_user_certificate_rejects_rational():
