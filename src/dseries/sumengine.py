@@ -3,26 +3,31 @@
 S(alpha; M, N) = sum over n = N+1 .. N+M of (-1)^n f(n) |sin(n pi alpha)|.
 
 The direct path writes alpha mod 1 exactly as num/den (a/q for a rational,
-the certified enclosure midpoint otherwise) and reduces n*alpha modulo 1 by
-table lookup: n = g + k with g on a grid of step 2^15 fixed by N, and
-frac(n*num/den) = T[k] + B_g, where both parts are correctly rounded from
-exact integer residues, so the reduced argument never accumulates O(M)
-rounding drift.  The periodic path exploits a rational alpha = a/q instead:
-the weight of n depends on n mod q alone, so it reads a table of one weight
-per residue class that occurs in the window.  One odd polynomial with a
-proven error bound gives |sin(pi y)| for every term and every class
-weight, so nothing depends on the platform's sine.  Windows ending past
-2^53 are refused, since n is then no longer exact in float64.  Every sum
-(direct, periodic, checkpoint scan) runs through one loop: terms are
-summed pairwise in chunks of 2^14 on the grid N + 1 + j*2^14, fixed by N
-alone, and the chunk sums are added exactly, so no result depends on the
-worker count.  A checkpoint inside a chunk reads that chunk's prefix
-instead of cutting it, so a scan row does not depend on the other
-checkpoints and a scan's final result is the direct sum.  Each worker
-thread evaluates its contiguous block of chunks two at a time in its own
-four reused work rows (1 MiB), so the kernel runs in cache and allocates
-nothing per chunk.  Every result carries an explicit worst-case rounding
-bound.
+the certified enclosure midpoint otherwise) and splits each index as
+n = g + k, with g on a grid of step 2^15 fixed by N.  By angle addition,
+|sin(pi n alpha)| = |S[k] cos(pi B_g) + C[k] sin(pi B_g)|, where
+S[k] = sin(pi T_k) and C[k] = cos(pi T_k) with T_k = k*num/den: the two
+tables come once per call from correctly rounded reduced arguments of the
+exact residues of k*num, and the two scalars of each grid point once per
+call from exact integers in fixed point.  So a weight costs two products,
+an add and an abs, no term is reduced modulo 1 on its own, and no weight
+accumulates O(M) rounding drift.  The periodic path exploits a rational
+alpha = a/q instead: the weight of n depends on n mod q alone, so it reads
+a table of one weight per residue class that occurs in the window.  One
+odd polynomial with a proven error bound gives sin(pi y) for every table
+entry and class weight, so nothing depends on the platform's sine.
+Windows ending past 2^53 are refused, since n is then no longer exact in
+float64.  Every sum (direct, periodic, checkpoint scan) runs through one
+loop: terms are summed pairwise in chunks of 2^14 on the grid
+N + 1 + j*2^14, fixed by N alone, and the chunk sums are added exactly, so
+no result depends on the worker count.  A checkpoint inside a chunk reads
+that chunk's prefix instead of cutting it, so a scan row does not depend on
+the other checkpoints and a scan's final result is the direct sum.  Each
+worker thread evaluates its contiguous block of chunks two at a time in its
+own three reused work rows (768 KiB), so the kernel runs in cache and
+allocates nothing per chunk.  Every result carries an explicit worst-case
+rounding bound, whose summation part follows the depth of numpy's pairwise
+summation tree.
 """
 
 from __future__ import annotations
@@ -32,13 +37,15 @@ import threading
 from bisect import bisect_left, bisect_right
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
+from fractions import Fraction
+from functools import lru_cache
 from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from .criterion import FDescriptor
 from .errors import TermLimitError
-from .realsource import RealSource, Kind
+from .realsource import RealSource, Kind, _pi_floor
 
 __all__ = [
     "PartialSumResult",
@@ -54,20 +61,21 @@ __all__ = [
 
 DEFAULT_MAX_TERMS = 10 ** 9
 _EPS = 2.0 ** -52
+_U = 2.0 ** -53  # unit roundoff of float64
 # Terms per summation chunk: each chunk is summed pairwise on its own and
-# its error enters the bound through log2 of its length.
+# its error enters the bound through the depth of numpy's summation tree.
 _CHUNK = 1 << 14
 # Terms evaluated per batch of consecutive chunks (elementwise, so batching
-# never changes a term), and the step of the reduction grid: four float64
-# work rows of 2^15 entries (1 MiB) stay in a 2 MiB L2 cache, and each ufunc
-# call does enough work that two worker threads rarely wait on each other for
-# the interpreter lock.
+# never changes a term), and the step of the reduction grid: three float64
+# work rows of 2^15 entries (768 KiB) stay in a 2 MiB L2 cache, and each
+# ufunc call does enough work that two worker threads rarely wait on each
+# other for the interpreter lock.
 _BATCH = 2 * _CHUNK
 _INDEX = np.arange(_BATCH, dtype=np.float64)
 _BUFFERS = threading.local()
 _MAX_INDEX = 2 ** 53  # largest window end whose indices are exact in float64
-# The reduction table frac(k*num/den), k < _BATCH, is assembled from rows of
-# this many exact residues.
+# The residue tables, k < length, are assembled from rows of this many exact
+# residues.
 _TABLE_ROW = 1 << 8
 # sin(pi y) ~ y * sum_i c_i (y^2)^i on [0, 1/2]: minimax in y^2 with the
 # coefficients rounded to doubles one at a time (c_0 = fl(pi)), each later one
@@ -83,10 +91,11 @@ _SINPI_COEFFS = (
     -2.1138095589715847e-05,
 )
 _SINPI_ERR = 1.0e-15
-# Absolute error of the reduced argument y against dist(n*num/den, Z): each
-# correctly rounded part is within 2^-54 (half an ulp below 1), and their
-# rounded sum (below 2) adds at most 2^-53.
-_ARG_ERR = 2.0 ** -52
+# Fractional bits of the fixed-point sine and cosine of a grid point.
+_SCALAR_BITS = 96
+# Absolute error of a direct weight against |sin(pi n num/den)| (derived in
+# _make_term_fn).
+_WEIGHT_ERR = 1.45e-15
 
 # Allowance multiplier for the O(q f(N)) remainder of the drift law;
 # calibrated against direct summation on the acceptance grid.
@@ -147,13 +156,13 @@ def _require_range(N: int, M: int, max_terms: int) -> None:
 
 
 def _work_buffers(k: int) -> np.ndarray:
-    """The calling thread's four float64 work rows, cut to length k.
+    """The calling thread's three float64 work rows, cut to length k.
 
     Allocated once per thread and reused by every batch it evaluates, so a
     batch allocates nothing of its own size."""
     block = getattr(_BUFFERS, "block", None)
     if block is None:
-        block = _BUFFERS.block = np.empty((4, _BATCH), dtype=np.float64)
+        block = _BUFFERS.block = np.empty((3, _BATCH), dtype=np.float64)
     return block[:, :k]
 
 
@@ -215,75 +224,172 @@ def _double_double(residues: Sequence[int], den: int) -> Tuple[np.ndarray, np.nd
     return np.array(hi), np.array(lo)
 
 
-def _frac_table(num: int, den: int, length: int) -> np.ndarray:
-    """frac(k*num/den), correctly rounded to a double, for k < length.
+def _two_sum(a: np.ndarray, b: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """(s, e) with s = fl(a + b) and a + b = s + e exactly (Knuth's TwoSum)."""
+    s = a + b
+    t = s - a
+    e = s - t
+    np.subtract(a, e, out=e)
+    np.subtract(b, t, out=t)
+    e += t
+    return s, e
 
-    With k = i*_TABLE_ROW + j, the residue of k*num is the sum of the exact
-    residues of i*_TABLE_ROW*num and j*num, reduced once, so only a few
-    hundred residues come from Python ints.  For den <= 2^53 they are exact in
-    int64 and one IEEE division rounds each quotient correctly.  Otherwise
-    each residue quotient is a double-double, the pairs are added with
-    error-free transformations, and an entry is recomputed from Python ints
-    whenever the uncertainty left could move its rounding, or its sum lies
-    within 2^-40 of 1.  Of the uncertainty, each double-double leaves
-    2^-106 of its quotient, and the two rounded additions of the low parts
-    at most 3 * 2^-106 of the sum.
+
+def _reduced_args(num: int, den: int, start: int, length: int) -> Tuple[np.ndarray, np.ndarray]:
+    """y = min(r, den - r)/den and c = (den - 2r)/(2 den), each correctly
+    rounded to a double, for the residues r = (start + k*num) mod den,
+    k < length.
+
+    With x = r/den, y is the distance of x to the nearest integer and
+    c = 1/2 - x, so sin(pi x) = sin(pi y) and cos(pi x) = sign(c) sin(pi |c|),
+    with y and |c| in [0, 1/2].  With k = i*_TABLE_ROW + j, r is the sum of
+    the exact residues of start + i*_TABLE_ROW*num and j*num, reduced once,
+    so only a few hundred residues come from Python ints.  For den <= 2^53
+    they are exact in int64 and one IEEE division rounds each quotient
+    correctly.  Otherwise each residue quotient is a double-double and
+    their sum is s + e, within 5 * 2^-106 of the sum of the quotients.  Its
+    nearest integer is taken off s exactly, which leaves t = s + e with
+    y = |t| and c = sign(t) (1/2 - |t|): each is one rounded addition of
+    the leftover low part, whatever side of an integer the sum lies on.  An
+    entry of either is recomputed from its exact residue only when the
+    uncertainty left could move its rounding or its sign, or |t| reaches
+    1/2.
     """
     rows = -(-length // _TABLE_ROW)
-    r_row = [i * _TABLE_ROW * num % den for i in range(rows)]
+    r_row = [(start + i * _TABLE_ROW * num) % den for i in range(rows)]
     r_col = [j * num % den for j in range(_TABLE_ROW)]
     if den <= _MAX_INDEX:
-        res = np.add.outer(np.array(r_row, np.int64), np.array(r_col, np.int64))
-        np.subtract(res, den, out=res, where=res >= den)
-        return res.ravel()[:length] / float(den)
+        r = np.add.outer(np.array(r_row, np.int64), np.array(r_col, np.int64)).ravel()[:length]
+        np.subtract(r, den, out=r, where=r >= den)
+        return np.minimum(r, den - r) / float(den), (den - 2 * r) / (2.0 * den)
     h1, l1 = _double_double(r_row, den)
     h2, l2 = _double_double(r_col, den)
-    h1, l1 = h1[:, None], l1[:, None]
-    s = h1 + h2
-    t = s - h1
-    e = s - t
-    np.subtract(h1, e, out=e)
-    t -= h2
-    e -= t  # h1 + h2 = s + e exactly (TwoSum)
-    np.add(l1, l2, out=t)
-    e += t
-    # within 2^-40 of 1 the wrap below may be wrong and s - 1 may cancel
-    suspect = np.abs(s - 1.0) < 2.0 ** -40
+    s, e = _two_sum(h1[:, None], h2)
+    e += l1[:, None] + l2
     # 2^-100 of the sum is 16 times what the steps above can leave
-    slack = np.multiply(s, 2.0 ** -100, out=t)
-    s -= s >= 1.0  # exact for s in [1, 2)
-    r = s + e
-    np.subtract(r, s, out=s)
-    e -= s  # s + e = r + e exactly (Fast2Sum, as |s| >= |e|)
-    # the exact quotient lies within slack of r + e: it rounds to r unless
-    # one end of that interval rounds elsewhere
-    for sign in (1.0, -1.0):
-        np.multiply(slack, sign, out=s)
-        s += e
-        s += r
-        suspect |= s != r
-    table = r.ravel()[:length]
-    for k in np.flatnonzero(suspect.ravel()[:length]).tolist():
-        table[k] = k * num % den / den
-    return table
+    slack = s * 2.0 ** -100
+    s -= np.rint(s)  # exact for s in [0, 2]
+    t, t_lo = _two_sum(s, e)
+    sign = np.sign(t)
+    s *= sign
+    e *= sign
+    # with t's sign on s and e, 1/2 - |t| = hi + lo - e exactly (Fast2Sum, as
+    # |s| <= 1/2); rounding lo - e (below 2^-51) costs at most 2^-104
+    hi = 0.5 - s
+    lo = 0.5 - hi
+    lo -= s
+    lo -= e
+    c, c_lo = _two_sum(hi, lo)
+    # the exact value lies within pad of v + v_lo: it rounds to v unless one
+    # end of that interval rounds elsewhere; c also takes the sign of t
+    redo_y = np.abs(t) >= 0.5
+    redo_c = redo_y | (np.abs(t) <= 2 * slack)
+    for v, v_lo, pad, redo in ((t, t_lo, slack, redo_y), (c, c_lo, slack + 2.0 ** -103, redo_c)):
+        for end in (pad, -pad):
+            np.add(v_lo, end, out=e)
+            e += v
+            redo |= e != v
+    y = np.abs(t).ravel()[:length]
+    c = np.copysign(c, t).ravel()[:length]
+    for k in np.flatnonzero(redo_y.ravel()[:length]).tolist():
+        r = r_row[k // _TABLE_ROW] + r_col[k % _TABLE_ROW]
+        y[k] = min(r % den, -r % den) / den
+    for k in np.flatnonzero(redo_c.ravel()[:length]).tolist():
+        r = (r_row[k // _TABLE_ROW] + r_col[k % _TABLE_ROW]) % den
+        c[k] = (den - 2 * r) / (2 * den)
+    return y, c
+
+
+def _sincospi(r: int, den: int) -> Tuple[float, float]:
+    """sin(pi r/den) and cos(pi r/den) for integers r and den > 0, each
+    within 2^-88 of its exact value before its one rounding to a double.
+
+    With r = t + m*den and t in [-den/2, den/2], the angle pi |t|/den lies in
+    [0, pi/2], and x = pi |t|/den or pi/2 - pi |t|/den = pi (den - 2|t|)/(2 den),
+    whichever is at most pi/4, gives the pair (sin, cos) or (cos, sin); t's
+    sign goes to the sine, and an odd m turns both signs.  x is taken in
+    fixed point with _SCALAR_BITS = 96 fractional bits, within 1.5 units
+    (from floor(pi 2^96) and one floor division).  The terms x^n/n! follow
+    one from the next by a product, a shift and a division by n, each
+    floored, and are summed into the two Taylor series until one vanishes,
+    which takes fewer than 30 terms.  A unit of error in x moves each sum by
+    at most e^x < 2.2 units, each step's two floors cost two units that the
+    later terms carry on with factors x/n, and the tail after the vanishing
+    term is below 4 units: the error stays below 200 units, under 2^-88.
+    """
+    t = r % den
+    if 2 * t > den:
+        t -= den
+    swap = 4 * abs(t) > den
+    one = 1 << _SCALAR_BITS
+    if swap:
+        x = _pi_floor(_SCALAR_BITS) * (den - 2 * abs(t)) // (2 * den)
+    else:
+        x = _pi_floor(_SCALAR_BITS) * abs(t) // den
+    sums = [one, 0]  # cos x, sin x
+    term, n = one, 0
+    while term:
+        n += 1
+        term = (term * x >> _SCALAR_BITS) // n
+        sums[n & 1] += -term if n & 2 else term
+    cos_v, sin_v = sums[swap] / one, sums[not swap] / one
+    flip = -1.0 if (r - t) // den % 2 else 1.0
+    return flip * math.copysign(sin_v, t), flip * cos_v
+
+
+def _power(f: FDescriptor, n_max: int) -> Tuple[Callable[[np.ndarray], np.ndarray], float]:
+    """The in-place map n -> f(n) = n^-p on float64 rows of n <= n_max, and
+    the relative error bound of the values it writes.
+
+    p = 1 is one IEEE division, correctly rounded: u = 2^-53.  Other p call
+    np.power with the double -fl(p), whose result is assumed within one ulp
+    of n^-fl(p): a relative 2u.  (Against mpmath, on 40 000 sampled n for
+    each of p = 1/4, 1/3, 1/2 and 3/4, the largest error seen was 0.68 ulp,
+    numpy 2.4 on x86-64.)  A p that is no double adds the factor
+    exp(|p - fl(p)| ln n) between n^-fl(p) and n^-p, to first order
+    |p - fl(p)| ln(n_max).
+    """
+    if f.p == 1:
+        return (lambda nf: np.divide(1.0, nf, out=nf)), _U
+    neg_p = -float(f.p)
+    p_err = float(abs(f.p + Fraction(neg_p))) * math.log(n_max)
+    return (lambda nf: np.power(nf, neg_p, out=nf)), 2 * _U + p_err
 
 
 def _make_term_fn(
     source: RealSource, f: FDescriptor, N: int, M: int
 ) -> Tuple[Callable[[int, int], Tuple[np.ndarray, np.ndarray]], float]:
     """Build the evaluator of the terms with n in [lo, hi), hi - lo <= _BATCH;
-    returns it plus the per-term absolute error coefficient (multiplies f(n)
-    in the bound).  The evaluator returns the terms and the f(n) values as
-    views of the calling thread's work rows, valid until that thread's next
-    call.
+    returns it plus the per-term error coefficient of the weight and of f(n)
+    (it multiplies f(n) in the bound; _chunk_bound adds the roundings of the
+    product and of the summation).  The evaluator returns the terms and the
+    f(n) values as views of the calling thread's work rows, valid until that
+    thread's next call.
 
     alpha mod 1 is taken exactly as num/den: a/q for a rational, the
-    enclosure midpoint otherwise.  Each n is written as g + k with g on the
-    grid N + 1 + j*_BATCH, and n*alpha mod 1 as T[k] + B_g, both correctly
-    rounded: T = _frac_table(num, den, ...) is built once per call, B_g from
-    Python ints once per segment.  Then y = |x - rint(x)| is exact and lies
-    within 2^-52 of the distance of n*num/den to the nearest integer, so a
-    term depends on n alone for given (source, N, M).
+    enclosure midpoint otherwise, whose distance to alpha moves n*alpha by
+    at most arg_err and the weight by at most pi*arg_err.  Each n is
+    written as g + k with g on the grid N + 1 + j*_BATCH.  With
+    T = k*num/den and B = g*num/den (an integer added to either only flips
+    the sign that |.| drops), the weight |sin(pi n num/den)| is |a + b| with
+    a = sin(pi T) cos(pi B) and b = cos(pi T) sin(pi B).  The tables S and C
+    hold sin(pi T) and cos(pi T) for k < min(M, _BATCH), from _reduced_args
+    and _sinpi_into, built once per call; every grid point's sin(pi B) and
+    cos(pi B) come from _sincospi, all before the first batch.  A batch
+    computes |fl(fl(S cos(pi B)) + fl(C sin(pi B)))|.  Its error, with
+    u = 2^-53 and to first order in u:
+
+    * S and C: each argument in [0, 1/2] is correctly rounded, which moves
+      sin(pi y) by at most u relatively (pi y cot(pi y) <= 1), and
+      _sinpi_into adds a relative 1e-15: relative error 1e-15 + u.
+    * The scalars: within 2^-88 before one rounding (relative u).
+    * The products and the sum: u each, relative to |a|, |b| and |a| + |b|.
+
+    So the weight is within (|a| + |b|) (1e-15 + 4u) + (|S| + |C|) 2^-88 of
+    its value.  |a| + |b| = max(|sin pi(T + B)|, |sin pi(T - B)|) <= 1 and
+    |S| + |C| <= sqrt(2), which leaves 1e-15 + 4u + 2^-80 = 1.4441e-15; the
+    second-order terms are below 1e-29, so _WEIGHT_ERR = 1.45e-15 covers
+    it.  A term depends on n alone for given (source, N, M).
     """
     if source.kind is Kind.RATIONAL:
         num, den, arg_err = source.a % source.q, source.q, 0.0
@@ -292,30 +398,60 @@ def _make_term_fn(
         den = 1 << (interval.exp + 1)
         num = (interval.lo_m + interval.hi_m) % den
         arg_err = float((N + M) * interval.width / 2)
-    table = _frac_table(num, den, min(M, _BATCH))
-    neg_p = -float(f.p)
+    y, c = _reduced_args(num, den, 0, min(M, _BATCH))
+    z = np.empty_like(y)
+    sin_t = _sinpi_into(y, np.empty_like(y), z)
+    cos_t = np.copysign(_sinpi_into(np.abs(c), np.empty_like(c), z), c)
+    scalars = [_sincospi(g * num, den) for g in range(N + 1, N + M + 1, _BATCH)]
+    power, f_err = _power(f, N + M)
 
     def batch(lo: int, hi: int) -> Tuple[np.ndarray, np.ndarray]:
         k = hi - lo
-        nf, x, z, out = _work_buffers(k)
-        np.add(_INDEX[:k], float(lo), out=nf)
+        out, fv, z = _work_buffers(k)
         for g in range(lo - (lo - N - 1) % _BATCH, hi, _BATCH):
             a, b = max(lo, g), min(hi, g + _BATCH)
-            np.add(table[a - g : b - g], g * num % den / den, out=x[a - lo : b - lo])
-        np.rint(x, out=z)
-        x -= z
-        np.abs(x, out=x)
-        _sinpi_into(x, out, z)
-        fv = np.power(nf, neg_p, out=nf)
-        out *= fv
+            sin_b, cos_b = scalars[(g - N - 1) // _BATCH]
+            w, t = out[a - lo : b - lo], z[a - lo : b - lo]
+            np.multiply(sin_t[a - g : b - g], cos_b, out=w)
+            np.multiply(cos_t[a - g : b - g], sin_b, out=t)
+            w += t
+        np.abs(out, out=out)
+        np.add(_INDEX[:k], float(lo), out=fv)
+        out *= power(fv)
         return _apply_signs(out, lo), fv
 
-    return batch, math.pi * (arg_err + _ARG_ERR) + _SINPI_ERR
+    return batch, math.pi * arg_err + _WEIGHT_ERR + f_err
+
+
+@lru_cache(maxsize=None)
+def _pairwise_depth(n: int) -> int:
+    """The most roundings that any of n addends goes through in numpy's
+    pairwise sum (np.add.reduce of a contiguous float64 row, which the test
+    suite checks bit for bit against a model of it).  Below 8 addends it is
+    a running sum from 0.0; up to 128, eight interleaved running sums added
+    as a tree of depth 3, then the rest one at a time; above that, the sum
+    of the two halves, the first cut to a multiple of 8, summed alike."""
+    if n < 8:
+        return max(n - 1, 0)
+    if n <= 128:
+        return n // 8 + 2 + n % 8
+    half = n // 2 - n // 2 % 8
+    return 1 + max(_pairwise_depth(half), _pairwise_depth(n - half))
 
 
 def _chunk_bound(absf: float, length: int, coeff: float) -> float:
-    pairwise = _EPS * (math.log2(max(length, 2)) + 3.0)
-    return absf * (coeff + pairwise)
+    """Rounding bound of one pairwise sum of `length` terms, given absf, the
+    computed sum of the magnitudes that coeff multiplies.
+
+    Each term is the rounded product x of a weight and an f(n) that are
+    within coeff times the magnitude of their exact product, so the terms
+    are within absf * (coeff + u) of the exact ones; the pairwise sum adds
+    at most D u sum|x| with D = _pairwise_depth(length) (Higham, Accuracy
+    and Stability of Numerical Algorithms, ch. 4).  One more u * absf
+    covers every second-order term, the rounding of absf itself and the
+    arithmetic of this bound.
+    """
+    return absf * (coeff + (_pairwise_depth(length) + 2) * _U)
 
 
 def _fsum_add(partials: List[float], x: float) -> None:
@@ -433,34 +569,34 @@ def partial_sum_periodic(
     The weight of n depends on n mod q alone, so the weights of the first
     min(q, M) terms form a table, repeated cyclically to cover every batch:
     a batch from lo reads the contiguous slice starting at (lo - N - 1) mod q.
-    With k = a n mod q, a weight is _sinpi_into(min(k, q - k) / q): the
-    quotient is correctly rounded (relative error at most 2^-53, which moves
-    sin(pi y) by at most that relatively, since pi y cot(pi y) <= 1 on
-    (0, 1/2]), and the polynomial adds a relative 1e-15, so 2e-15 covers a
-    weight's relative error.  The terms w*f(n), signed, run through the
-    chunk loop of the direct path, with w*f(n) as the magnitudes that this
-    relative error multiplies.
+    With k = a n mod q, a weight is _sinpi_into(min(k, q - k) / q), the
+    argument from _reduced_args: the quotient is correctly rounded (relative
+    error at most 2^-53, which moves sin(pi y) by at most that relatively,
+    since pi y cot(pi y) <= 1 on (0, 1/2]), and the polynomial adds a
+    relative 1e-15, so 2e-15 covers a weight's relative error.  The terms
+    w*f(n), signed, run through the chunk loop of the direct path, with
+    w*f(n) as the magnitudes that this relative error and f(n)'s multiply.
     """
     if q < 1:
         raise ValueError("q must be positive")
     if math.gcd(a, q) != 1:
         raise ValueError("a/q must be in lowest terms")
     _require_range(N, M, max_terms)
-    y = np.array([min(k, q - k) / q for k in (a * n % q for n in range(N + 1, N + 1 + min(q, M)))])
+    y, _ = _reduced_args(a % q, q, a * (N + 1) % q, min(q, M))
     weights = np.resize(_sinpi_into(y, np.empty_like(y), np.empty_like(y)), min(M, q + _BATCH))
-    neg_p = -float(f.p)
+    power, f_err = _power(f, N + M)
 
     def batch(lo: int, hi: int) -> Tuple[np.ndarray, np.ndarray]:
         k = hi - lo
         wf, out = _work_buffers(k)[:2]
         np.add(_INDEX[:k], float(lo), out=wf)
-        np.power(wf, neg_p, out=wf)
+        power(wf)
         offset = (lo - N - 1) % q
         wf *= weights[offset : offset + k]
         np.copyto(out, wf)
         return _apply_signs(out, lo), wf
 
-    return replace(_sum(batch, 2.0e-15, N, M, [], 1).final, mode="periodic")
+    return replace(_sum(batch, 2.0e-15 + f_err, N, M, [], 1).final, mode="periodic")
 
 
 def geometric_checkpoints(M: int) -> List[int]:

@@ -168,22 +168,31 @@ def test_reverse_summation_agrees_within_bounds_across_many_chunks():
 
 
 def reference_terms(source, f, N, M, lo, hi):
-    """Terms for n in [lo, hi), one scalar at a time from exact integer
-    residues: n = g + k with g on the grid N + 1 + j*BATCH, frac(n alpha) as
-    the rounded sum of the correctly rounded frac(k alpha) and frac(g alpha),
-    and alpha the rational itself or the enclosure midpoint.  The buffered
-    kernel must reproduce every bit."""
+    """Terms for n in [lo, hi), one scalar at a time by the kernel's formula:
+    n = g + k with g on the grid N + 1 + j*BATCH, sin and cos of pi k alpha
+    from exact integer residues through sinpi_reference, those of pi g alpha
+    from mpmath at 40 digits, and alpha the rational itself or the enclosure
+    midpoint.  The buffered kernel must reproduce every bit."""
     if source.kind is Kind.RATIONAL:
         alpha = Fraction(source.a, source.q)
     else:
         alpha = source.approximate((N + M).bit_length() + 64).midpoint
     num, den = alpha.numerator, alpha.denominator
-    fv = np.arange(lo, hi, dtype=np.float64) ** -float(f.p)
+    n_all = np.arange(lo, hi, dtype=np.float64)
+    fv = (1.0 / n_all if f.p == 1 else np.power(n_all, -float(f.p))).tolist()
+    scalars = {}
     terms = []
-    for n, fn in zip(range(lo, hi), fv.tolist()):
+    for n, fn in zip(range(lo, hi), fv):
         k = (n - N - 1) % BATCH
-        x = k * num % den / den + (n - k) * num % den / den
-        t = sinpi_reference(abs(x - round(x))) * fn
+        if n - k not in scalars:
+            with mpmath.workdps(40):
+                x = mpmath.mpf((n - k) * num % den) / den
+                scalars[n - k] = float(mpmath.sinpi(x)), float(mpmath.cospi(x))
+        sin_b, cos_b = scalars[n - k]
+        r = k * num % den
+        sin_t = sinpi_reference(min(r, den - r) / den)
+        cos_t = math.copysign(sinpi_reference(abs(den - 2 * r) / (2 * den)), den - 2 * r)
+        t = abs(sin_t * cos_b + cos_t * sin_b) * fn
         terms.append(-t if n % 2 else t)
     return np.array(terms)
 
@@ -206,7 +215,8 @@ def test_kernel_terms_match_reference_bit_for_bit(source, p, N, M):
         terms, fv = term_fn(lo, hi)
         ref = reference_terms(source, f, N, M, lo, hi)
         assert terms.tobytes() == ref.tobytes()
-        assert fv.tobytes() == (np.arange(lo, hi, dtype=np.float64) ** -float(p)).tobytes()
+        n = np.arange(lo, hi, dtype=np.float64)
+        assert fv.tobytes() == (1.0 / n if p == 1 else np.power(n, -float(p))).tobytes()
 
 
 @pytest.mark.parametrize("source, p, N, M", KERNEL_WINDOWS)
@@ -270,7 +280,7 @@ def test_sinpi_error_constant_is_proven():
 def test_reduction_table_is_correctly_rounded():
     cases = [(12345, 700001), (1, 3), (0, 1), (10 ** 12, 10 ** 12 + 1), (2 ** 53 - 1, 2 ** 53)]
     # double-double path: enclosure midpoints, a huge rational, and sums that
-    # wrap onto 0 or 1/2 exactly or land within 2^-40 of 1
+    # wrap onto 0 or 1/2 exactly or land within 2^-60 of an integer
     for src in (ds.make_constant("pi"), ds.make_constant("e"), ds.make_surd(0, 1, 2, 1)):
         mid = src.approximate(118).midpoint % 1
         cases.append((mid.numerator, mid.denominator))
@@ -281,17 +291,125 @@ def test_reduction_table_is_correctly_rounded():
         (2 ** 150 + 1, 2 ** 151),
         (3 * 2 ** 149 - 1, 2 ** 151),
         (2 ** 151 - 1, 2 ** 151),
-        # 1/2 + 2^-54 + 2^-150: just above a tie, which hi + lo alone rounds down
         (2 ** 150 + 2 ** 97 + 2, 2 ** 151),
+        # y = 1/4 + 2^-55 + 2^-150 and c = 1/4 + 2^-55 + 2^-150: just above a
+        # tie, which the high parts alone round down
+        (2 ** 149 + 2 ** 96 + 2, 2 ** 151),
+        (2 ** 149 - 2 ** 96 - 2, 2 ** 151),
     ]
     rng = random.Random(3)
     for _ in range(5):
         den = rng.randrange(2 ** 54, 2 ** 200)
         cases.append((rng.randrange(den), den))
     for num, den in cases:
-        for length in (BATCH, 1000, 1):
-            table = sumengine._frac_table(num, den, length)
-            assert table.tolist() == [k * num % den / den for k in range(length)], (num, den)
+        # the periodic path's tables start at an offset
+        for start, length in ((0, BATCH), (den // 3, 1000), (den - 1, 1)):
+            y, c = sumengine._reduced_args(num, den, start, length)
+            residues = [(start + k * num) % den for k in range(length)]
+            assert y.tolist() == [min(r, den - r) / den for r in residues], (num, den)
+            assert c.tolist() == [(den - 2 * r) / (2 * den) for r in residues], (num, den)
+
+
+def numpy_pairwise_model(xs):
+    """(sum, depth): numpy's pairwise summation of the floats xs, step by
+    step, and the most roundings any addend goes through."""
+    n = len(xs)
+    if n < 8:
+        res = 0.0
+        for x in xs:
+            res += x
+        return res, max(n - 1, 0)
+    if n <= 128:
+        m = n - n % 8
+        r = xs[:8]
+        for i in range(8, m, 8):
+            r = [a + b for a, b in zip(r, xs[i : i + 8])]
+        res = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]))
+        for x in xs[m:]:
+            res += x
+        return res, m // 8 - 1 + 3 + n - m
+    half = n // 2 - n // 2 % 8
+    (a, da), (b, db) = numpy_pairwise_model(xs[:half]), numpy_pairwise_model(xs[half:])
+    return a + b, 1 + max(da, db)
+
+
+def test_pairwise_depth_follows_numpys_summation_tree():
+    # the chunk bound charges _pairwise_depth(L) roundings to every term of a
+    # sum of L terms: the model must be numpy's own tree, bit for bit
+    rng = np.random.default_rng(7)
+    for n in list(range(1, 301)) + [1000, 4097, 5760, 9999, 16383, CHUNK]:
+        x = rng.standard_normal(n) * 10.0 ** rng.integers(-8, 8, n)
+        value, depth = numpy_pairwise_model(x.tolist())
+        # the kernel sums slices of its longer work rows
+        assert value == float(np.add.reduce(x)) == float(np.sum(np.append(x, 1e300)[:n])), n
+        assert depth == sumengine._pairwise_depth(n), n
+        # every term's share: the tree's roundings and its own product's
+        assert sumengine._chunk_bound(1.0, n, 0.0) >= (depth + 1) * 2.0 ** -53, n
+    assert sumengine._pairwise_depth(127) == 24 and sumengine._pairwise_depth(CHUNK) == 25
+
+
+@pytest.mark.parametrize("den", [7, 2 ** 20, 10 ** 12 + 1, 2 ** 118, 3 ** 80])
+def test_grid_scalars_are_within_their_bound(den):
+    # r near 0, den/4, den/2 and den, where sin or cos vanishes or the two meet
+    rs = {0, 1, 2, 3 * den // 4, den - 2, den - 1, den, den + 1}
+    rs |= {den // 4 + d for d in (-1, 0, 1)} | {den // 2 + d for d in (-1, 0, 1)}
+    with mpmath.workdps(50):
+        for r in rs:
+            x = mpmath.mpf(r) / den
+            for got, exact in zip(sumengine._sincospi(r, den), (mpmath.sinpi(x), mpmath.cospi(x))):
+                err = abs(mpmath.mpf(got) - exact)
+                assert err <= mpmath.mpf(math.ulp(got)) / 2 + mpmath.mpf(2) ** -88, (r, den)
+
+
+def test_power_stays_within_the_assumed_ulp():
+    # _power's bound assumes np.power within one ulp of n^-fl(p); p = 1 is
+    # a division, correctly rounded
+    rng = np.random.default_rng(11)
+    n = np.concatenate([rng.integers(1, 10 ** 6, 500), rng.integers(1, 2 ** 53, 1500)]).astype(np.float64)
+    for p in (Fraction(1), Fraction(1, 2), Fraction(3, 4), Fraction(1, 3)):
+        power, err = sumengine._power(ds.make_power_f(p), 2 ** 53)
+        got = power(n.copy())
+        with mpmath.workdps(40):
+            for x, g in zip(n.tolist(), got.tolist()):
+                exact = mpmath.mpf(x) ** -mpmath.mpf(float(p))
+                assert abs(mpmath.mpf(g) - exact) <= mpmath.mpf(math.ulp(g)) * (0.5 if p == 1 else 1)
+        assert err == (2.0 ** -53 if p == 1 else 2.0 ** -52 + float(abs(p - Fraction(float(p)))) * math.log(2 ** 53))
+
+
+@st.composite
+def _weight_windows(draw):
+    kind = draw(st.sampled_from(["midpoint", "near_rational", "rational"]))
+    if kind == "midpoint":  # an enclosure midpoint: a power-of-two denominator
+        den = 2 ** draw(st.integers(54, 130))
+        num = draw(st.integers(1, den - 1))
+    elif kind == "near_rational":  # within about 10^-10 of a/q
+        a, q, scale = draw(st.integers(0, 1000)), draw(st.integers(1, 1000)), 10 ** draw(st.integers(10, 25))
+        num, den = a * scale + draw(st.integers(-1000, 1000)), q * scale
+    else:
+        den = draw(st.integers(1, 2 ** 53))
+        num = draw(st.integers(0, den - 1))
+    M = draw(st.integers(1, 3 * BATCH))
+    N = draw(st.one_of(st.integers(0, 10 ** 6), st.integers(0, 2 ** 53 - M)))
+    return ds.make_rational(num, den), N, M
+
+
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(window=_weight_windows(), picks=st.lists(st.integers(0, 3 * BATCH), min_size=1, max_size=8))
+def test_weight_error_stays_within_the_derived_coefficient(window, picks):
+    source, N, M = window
+    term_fn, coeff = sumengine._make_term_fn(source, ds.make_power_f(1), N, M)
+    # a rational carries no argument error, and 1/n rounds once
+    assert coeff == sumengine._WEIGHT_ERR + 2.0 ** -53
+    for pick in picks:
+        n = N + 1 + pick % M
+        terms, fv = term_fn(n, n + 1)
+        term, fn = float(terms[0]), float(fv[0])
+        with mpmath.workdps(40):
+            weight = abs(mpmath.sinpi(mpmath.mpf(n * source.a % source.q) / source.q))
+            # |term| is fl(w fn) for the computed weight w
+            err = abs(abs(mpmath.mpf(term)) - weight * fn)
+            assert err <= fn * sumengine._WEIGHT_ERR + mpmath.mpf(math.ulp(term)) / 2
+        assert term == 0 or math.copysign(1, term) == (-1) ** n
 
 
 _BOUND_SOURCES = st.one_of(
