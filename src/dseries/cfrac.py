@@ -1,16 +1,19 @@
 """Continued-fraction expansion and best rational approximations.
 
 expand() turns a RealSource into its sequence of best approximations
-(record minimizers of ||q * alpha||), working on certified enclosures: a
-partial quotient is accepted only when it is shared by every point of the
-current enclosure, with automatic precision escalation.  q_alpha() extracts
-the subsequence of even denominators whose successor is at least twice as
-large, which drives the convergence criterion.
+(record minimizers of ||q * alpha||) along one path for every source: Euclid
+on both ends of an enclosure [lo_n, hi_n] / den accepts a partial quotient
+only when every point of the enclosure shares it, and one emission loop
+builds the convergents with their distance enclosures.  A rational a/q is
+the degenerate enclosure [a, a] / q; a `cf:` prefix encloses the reals that
+share it; any other source escalates its enclosure precision.  q_alpha()
+extracts the subsequence of even denominators whose successor is at least
+twice as large, which drives the convergence criterion.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
 from .errors import PrecisionLimitError
@@ -72,14 +75,14 @@ class Expansion:
     bits_used: int = 0
 
 
-def _common_pqs(interval: DyadicInterval, limit: int) -> List[int]:
-    """Partial quotients shared by every point of the interval.
+def _common_pqs(n_lo: int, n_hi: int, den: int, limit: int) -> List[int]:
+    """Partial quotients shared by every point of [n_lo, n_hi] / den.
 
     Runs Euclid's algorithm on both endpoints, lo = n_lo / d_lo and
     hi = n_hi / d_hi, in step; the reciprocal of the remainder swaps which
-    endpoint is the lower one."""
-    n_lo, n_hi = interval.lo_m, interval.hi_m
-    d_lo = d_hi = 1 << interval.exp
+    endpoint is the lower one.  A rational a/q is the interval [a, a] / q,
+    on which this is plain Euclid."""
+    d_lo = d_hi = den
     out: List[int] = []
     while len(out) < limit:
         f, r_lo = divmod(n_lo, d_lo)
@@ -103,191 +106,128 @@ def _dist_grid_bits(q_last: int) -> int:
     return max(64, 2 * q_last.bit_length() + 16)
 
 
-def _expand_rational(source: RealSource, count: int) -> Expansion:
-    a, q = source.a, source.q
-    pqs: List[int] = []
-    x, y = a, q
-    while y:
-        d = x // y
-        pqs.append(d)
-        x, y = y, x - d * y
-    convs = _recurrence(pqs)
-    start = _emit_start(pqs)
-    grid = _dist_grid_bits(q)
-    emitted: List[Convergent] = []
-    for n, idx in enumerate(range(start, len(convs)), start=1):
-        p_n, q_n = convs[idx]
-        r = abs(q_n * a - p_n * q) << grid  # ||q_n alpha|| = r / (q 2^grid)
-        emitted.append(
-            Convergent(
-                n=n,
-                a=p_n,
-                q=q_n,
-                partial_quotient=pqs[idx],
-                dist=DyadicInterval(r // q, -(-r // q), grid),
-            )
-        )
-    exact = len(emitted) <= count
-    return Expansion(
-        convergents=tuple(emitted[:count]),
-        partial_quotients=tuple(pqs),
-        exact=exact,
-        capped=False,
-        bits_used=0,
-    )
+def _emit(
+    pqs: Sequence[int], lo_n: int, hi_n: int, den: int, grid: int, count: int
+) -> Tuple[Convergent, ...]:
+    """The first `count` record convergents of pqs, each with ||q_k x|| over
+    x in [lo_n, hi_n] / den enclosed on the grid 2^-grid.
 
-
-def _build_irrational(
-    pqs: Sequence[int],
-    interval: DyadicInterval,
-    count: int,
-    bits: int,
-    capped: bool,
-    cap_reason: Optional[str],
-) -> Expansion:
-    convs = _recurrence(pqs)
+    One loop runs the (p_k, q_k) recurrence and, by the same recurrence,
+    the residuals (q_k x - p_k) den at both endpoints, from k = -2 (x den)
+    and k = -1 (-den).  The residuals shrink like den / q_{k+1}, so no step
+    multiplies two long integers.  They are rounded outward onto the grid
+    unless den is 2^grid, where they already are its mantissas.
+    """
     start = _emit_start(pqs)
-    # q_k x - p_k at both endpoints, on the mantissas, by the recurrence
-    # that builds (p_k, q_k): from k = -2 (x) and k = -1 (-1).  The values
-    # shrink like 2^exp / q_{k+1}, so no step multiplies two long integers.
-    lo1 = hi1 = -(1 << interval.exp)
-    lo2, hi2 = interval.lo_m, interval.hi_m
-    emitted: List[Convergent] = []
-    for idx in range(min(len(convs), start + count)):
-        a = pqs[idx]
+    on_grid = den == 1 << grid
+    p1, p2, q1, q2 = 1, 0, 0, 1
+    lo1 = hi1 = -den
+    lo2, hi2 = lo_n, hi_n
+    out: List[Convergent] = []
+    for idx, a in enumerate(pqs[: start + count]):
+        p1, p2 = a * p1 + p2, p1
+        q1, q2 = a * q1 + q2, q1
         lo1, lo2 = a * lo1 + lo2, lo1
         hi1, hi2 = a * hi1 + hi2, hi1
         if idx < start:
             continue
-        p_n, q_n = convs[idx]
         # |q_k x - p_k|: q_k > 0, so lo1 <= hi1
         lo, hi = (lo1, hi1) if lo1 >= 0 else (-hi1, -lo1) if hi1 <= 0 else (0, max(-lo1, hi1))
-        emitted.append(
+        if not on_grid:
+            lo, hi = (lo << grid) // den, -((-hi << grid) // den)
+        out.append(
             Convergent(
-                n=idx - start + 1,
-                a=p_n,
-                q=q_n,
-                partial_quotient=a,
-                dist=DyadicInterval(lo, hi, interval.exp),
+                n=idx - start + 1, a=p1, q=q1, partial_quotient=a, dist=DyadicInterval(lo, hi, grid)
             )
         )
-    return Expansion(
-        convergents=tuple(emitted),
-        partial_quotients=tuple(pqs[: start + len(emitted)]),
-        exact=False,
-        capped=capped,
-        cap_reason=cap_reason,
-        bits_used=bits,
-    )
+    return tuple(out)
 
 
-def _tight(interval: DyadicInterval, q_ref: int) -> bool:
-    """width * q_ref^2 * 2^25 <= 1."""
-    return (interval.hi_m - interval.lo_m) * (q_ref * q_ref << 25) <= 1 << interval.exp
-
-
-def _certified_emit_count(
-    pqs: Sequence[int], interval: DyadicInterval, count: int
-) -> int:
+def _certified_count(pqs: Sequence[int], width: int, den: int, count: int) -> int:
     """Largest m <= count convergents whose distance enclosures stay tight.
 
-    Emitting m entries needs the (m+1)-th recurrence denominator as the
-    tightness reference: interval width * q_ref^2 must clear a 2^25 margin.
+    Emitting m entries needs the (m+1)-th record denominator as the
+    tightness reference: the enclosure width (width / den) times q_ref^2
+    must clear a 2^25 margin.
     """
-    rec = _recurrence(pqs)
     start = _emit_start(pqs)
-    limit = min(count, max(len(pqs) - start - 1, 0))
-    for m in range(limit, 0, -1):
+    rec = _recurrence(pqs[: start + count + 1])
+    for m in range(min(count, len(rec) - start - 1), 0, -1):
         q_ref = rec[start + m][1]
-        if _tight(interval, q_ref):
+        if width * (q_ref * q_ref << 25) <= den:
             return m
     return 0
-
-
-def _capped_expansion(
-    pqs: Sequence[int],
-    interval: DyadicInterval,
-    count: int,
-    bits: int,
-    reason: str,
-) -> Expansion:
-    m = _certified_emit_count(pqs, interval, count)
-    return _build_irrational(
-        pqs, interval, m, bits, capped=True, cap_reason=f"{reason}; emitted {m} of {count}"
-    )
-
-
-def _expand_prefix(source: RealSource, count: int) -> Expansion:
-    """Expansion of an explicit finite quotient prefix.
-
-    The prefix pins down the convergent list but not the value, so distance
-    enclosures come from the exact interval of reals sharing the prefix and
-    the final convergent (whose distance range touches zero) is never
-    emitted.
-    """
-    pqs = source.pqs
-    convs = _prefix_convergents(pqs)
-    (_, q_k), (_, q_k1) = convs
-    grid = _dist_grid_bits(q_k + q_k1)
-    interval = DyadicInterval(*_prefix_interval(convs, grid), grid)
-    m = _certified_emit_count(pqs, interval, count)
-    reason = None
-    if m < count:
-        reason = (
-            f"partial-quotient prefix of {len(pqs)} quotients certifies "
-            f"only {m} of {count} convergents"
-        )
-    exp = _build_irrational(pqs, interval, m, 0, capped=m < count, cap_reason=reason)
-    return replace(exp, partial_quotients=pqs)
 
 
 def expand(source: RealSource, count: int) -> Expansion:
     """First `count` best approximations of the source value.
 
-    Rational sources terminate exactly (possibly with fewer entries) with
-    the canonical last partial quotient >= 2.  Other sources escalate the
-    enclosure precision until each emitted convergent is certified and its
-    distance enclosure is tight relative to the next denominator.  If the
-    source's precision cap, its max_bits, is reached first, the certified
-    prefix is returned with capped=True and cap_reason set.
+    Every source runs the same two steps: Euclid on both ends of an
+    enclosure [lo_n, hi_n] / den, then one emission loop for the
+    convergents and their distance enclosures.  A rational a/q is the
+    degenerate enclosure [a, a] / q: it terminates exactly (possibly with
+    fewer entries) with the canonical last partial quotient >= 2.  A `cf:`
+    prefix encloses the reals that share it.  Any other source escalates
+    its enclosure precision until each emitted convergent is certified and
+    its distance enclosure is tight relative to the next denominator.  If a
+    prefix or the source's precision cap, its max_bits, runs out first, the
+    certified prefix is returned with capped=True and cap_reason set.
     """
     if count < 1:
         raise ValueError("count must be >= 1")
     if source.kind is Kind.RATIONAL:
-        return _expand_rational(source, count)
+        a, q = source.a, source.q
+        # Euclid's remainders fall strictly below q: at most q + 1 quotients.
+        pqs = _common_pqs(a, a, q, q + 1)
+        return Expansion(
+            convergents=_emit(pqs, a, a, q, _dist_grid_bits(q), count),
+            partial_quotients=tuple(pqs),
+            exact=len(pqs) - _emit_start(pqs) <= count,
+            capped=False,
+        )
     if source.kind is Kind.PQ_STREAM:
-        return _expand_prefix(source, count)
-
-    cap = source.max_bits
-    bits = min(128, cap)
-    last_good: Optional[Tuple[List[int], DyadicInterval, int]] = None
-    while True:
-        try:
-            interval = source.approximate(bits)
-        except PrecisionLimitError as exc:
-            if last_good is None:
-                raise
-            pqs, interval, used = last_good
-            return _capped_expansion(pqs, interval, count, used, str(exc))
-        pqs = _common_pqs(interval, limit=count + 4)
-        last_good = (pqs, interval, bits)
-        start = _emit_start(pqs)
-        have = len(pqs) - start
-        if have >= count + 1:
-            q_ref = _recurrence(pqs)[start + count][1]
-            if _tight(interval, q_ref):
-                return _build_irrational(
-                    pqs, interval, count, bits, capped=False, cap_reason=None
-                )
-        if bits >= cap:
-            return _capped_expansion(
-                pqs,
-                interval,
-                count,
-                bits,
-                f"precision cap {cap} bits reached",
-            )
-        bits = min(bits * 2, cap)
+        # The prefix pins down the convergents but not the value; the final
+        # convergent's distance range touches zero, so it is never emitted.
+        pqs = source.pqs
+        convs = _prefix_convergents(pqs)
+        (_, q_k), (_, q_k1) = convs
+        grid = _dist_grid_bits(q_k + q_k1)
+        lo, hi = _prefix_interval(convs, grid)
+        m = _certified_count(pqs, hi - lo, 1 << grid, count)
+        known, used = len(pqs), 0
+        reason = (
+            f"partial-quotient prefix of {len(pqs)} quotients certifies "
+            f"only {m} of {count} convergents"
+        )
+    else:
+        cap = source.max_bits
+        bits, used = min(128, cap), 0
+        while True:
+            try:
+                iv = source.approximate(bits)
+            except PrecisionLimitError as exc:
+                if not used:
+                    raise
+                reason = str(exc)
+                break
+            lo, hi, grid, used = iv.lo_m, iv.hi_m, iv.exp, bits
+            pqs = _common_pqs(lo, hi, 1 << grid, count + 4)
+            m = _certified_count(pqs, hi - lo, 1 << grid, count)
+            if m == count or bits >= cap:
+                reason = f"precision cap {cap} bits reached"
+                break
+            bits = min(bits * 2, cap)
+        known = _emit_start(pqs) + m
+        reason = f"{reason}; emitted {m} of {count}"
+    capped = m < count
+    return Expansion(
+        convergents=_emit(pqs, lo, hi, 1 << grid, grid, m),
+        partial_quotients=tuple(pqs[:known]),
+        exact=False,
+        capped=capped,
+        cap_reason=reason if capped else None,
+        bits_used=used,
+    )
 
 
 def q_alpha(convergents: Sequence[Convergent]) -> List[QAlphaEntry]:

@@ -309,6 +309,8 @@ def _cmd_sum(args: argparse.Namespace, caps: dict, outputs: List[str]) -> _Resul
     f = parse_f(args.f)
     if args.mode != "direct" and source.kind is not Kind.RATIONAL:
         raise ValueError("periodic mode requires a rational alpha (rat:a/q)")
+    if args.mode == "periodic" and args.trace:
+        raise ValueError("--trace records the direct sum; use --mode direct or both")
     N, M = args.N, args.M
     results: Dict[str, dict] = {}
     t0 = time.perf_counter()

@@ -454,22 +454,6 @@ def _chunk_bound(absf: float, length: int, coeff: float) -> float:
     return absf * (coeff + (_pairwise_depth(length) + 2) * _U)
 
 
-def _fsum_add(partials: List[float], x: float) -> None:
-    """Add x to an exact running sum kept as Shewchuk's non-overlapping
-    partials, so math.fsum(partials) is the correctly rounded total."""
-    i = 0
-    for y in partials:
-        if abs(x) < abs(y):
-            x, y = y, x
-        hi = x + y
-        lo = y - (hi - x)
-        if lo:
-            partials[i] = lo
-            i += 1
-        x = hi
-    partials[i:] = [x]
-
-
 def _sum(
     term_fn: Callable[[int, int], Tuple[np.ndarray, np.ndarray]],
     coeff: float,
@@ -521,16 +505,16 @@ def _sum(
     else:
         records = eval_block(*grid)
 
-    partials: List[float] = []  # exact running sum of the chunk sums
-    bounds: List[float] = []  # exact running sum of the chunk bounds
+    sums: List[float] = []  # the chunk sums so far, added exactly by math.fsum
+    bounds: List[float] = []  # the chunk bounds so far
     rows: List[TraceRow] = []
     for chunk_sum, chunk_bound, reads in records:
         for m, s, b in reads:
-            value = math.fsum(partials + [s])
+            value = math.fsum(sums + [s])
             rows.append(TraceRow(m, value, math.fsum(bounds + [b]) + 2 * _EPS * abs(value)))
-        _fsum_add(partials, chunk_sum)
-        _fsum_add(bounds, chunk_bound)
-    value = math.fsum(partials)
+        sums.append(chunk_sum)
+        bounds.append(chunk_bound)
+    value = math.fsum(sums)
     bound = math.fsum(bounds) + 2 * _EPS * abs(value)
     return SumTrace(tuple(rows), PartialSumResult(value, bound, terms=M, mode="direct"))
 

@@ -165,10 +165,16 @@ def _ref_common_pqs(lo: Fraction, hi: Fraction, limit: int):
     width=st.one_of(st.just(0), st.integers(0, 2 ** 40), st.integers(0, 2 ** 300)),
     exp=st.integers(0, 320),
     limit=st.integers(1, 400),
+    a=st.integers(-(2 ** 200), 2 ** 200),
+    q=st.integers(3, 2 ** 200).filter(lambda q: q & (q - 1)),
 )
-def test_common_pqs_match_fraction_euclid(lo_m, width, exp, limit):
+def test_common_pqs_match_fraction_euclid(lo_m, width, exp, limit, a, q):
     iv = ds.DyadicInterval(lo_m, lo_m + width, exp)
-    assert cfrac._common_pqs(iv, limit) == _ref_common_pqs(iv.lo, iv.hi, limit)
+    assert cfrac._common_pqs(lo_m, lo_m + width, 1 << exp, limit) == _ref_common_pqs(
+        iv.lo, iv.hi, limit
+    )
+    # A rational is the degenerate interval [a, a] / q, q not a power of two.
+    assert cfrac._common_pqs(a, a, q, q + 1) == euclid_cf(Fraction(a, q))
 
 
 def _distance_image(c, lo: Fraction, hi: Fraction):

@@ -511,25 +511,36 @@ def test_sum_periodic_needs_rational(tmp_path):
     assert "rational" in mani["error"]
 
 
+_NEEDS_RATIONAL = "periodic mode requires a rational alpha (rat:a/q)"
+
+
 @pytest.mark.parametrize(
-    "extra",
-    [["--mode", "both"], ["--mode", "periodic", "--trace", "t.csv"]],
-    ids=["both", "periodic_trace"],
+    "alpha, extra, error",
+    [
+        ("const:pi", ["--mode", "both"], _NEEDS_RATIONAL),
+        ("const:pi", ["--mode", "periodic", "--trace", "t.csv"], _NEEDS_RATIONAL),
+        (
+            "rat:1/3",
+            ["--mode", "periodic", "--trace", "t.csv"],
+            "--trace records the direct sum; use --mode direct or both",
+        ),
+    ],
+    ids=["both", "periodic_trace", "rational_periodic_trace"],
 )
-def test_sum_periodic_refusal_precedes_any_sum(tmp_path, monkeypatch, extra):
+def test_sum_periodic_refusal_precedes_any_sum(tmp_path, monkeypatch, alpha, extra, error):
     from dseries import sumengine
 
     def never(*args, **kwargs):
         raise AssertionError("a sum started")
 
     monkeypatch.chdir(tmp_path)
-    monkeypatch.setattr(sumengine, "partial_sum_direct", never)
-    monkeypatch.setattr(sumengine, "scan_partial_sums", never)
+    for name in ("partial_sum_direct", "scan_partial_sums", "partial_sum_periodic"):
+        monkeypatch.setattr(sumengine, name, never)
     code, payload, mani = run(
-        ["sum", "const:pi", "--f", "pow:1", "--M", "20000000", *extra], tmp_path, "early"
+        ["sum", alpha, "--f", "pow:1", "--M", "20000000", *extra], tmp_path, "early"
     )
     assert code == 1 and payload is None
-    assert mani["error"] == "periodic mode requires a rational alpha (rat:a/q)"
+    assert mani["error"] == error
     assert not (tmp_path / "t.csv").exists()
 
 
