@@ -21,7 +21,7 @@ from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from . import __version__, cfrac, criterion, realsource, sumengine
-from .criterion import FDescriptor, MeasureCertificate, Outcome
+from .criterion import FDescriptor, MeasureCertificate, Outcome, _digits
 from .errors import DSeriesError, ResourceLimitError
 from .realsource import (
     DEFAULT_MAX_BITS,
@@ -41,7 +41,7 @@ __all__ = [
 ]
 
 _DEFAULT_MANIFEST = "dseries_manifest.json"
-_MAX_WORKERS = 64  # each worker is a thread with its own 1 MiB of work rows
+_MAX_WORKERS = 64  # each worker is a thread with its own 768 KiB of work rows
 
 _RAT_RE = re.compile(r"^rat:(-?\d+)/(-?\d+)$")
 _SURD_RE = re.compile(r"^surd:\((-?\d+)([+-])(\d+)\*sqrt\((\d+)\)\)/(-?\d+)$")
@@ -216,16 +216,6 @@ def _outward_floats(iv) -> Tuple[float, float]:
     return _round_dyadic(iv.lo_m, iv.exp, False), _round_dyadic(iv.hi_m, iv.exp, True)
 
 
-def _digits(n: int, str_bits: float) -> str:
-    """Decimal text of n.  Past str_bits bits, where str() would hit Python's
-    limit on int-to-str conversion, the slower Decimal conversion runs."""
-    if n.bit_length() <= str_bits:
-        return str(n)
-    from decimal import Decimal
-
-    return str(Decimal(n))
-
-
 def _document(payload: dict) -> str:
     return json.dumps(payload, sort_keys=True, indent=2) + "\n"
 
@@ -249,16 +239,13 @@ def _cf_document(alpha: str, exp: cfrac.Expansion) -> str:
     """The cf document, byte for byte _document() of its payload: json's
     indenting encoder is pure Python, so the two long lists are written
     here from one fixed layout, and json escapes the outer scalars."""
-    limit = getattr(sys, "get_int_max_str_digits", int)()  # no limit before 3.10.7
-    str_bits = 3 * limit if limit else math.inf  # 3 bits < 1 digit
     rows = []
     for c in exp.convergents:
         lo, hi = _outward_floats(c.dist)  # finite, so %r is json's float text
         rows.append(_CONVERGENT_ROW % (
-            _digits(c.a, str_bits), hi, lo, c.n,
-            _digits(c.partial_quotient, str_bits), _digits(c.q, str_bits),
+            _digits(c.a), hi, lo, c.n, _digits(c.partial_quotient), _digits(c.q),
         ))
-    quotients = ['    "%s"' % _digits(a, str_bits) for a in exp.partial_quotients]
+    quotients = ['    "%s"' % _digits(a) for a in exp.partial_quotients]
     return (
         '{\n  "alpha": %s,\n  "cap_reason": %s,\n  "capped": %s,\n  "convergents": %s,\n'
         '  "exact": %s,\n  "partial_quotients": %s,\n  "schema": 1\n}\n'

@@ -253,6 +253,17 @@ class VerdictCertificate(str, Enum):
     EVIDENCE = "Evidence"
 
 
+def _digits(n: int) -> str:
+    """Decimal text of n.  Past Python's limit on int-to-str conversion,
+    where str() raises, the slower Decimal conversion runs."""
+    try:
+        return str(n)
+    except ValueError:
+        from decimal import Decimal
+
+        return str(Decimal(n))
+
+
 @dataclass(frozen=True)
 class Verdict:
     outcome: Outcome
@@ -263,6 +274,7 @@ class Verdict:
     notes: Tuple[str, ...] = ()
 
     def to_json_dict(self) -> Dict[str, object]:
+        """The verdict as JSON values, evidence integers as decimal text."""
         return {
             "outcome": self.outcome.value,
             "certificate": self.certificate.value,
@@ -270,8 +282,8 @@ class Verdict:
             "evidence": [
                 {
                     "n": t.n,
-                    "q": str(t.q),
-                    "q_next": str(t.q_next),
+                    "q": _digits(t.q),
+                    "q_next": _digits(t.q_next),
                     "value": t.value if math.isfinite(t.value) else None,
                     "log10_value": t.log10_value,
                 }

@@ -44,10 +44,8 @@ __all__ = [
 
 DEFAULT_MAX_BITS = 1 << 20
 
-# Enclosures are produced on a fixed ladder of working precisions and
-# intersected downward, which makes nesting a construction property rather
-# than a property of any underlying library.
-_LADDER_BASE = 64
+# approximate(bits) computes each enclosure once, on the 2^-(bits + 32) grid;
+# it is a few grid units wide, far below 2^-bits.
 _GRID_GUARD = 32
 
 _LOG10_2 = math.log10(2.0)
@@ -237,38 +235,19 @@ class RealSource:
                 f"requested {bits} bits exceeds the configured cap of {self.max_bits}"
             )
         grid = bits + _GRID_GUARD
-        level = _ladder_level(grid)
-        lo, hi = self._nested_raw(level)
-        # floor(floor(x) / 2^k) = floor(x / 2^k), so shifting the level's
-        # floor/ceil pair down gives the outward rounding of the exact
-        # enclosure on the coarser grid.
-        out = DyadicInterval(lo >> (level - grid), -(-hi >> (level - grid)), grid)
+        with self._lock:
+            out = self._cache.get(grid)
+            if out is None:
+                out = self._cache[grid] = DyadicInterval(*self._raw(grid), grid)
         assert out.hi_m - out.lo_m <= 1 << _GRID_GUARD
         return out
 
-    def _nested_raw(self, level: int) -> Tuple[int, int]:
-        with self._lock:
-            return self._nested_raw_locked(level)
-
-    def _nested_raw_locked(self, level: int) -> Tuple[int, int]:
-        cached = self._cache.get(level)
-        if cached is not None:
-            return cached
-        lo, hi = self._raw(level)
-        if level > _LADDER_BASE:
-            # Every source's exact bounds tighten as the level grows, so this
-            # keeps the level's own pair; it makes nesting hold by construction.
-            plo, phi = self._nested_raw_locked(level // 2)
-            shift = level - level // 2
-            lo, hi = max(lo, plo << shift), min(hi, phi << shift)
-            if lo > hi:
-                raise AssertionError("enclosure ladder intersection is empty")
-        self._cache[level] = (lo, hi)
-        return lo, hi
-
     def _raw(self, level: int) -> Tuple[int, int]:
         """Certified enclosure [lo, hi] * 2^-level: the floor and the ceiling
-        at scale 2^level of exact endpoints at most 2^-level apart."""
+        at scale 2^level of exact endpoints at most 2^-level apart.
+
+        Each kind's exact endpoints only tighten as the level grows, so the
+        enclosures nest; a rational's are the exact value itself."""
         if self.kind is Kind.RATIONAL:
             return (self.a << level) // self.q, _ceil_div(self.a << level, self.q)
         if self.kind is Kind.QUADRATIC_SURD:
@@ -282,6 +261,7 @@ class RealSource:
         raise AssertionError(f"unhandled kind {self.kind}")
 
     def _raw_surd(self, level: int) -> Tuple[int, int]:
+        """Nested: the isqrt bracket of sqrt(d) tightens as t grows."""
         # sqrt(d) lies in [m, m + 1] * 2^-t; s > 0 after normalization.
         t = level + abs(self.r).bit_length() + 2
         m = math.isqrt(self.d << (2 * t))
@@ -293,6 +273,8 @@ class RealSource:
         )
 
     def _raw_constant(self, level: int) -> Tuple[int, int]:
+        """Nested: pi and 1/pi come from floor(pi 2^(level+6)), and e's partial
+        sum only rises while its tail bound only falls (see _e_series)."""
         if self.const is Constant.E:
             return _e_series(level)
         # pi lies strictly between f and f + 1 at scale 2^(level + 6).
@@ -303,6 +285,8 @@ class RealSource:
         return (1 << (2 * level + 6)) // (f + 1), _ceil_div(1 << (2 * level + 6), f)
 
     def _raw_liouville(self, level: int) -> Tuple[int, int]:
+        """Nested: the truncation only rises with the level, and it plus the
+        tail bound, at most (10/3) 10^-e_{K+1}, only falls."""
         spec = self.liouville
         assert spec is not None
         dec = _liouville_places(level)
@@ -327,6 +311,7 @@ class RealSource:
         return lo, hi
 
     def _raw_stream(self, level: int) -> Tuple[int, int]:
+        """Nested: the prefix interval is fixed."""
         convs = _prefix_convergents(self.pqs)
         (_, qk), (_, qk1) = convs
         if qk * (qk + qk1) < 1 << level:
@@ -337,16 +322,8 @@ class RealSource:
         return _prefix_interval(convs, level)
 
 
-def _ladder_level(grid: int) -> int:
-    """The smallest ladder level 2^j * _LADDER_BASE that is >= grid."""
-    level = _LADDER_BASE
-    while level < grid:
-        level *= 2
-    return level
-
-
 def _liouville_places(level: int) -> int:
-    """Decimal places a Liouville truncation keeps at a ladder level, so
+    """Decimal places a Liouville truncation keeps at a level, so
     that its tail bound, at most (10/3) 10^-(places+1), is below 2^-(level+2)."""
     return int(math.ceil((level + 2) * _LOG10_2)) + 3
 
@@ -478,7 +455,9 @@ def _chudnovsky_split(a: int, b: int) -> Tuple[int, int, int]:
 
 def _e_series(level: int) -> Tuple[int, int]:
     # sum_{j <= k} 1/j! = P_k / k! with P_k = k P_{k-1} + 1, and the tail
-    # after term k is below (k+2) / ((k+1)^2 k!).
+    # after term k is below (k+2) / ((k+1)^2 k!).  The k chosen only grows
+    # with the level, and 1/(k+1)! plus the next tail bound is below this
+    # one, so the partial sum only rises and the upper end only falls.
     p, fact, k = 2, 1, 1
     while True:
         k += 1

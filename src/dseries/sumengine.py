@@ -150,8 +150,8 @@ def _require_range(N: int, M: int, max_terms: int) -> None:
         )
     if N + M > _MAX_INDEX:
         raise TermLimitError(
-            f"N + M = {N + M} exceeds 2^53 = {_MAX_INDEX}: past it the index n "
-            "is not exact in float64 and the reduction of n*alpha is not error-free"
+            f"N + M = {N + M} exceeds 2^53 = {_MAX_INDEX}: past it neither n nor "
+            "float(lo), the start of each f(n) row, is exact in float64"
         )
 
 

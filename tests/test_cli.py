@@ -27,7 +27,7 @@ from dseries.cli import (
     parse_cert,
     parse_f,
 )
-from conftest import mp_partial_sum, pi_fraction
+from conftest import cf_convergents, euclid_cf, mp_partial_sum, pi_fraction
 
 
 GRAMMAR_CORPUS = [
@@ -407,6 +407,23 @@ def test_cf_writes_integers_past_the_str_digit_limit(tmp_path):
             *rec[idx], pqs[idx]
         )
     assert max(len(c["q"]) for c in payload["convergents"]) > 4300
+
+
+def test_classify_writes_evidence_past_the_str_digit_limit(tmp_path):
+    alpha = "liouville:factorial"
+    out = tmp_path / "big.json"
+    argv = ["classify", alpha, "--f", "pow:1", "--budget", "100", "--json", str(out)]
+    assert console_main(argv + ["--manifest", str(tmp_path / "m.json")]) == 3
+    evidence = json.loads(out.read_text())["evidence"]
+    # lambda_7 is within 10^-40000 of alpha, so its convergents below
+    # 10^5040 are alpha's
+    pqs = euclid_cf(Fraction(*parse_alpha(alpha).liouville.truncation(7)))
+    qs = [q for _, q in cf_convergents(pqs)]
+    start = cfrac._emit_start(pqs)
+    for e in evidence:
+        idx = start + e["n"] - 1
+        assert (int(Decimal(e["q"])), int(Decimal(e["q_next"]))) == (qs[idx], qs[idx + 1])
+    assert max(len(e["q_next"]) for e in evidence) > 4300
 
 
 def test_readme_cf_example_is_verbatim_output(tmp_path, capsys):

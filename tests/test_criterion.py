@@ -5,6 +5,7 @@ import math
 import os
 import subprocess
 import sys
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
@@ -279,6 +280,13 @@ def test_verdict_json_dict_roundtrippable():
     encoded = json.dumps(doc, sort_keys=True)
     assert json.loads(encoded) == doc
     assert doc["outcome"] == "Converges"
+
+
+def test_verdict_json_writes_integers_past_the_str_digit_limit():
+    v = ds.classify(ds.make_liouville(ds.LiouvilleSpec()), ds.make_power_f(1), 100)
+    doc = v.to_json_dict()
+    assert [int(Decimal(e["q_next"])) for e in doc["evidence"]] == [t.q_next for t in v.evidence]
+    assert max(len(e["q_next"]) for e in doc["evidence"]) > 4300
 
 
 def test_budget_limits_expansion_depth():

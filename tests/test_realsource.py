@@ -100,6 +100,20 @@ def test_precision_cap_raises():
         src.approximate(257)
 
 
+def test_work_stays_within_the_cap(monkeypatch):
+    asked = []
+    pi_floor = realsource._pi_floor
+
+    def record(bits):
+        asked.append(bits)
+        return pi_floor(bits)
+
+    monkeypatch.setattr(realsource, "_pi_floor", record)
+    ds.make_constant("pi", max_bits=256).approximate(256)
+    # pi on the 2^-(256 + 32) grid, plus _raw_constant's 6 guard bits
+    assert asked and max(asked) <= 256 + 32 + 6
+
+
 def test_liouville_partial_matches_direct_series():
     spec = ds.LiouvilleSpec()
     lam = Fraction(*spec.truncation(4))
@@ -231,20 +245,8 @@ def _ref_raw(src, level):
 
 
 def _ref_approximate(src, bits):
-    """0.1.0 approximate: intersect the raw Fractions down the ladder, then
-    round outward to the 2^-(bits+32) grid."""
-
-    def nested(level):
-        lo, hi = _ref_raw(src, level)
-        if level > 64:
-            plo, phi = nested(level // 2)
-            lo, hi = max(lo, plo), min(hi, phi)
-        return lo, hi
-
-    level = 64
-    while level < bits + 32:
-        level *= 2
-    lo, hi = nested(level)
+    """The raw Fractions at level bits + 32, rounded outward to that grid."""
+    lo, hi = _ref_raw(src, bits + 32)
     scale = 1 << (bits + 32)
     return Fraction(math.floor(lo * scale), scale), Fraction(math.ceil(hi * scale), scale)
 
@@ -285,7 +287,6 @@ def _sources(draw):
 @settings(max_examples=250, deadline=None)
 @given(src=_sources(), bits=st.one_of(st.sampled_from([1, 32, 96, 224, 480]), st.integers(1, 700)))
 def test_integer_enclosures_match_fraction_reference(src, bits):
-    # bits + 32 of 64, 128, 256 and 512 lands exactly on a ladder level
     try:
         expect = _ref_approximate(src, bits)
     except ds.PrecisionLimitError:
@@ -295,6 +296,25 @@ def test_integer_enclosures_match_fraction_reference(src, bits):
     iv = src.approximate(bits)
     assert (iv.lo, iv.hi) == expect
     assert iv.exp == bits + 32
+
+
+@settings(max_examples=200, deadline=None)
+@given(src=_sources(), bits=st.lists(st.integers(1, 900), min_size=2, max_size=5, unique=True))
+def test_enclosures_nest_as_bits_grow(src, bits):
+    prev = None
+    for b in sorted(bits):
+        try:
+            iv = src.approximate(b)
+        except ds.PrecisionLimitError:
+            # a prefix that cannot certify b bits cannot certify more
+            for more in (x for x in bits if x > b):
+                with pytest.raises(ds.PrecisionLimitError):
+                    src.approximate(more)
+            return
+        assert iv.width <= Fraction(1, 1 << b)
+        if prev is not None:
+            assert prev.lo <= iv.lo and iv.hi <= prev.hi
+        prev = iv
 
 
 def test_dyadic_interval_validates_its_fields():
@@ -323,7 +343,8 @@ def _mpf_pi_floor(bits):
 
 @pytest.mark.parametrize("level", [64 << j for j in range(11)])
 def test_chudnovsky_pi_floor_matches_mpmath_on_the_ladder(level):
-    # _raw_constant asks for pi at level + 6 bits on ladder levels 64 .. 2^16
+    # a spread of power-of-two sizes from 64 to 2^16 bits, past the
+    # hypothesis test's 6000
     assert realsource._chudnovsky_pi_floor(level + 6) == _mpf_pi_floor(level + 6)
 
 
@@ -374,8 +395,8 @@ def test_concurrent_pi_and_invpi_requests_match_one_thread(monkeypatch):
         sys.setswitchinterval(interval)
     assert not any(t.is_alive() for t in threads)
     # the cache ends at the most precise level any thread asked for
-    top = max(realsource._ladder_level(bits + 32) for reqs in requests for _, bits in reqs)
-    assert realsource._pi_cache[0] == top + 6
+    top = max(bits for reqs in requests for _, bits in reqs)
+    assert realsource._pi_cache[0] == top + 32 + 6
     monkeypatch.setattr(realsource, "_pi_cache", (0, 3))
     alone = [[ds.make_constant(name).approximate(bits) for name, bits in reqs] for reqs in requests]
     assert results == alone
