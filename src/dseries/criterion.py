@@ -205,6 +205,25 @@ def mahler_certificate() -> MeasureCertificate:
     return MeasureCertificate(mu=42.0, C=1.0, label="mahler")
 
 
+def _times_power(x: float, q: int, beta: Fraction) -> float:
+    """An upper bound of x * q^-beta for a float x > 0, an integer q >= 1
+    and beta > 0, never 0, with neither q nor a power of it converted to a
+    float, so q may exceed 10^308.
+
+    With e = max(bitlen(q) - 53, 0), m = q >> e is an exact double and
+    q >= m 2^e, so q^-beta <= m^-beta 2^(f - k) with k = ceil(beta e) and
+    f = k - beta e in [0, 1), both exact.  A relative 2^-40 covers the
+    roundings of the product and those of x, of a few ulps each, and a
+    result below the smallest normal double, which ldexp may round down,
+    moves up to the next double.
+    """
+    e = max(q.bit_length() - 53, 0)
+    k = math.ceil(beta * e)
+    v = x * (q >> e) ** -float(beta) * 2.0 ** float(k - beta * e) * (1 + 2.0 ** -40)
+    v = math.ldexp(v, -k)
+    return v if v >= 2.0 ** -1022 else math.nextafter(v, math.inf)
+
+
 def measure_tail_bound(
     mu: float,
     C: float,
@@ -216,26 +235,28 @@ def measure_tail_bound(
     Uses the geometric floor q_k >= from_q * 2^(k/2) (denominators at least
     double every second step) together with q_next <= C * q^(mu - 1).
     Returns None when the exponent condition (mu - 1)(1 - p) < 2 fails, in
-    which case the certificate says nothing about convergence.
+    which case the certificate says nothing about convergence.  from_q may
+    have any size: the power of it goes through _times_power, and the
+    result is never 0.
     """
     p = Fraction(p)
     if not 0 < p <= 1:
         raise ValueError("exponent p must lie in (0, 1]")
-    if mu <= 2 or C <= 0 or from_q < 1:
-        raise ValueError("need mu > 2, C > 0, from_q >= 1")
+    if not 2 < mu < math.inf or C <= 0 or from_q < 1:
+        raise ValueError("need a finite mu > 2, C > 0, from_q >= 1")
     c_eff = max(C, 1.0)  # enlarging C only weakens the bound, keeps logs >= 0
     if p == 1:
         # term(q) <= (ln C + (mu-1) ln q) / q^2, summed over q_k = from_q * 2^(k/2):
         # sum 2^-k = 2 and sum k 2^-k = 2.
         base = math.log(c_eff) + (mu - 1) * math.log(from_q)
-        tail = (2.0 * base + (mu - 1) * math.log(2.0)) / (from_q * from_q)
-        return tail
-    beta = 2.0 - (mu - 1.0) * float(1 - p)
+        return _times_power(2.0 * base + (mu - 1) * math.log(2.0), from_q, Fraction(2))
+    beta = 2 - (Fraction(mu) - 1) * (1 - p)
     if beta <= 0:
         return None
     one_minus = float(1 - p)
     lead = c_eff ** one_minus / one_minus
-    return lead * from_q ** (-beta) / (1.0 - 2.0 ** (-beta / 2.0))
+    # 1 - 2^(-beta/2), without cancellation for a small beta
+    return _times_power(lead / -math.expm1(-float(beta) * math.log(2.0) / 2), from_q, beta)
 
 
 class Outcome(str, Enum):
@@ -412,7 +433,7 @@ def classify(
                 "mu": cert.mu,
                 "C": cert.C,
                 "eventual": cert.eventual,
-                "tail_from_q": str(from_q),
+                "tail_from_q": _digits(from_q),
                 "tail_bound": tail,
                 "series_bound": series.total + tail,
             },

@@ -6,19 +6,20 @@ The direct path writes alpha mod 1 exactly as num/den (a/q for a rational,
 the certified enclosure midpoint otherwise) and splits each index as
 n = g + k, with g on a grid of step 2^15 fixed by N.  By angle addition,
 |sin(pi n alpha)| = |S[k] cos(pi B_g) + C[k] sin(pi B_g)|, where
-S[k] = sin(pi T_k) and C[k] = cos(pi T_k) with T_k = k*num/den: the two
-tables come once per call from correctly rounded reduced arguments of the
-exact residues of k*num, and the two scalars of each grid point once per
-call from exact integers in fixed point.  So a weight costs two products,
-an add and an abs, no term is reduced modulo 1 on its own, and no weight
-accumulates O(M) rounding drift.  The periodic path exploits a rational
-alpha = a/q instead: the weight of n depends on n mod q alone, so it reads
-a table of one weight per residue class that occurs in the window.  One
-odd polynomial with a proven error bound gives sin(pi y) for every table
-entry and class weight, so nothing depends on the platform's sine.
-Windows ending past 2^53 are refused, since n is then no longer exact in
-float64.  Every sum (direct, periodic, checkpoint scan) runs through one
-loop: terms are summed pairwise in chunks of 2^14 on the grid
+S[k] = sin(pi T_k) and C[k] = cos(pi T_k) with T_k = k*num/den.  Every
+sine and cosine there comes once per call from exact integers in fixed
+point: those of each grid point, and those of a few hundred rows and
+columns with k = row + column, from which one more angle addition builds
+the two tables.  So a weight costs two products, an add and an abs, no
+term is reduced modulo 1 on its own, no weight accumulates O(M) rounding
+drift, and each is within 9.7e-16 of its exact value.  The periodic path
+exploits a rational alpha = a/q instead: the weight of n depends on n mod q
+alone, so it reads a table of one weight per residue class that occurs in
+the window, from correctly rounded arguments through an odd polynomial
+with a proven relative error bound.  Nothing depends on the platform's
+sine.  Windows ending past 2^53 are refused, since n is then no longer
+exact in float64.  Every sum (direct, periodic, checkpoint scan) runs
+through one loop: terms are summed pairwise in chunks of 2^14 on the grid
 N + 1 + j*2^14, fixed by N alone, and the chunk sums are added exactly, so
 no result depends on the worker count.  A checkpoint inside a chunk reads
 that chunk's prefix instead of cutting it, so a scan row does not depend on
@@ -74,8 +75,9 @@ _BATCH = 2 * _CHUNK
 _INDEX = np.arange(_BATCH, dtype=np.float64)
 _BUFFERS = threading.local()
 _MAX_INDEX = 2 ** 53  # largest window end whose indices are exact in float64
-# The residue tables, k < length, are assembled from rows of this many exact
-# residues.
+# Tables indexed by k = i*_TABLE_ROW + j are assembled from one value per row
+# i and one per column j: the direct path's sines and cosines, and the
+# periodic path's residues.
 _TABLE_ROW = 1 << 8
 # sin(pi y) ~ y * sum_i c_i (y^2)^i on [0, 1/2]: minimax in y^2 with the
 # coefficients rounded to doubles one at a time (c_0 = fl(pi)), each later one
@@ -95,7 +97,7 @@ _SINPI_ERR = 1.0e-15
 _SCALAR_BITS = 96
 # Absolute error of a direct weight against |sin(pi n num/den)| (derived in
 # _make_term_fn).
-_WEIGHT_ERR = 1.45e-15
+_WEIGHT_ERR = 9.7e-16
 
 # Allowance multiplier for the O(q f(N)) remainder of the drift law;
 # calibrated against direct summation on the acceptance grid.
@@ -213,91 +215,27 @@ def _sinpi_into(y: np.ndarray, out: np.ndarray, z: np.ndarray) -> np.ndarray:
     return out
 
 
-def _double_double(residues: Sequence[int], den: int) -> Tuple[np.ndarray, np.ndarray]:
-    """hi + lo for each r/den: both correctly rounded from Python ints, so
-    |r/den - hi - lo| <= 2^-106 r/den (for normal lo)."""
-    hi = [r / den for r in residues]
-    lo = []
-    for r, h in zip(residues, hi):
-        n, d = h.as_integer_ratio()
-        lo.append((r * d - n * den) / (den * d))
-    return np.array(hi), np.array(lo)
+def _reduced_args(num: int, den: int, start: int, length: int) -> np.ndarray:
+    """y = min(r, den - r)/den, correctly rounded to a double, for the
+    residues r = (start + k*num) mod den, k < length: the distance of r/den
+    to the nearest integer, so sin(pi r/den) = sin(pi y) with y in [0, 1/2].
 
-
-def _two_sum(a: np.ndarray, b: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-    """(s, e) with s = fl(a + b) and a + b = s + e exactly (Knuth's TwoSum)."""
-    s = a + b
-    t = s - a
-    e = s - t
-    np.subtract(a, e, out=e)
-    np.subtract(b, t, out=t)
-    e += t
-    return s, e
-
-
-def _reduced_args(num: int, den: int, start: int, length: int) -> Tuple[np.ndarray, np.ndarray]:
-    """y = min(r, den - r)/den and c = (den - 2r)/(2 den), each correctly
-    rounded to a double, for the residues r = (start + k*num) mod den,
-    k < length.
-
-    With x = r/den, y is the distance of x to the nearest integer and
-    c = 1/2 - x, so sin(pi x) = sin(pi y) and cos(pi x) = sign(c) sin(pi |c|),
-    with y and |c| in [0, 1/2].  With k = i*_TABLE_ROW + j, r is the sum of
-    the exact residues of start + i*_TABLE_ROW*num and j*num, reduced once,
-    so only a few hundred residues come from Python ints.  For den <= 2^53
-    they are exact in int64 and one IEEE division rounds each quotient
-    correctly.  Otherwise each residue quotient is a double-double and
-    their sum is s + e, within 5 * 2^-106 of the sum of the quotients.  Its
-    nearest integer is taken off s exactly, which leaves t = s + e with
-    y = |t| and c = sign(t) (1/2 - |t|): each is one rounded addition of
-    the leftover low part, whatever side of an integer the sum lies on.  An
-    entry of either is recomputed from its exact residue only when the
-    uncertainty left could move its rounding or its sign, or |t| reaches
-    1/2.
+    For den <= 2^53, r is the sum of the exact int64 residues of
+    start + i*_TABLE_ROW*num and j*num, k = i*_TABLE_ROW + j, reduced once,
+    so only a few hundred residues come from Python ints, and one IEEE
+    division rounds each quotient correctly.  A larger den is a periodic
+    sum's q > 2^53 > N + M, so the window is shorter than q and no class
+    repeats: each quotient is one correctly rounded division of Python ints.
     """
+    if den > _MAX_INDEX:
+        residues = ((start + k * num) % den for k in range(length))
+        return np.fromiter((min(r, den - r) / den for r in residues), np.float64, length)
     rows = -(-length // _TABLE_ROW)
     r_row = [(start + i * _TABLE_ROW * num) % den for i in range(rows)]
     r_col = [j * num % den for j in range(_TABLE_ROW)]
-    if den <= _MAX_INDEX:
-        r = np.add.outer(np.array(r_row, np.int64), np.array(r_col, np.int64)).ravel()[:length]
-        np.subtract(r, den, out=r, where=r >= den)
-        return np.minimum(r, den - r) / float(den), (den - 2 * r) / (2.0 * den)
-    h1, l1 = _double_double(r_row, den)
-    h2, l2 = _double_double(r_col, den)
-    s, e = _two_sum(h1[:, None], h2)
-    e += l1[:, None] + l2
-    # 2^-100 of the sum is 16 times what the steps above can leave
-    slack = s * 2.0 ** -100
-    s -= np.rint(s)  # exact for s in [0, 2]
-    t, t_lo = _two_sum(s, e)
-    sign = np.sign(t)
-    s *= sign
-    e *= sign
-    # with t's sign on s and e, 1/2 - |t| = hi + lo - e exactly (Fast2Sum, as
-    # |s| <= 1/2); rounding lo - e (below 2^-51) costs at most 2^-104
-    hi = 0.5 - s
-    lo = 0.5 - hi
-    lo -= s
-    lo -= e
-    c, c_lo = _two_sum(hi, lo)
-    # the exact value lies within pad of v + v_lo: it rounds to v unless one
-    # end of that interval rounds elsewhere; c also takes the sign of t
-    redo_y = np.abs(t) >= 0.5
-    redo_c = redo_y | (np.abs(t) <= 2 * slack)
-    for v, v_lo, pad, redo in ((t, t_lo, slack, redo_y), (c, c_lo, slack + 2.0 ** -103, redo_c)):
-        for end in (pad, -pad):
-            np.add(v_lo, end, out=e)
-            e += v
-            redo |= e != v
-    y = np.abs(t).ravel()[:length]
-    c = np.copysign(c, t).ravel()[:length]
-    for k in np.flatnonzero(redo_y.ravel()[:length]).tolist():
-        r = r_row[k // _TABLE_ROW] + r_col[k % _TABLE_ROW]
-        y[k] = min(r % den, -r % den) / den
-    for k in np.flatnonzero(redo_c.ravel()[:length]).tolist():
-        r = (r_row[k // _TABLE_ROW] + r_col[k % _TABLE_ROW]) % den
-        c[k] = (den - 2 * r) / (2 * den)
-    return y, c
+    r = np.add.outer(np.array(r_row, np.int64), np.array(r_col, np.int64)).ravel()[:length]
+    np.subtract(r, den, out=r, where=r >= den)
+    return np.minimum(r, den - r) / float(den)
 
 
 def _sincospi(r: int, den: int) -> Tuple[float, float]:
@@ -372,24 +310,35 @@ def _make_term_fn(
     written as g + k with g on the grid N + 1 + j*_BATCH.  With
     T = k*num/den and B = g*num/den (an integer added to either only flips
     the sign that |.| drops), the weight |sin(pi n num/den)| is |a + b| with
-    a = sin(pi T) cos(pi B) and b = cos(pi T) sin(pi B).  The tables S and C
-    hold sin(pi T) and cos(pi T) for k < min(M, _BATCH), from _reduced_args
-    and _sinpi_into, built once per call; every grid point's sin(pi B) and
-    cos(pi B) come from _sincospi, all before the first batch.  A batch
+    a = sin(pi T) cos(pi B) and b = cos(pi T) sin(pi B).  Every sine and
+    cosine comes from _sincospi, all before the first batch: those of pi B
+    at each grid point, and those of pi R_i and pi G_j, with
+    R_i = i*_TABLE_ROW*num/den and G_j = j*num/den, for at most 128 rows
+    and _TABLE_ROW columns.  For k = i*_TABLE_ROW + j < min(M, _BATCH), one
+    more angle addition gives the tables of sin(pi T) and cos(pi T),
+    S[k] = fl(fl(s_i c_j) + fl(c_i s_j)) and C[k] = fl(fl(c_i c_j) - fl(s_i s_j)),
+    with (s_i, c_i) the scalars of R_i and (s_j, c_j) those of G_j.  A batch
     computes |fl(fl(S cos(pi B)) + fl(C sin(pi B)))|.  Its error, with
     u = 2^-53 and to first order in u:
 
-    * S and C: each argument in [0, 1/2] is correctly rounded, which moves
-      sin(pi y) by at most u relatively (pi y cot(pi y) <= 1), and
-      _sinpi_into adds a relative 1e-15: relative error 1e-15 + u.
-    * The scalars: within 2^-88 before one rounding (relative u).
-    * The products and the sum: u each, relative to |a|, |b| and |a| + |b|.
+    * Each scalar: within 2^-88 before one rounding (relative u).
+    * S and C: with P1 and P2 the two exact products, the four roundings
+      (two scalars, the product, the sum) cost 4u (|P1| + |P2|), and the
+      scalars' 2^-88 at most (|s_i| + |c_i| + |s_j| + |c_j|) 2^-88
+      <= 2 sqrt(2) 2^-88 < 2^-86.  |P1| + |P2| is the largest of
+      |sin pi(R_i + G_j)| and |sin pi(R_i - G_j)| for S, of the cosines
+      for C, so at most 1: each entry is within 4u + 2^-86.
+    * The weight: the entries' errors reach it times |cos(pi B)| and
+      |sin(pi B)|, whose sum is at most sqrt(2); the grid scalars' 2^-88
+      times |S| + |C| <= sqrt(2); and the roundings of the grid scalars,
+      the two products and the sum, u each, relative to |a|, |b| and
+      |a| + |b| = max(|sin pi(T + B)|, |sin pi(T - B)|) <= 1.
 
-    So the weight is within (|a| + |b|) (1e-15 + 4u) + (|S| + |C|) 2^-88 of
-    its value.  |a| + |b| = max(|sin pi(T + B)|, |sin pi(T - B)|) <= 1 and
-    |S| + |C| <= sqrt(2), which leaves 1e-15 + 4u + 2^-80 = 1.4441e-15; the
-    second-order terms are below 1e-29, so _WEIGHT_ERR = 1.45e-15 covers
-    it.  A term depends on n alone for given (source, N, M).
+    So the weight is within (4 sqrt(2) + 3) u + sqrt(2) (2^-86 + 2^-88)
+    = 9.611e-16 of its value; the second-order terms are below 1e-29, so
+    _WEIGHT_ERR = 9.7e-16 covers it.  The bound is absolute only, unlike
+    _sinpi_into's relative one, which the direct bound does not need.  A
+    term depends on n alone for given (source, N, M).
     """
     if source.kind is Kind.RATIONAL:
         num, den, arg_err = source.a % source.q, source.q, 0.0
@@ -398,10 +347,15 @@ def _make_term_fn(
         den = 1 << (interval.exp + 1)
         num = (interval.lo_m + interval.hi_m) % den
         arg_err = float((N + M) * interval.width / 2)
-    y, c = _reduced_args(num, den, 0, min(M, _BATCH))
-    z = np.empty_like(y)
-    sin_t = _sinpi_into(y, np.empty_like(y), z)
-    cos_t = np.copysign(_sinpi_into(np.abs(c), np.empty_like(c), z), c)
+    length = min(M, _BATCH)
+    rows = [_sincospi(i * _TABLE_ROW * num, den) for i in range(-(-length // _TABLE_ROW))]
+    cols = [_sincospi(j * num, den) for j in range(min(length, _TABLE_ROW))]
+    (sin_i, cos_i), (sin_j, cos_j) = np.array(rows).T, np.array(cols).T
+    sin_t = np.multiply.outer(sin_i, cos_j)
+    sin_t += np.multiply.outer(cos_i, sin_j)
+    cos_t = np.multiply.outer(cos_i, cos_j)
+    cos_t -= np.multiply.outer(sin_i, sin_j)
+    sin_t, cos_t = sin_t.ravel()[:length], cos_t.ravel()[:length]
     scalars = [_sincospi(g * num, den) for g in range(N + 1, N + M + 1, _BATCH)]
     power, f_err = _power(f, N + M)
 
@@ -566,7 +520,7 @@ def partial_sum_periodic(
     if math.gcd(a, q) != 1:
         raise ValueError("a/q must be in lowest terms")
     _require_range(N, M, max_terms)
-    y, _ = _reduced_args(a % q, q, a * (N + 1) % q, min(q, M))
+    y = _reduced_args(a % q, q, a * (N + 1) % q, min(q, M))
     weights = np.resize(_sinpi_into(y, np.empty_like(y), np.empty_like(y)), min(M, q + _BATCH))
     power, f_err = _power(f, N + M)
 

@@ -8,6 +8,7 @@ import sys
 from decimal import Decimal
 from fractions import Fraction
 
+import mpmath
 import pytest
 
 import dseries as ds
@@ -363,3 +364,46 @@ def test_tower_staircase_level_two_returns_promptly():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "None [(1, False), (100, True)]"
+
+
+@pytest.mark.parametrize("p, budget", [(Fraction(1), 309), (Fraction(99, 100), 700)])
+def test_mahler_tail_bound_past_the_float_range(p, budget):
+    # the square of the tail's first denominator passes 10^308, where a float
+    # of it overflows
+    v = ds.classify(
+        ds.make_constant("invpi"), ds.make_power_f(p), budget=budget, certs=[ds.mahler_certificate()]
+    )
+    assert v.outcome is ds.Outcome.CONVERGES
+    assert 0 < v.parameters["tail_bound"] < math.inf
+    assert int(v.parameters["tail_from_q"]) ** 2 > 10 ** 308
+
+
+def _mp_tail_formula(mu, C, p, q):
+    """measure_tail_bound's formula at q, in mpmath at 50 digits."""
+    with mpmath.workdps(50):
+        mu, c, q = mpmath.mpf(mu), max(mpmath.mpf(C), 1), mpmath.mpf(q)
+        if p == 1:
+            numer = 2 * mpmath.log(c) + 2 * (mu - 1) * mpmath.log(q) + (mu - 1) * mpmath.log(2)
+            return numer / q ** 2
+        one_minus = 1 - mpmath.mpf(p.numerator) / p.denominator
+        beta = 2 - (mu - 1) * one_minus
+        return c ** one_minus / one_minus * q ** -beta / (1 - mpmath.mpf(2) ** (-beta / 2))
+
+
+@pytest.mark.parametrize(
+    "mu, C, p",
+    [
+        (42.0, 1.0, Fraction(1)),
+        (42.0, 1.0, Fraction(99, 100)),
+        (2.5, 3.0, Fraction(1)),
+        (2.5, 7.5, Fraction(1, 3)),
+    ],
+)
+def test_measure_tail_bound_is_never_below_its_formula(mu, C, p):
+    exps = list(range(9, 400, 7)) + [500, 1000, 2000, 4999, 5000]
+    for from_q in [10 ** k + d for k in exps for d in (-1, 0, 7)]:
+        bound = ds.measure_tail_bound(mu, C, p, from_q)
+        exact = _mp_tail_formula(mu, C, p, from_q)
+        assert bound > 0, from_q
+        with mpmath.workdps(50):
+            assert exact <= bound <= exact * (1 + mpmath.mpf(2) ** -30) + 2.0 ** -1073, from_q

@@ -3,6 +3,7 @@
 import math
 import random
 from fractions import Fraction
+from functools import lru_cache
 
 import mpmath
 import numpy as np
@@ -17,16 +18,6 @@ from conftest import mp_partial_sum, mp_prefix_sums
 
 CHUNK = sumengine._CHUNK
 BATCH = sumengine._BATCH
-
-
-def sinpi_reference(y):
-    """sin(pi y) by the kernel's Horner steps, one Python float at a time."""
-    c = sumengine._SINPI_COEFFS
-    z = y * y
-    p = z * c[-1]
-    for ci in c[-2:0:-1]:
-        p = (p + ci) * z
-    return (p + c[0]) * y
 
 
 def test_alpha_half_first_four_terms_exact():
@@ -80,6 +71,7 @@ def test_periodic_equals_direct_for_rationals():
         (2, 1, 4, 3),
         (5, 97, 90, 60),  # wraps past 97
         (12345, 700001, 700000 * 3 - 20, 45),
+        (12345, 2 ** 60 + 33, 10 ** 6, 50),  # q > 2^53: residues from Python ints
     ],
 )
 def test_periodic_matches_mpmath_within_bound(a, q, N, M):
@@ -167,11 +159,20 @@ def test_reverse_summation_agrees_within_bounds_across_many_chunks():
     assert abs(fwd.value - reversed_chunk_sum(src, f, 5, M)) <= fwd.rounding_bound
 
 
+@lru_cache(maxsize=None)
+def _mp_sincospi(r, den):
+    """sin and cos of pi r/den from mpmath at 40 digits, each rounded once."""
+    with mpmath.workdps(40):
+        x = mpmath.mpf(r % den) / den
+        return float(mpmath.sinpi(x)), float(mpmath.cospi(x))
+
+
 def reference_terms(source, f, N, M, lo, hi):
     """Terms for n in [lo, hi), one scalar at a time by the kernel's formula:
-    n = g + k with g on the grid N + 1 + j*BATCH, sin and cos of pi k alpha
-    from exact integer residues through sinpi_reference, those of pi g alpha
-    from mpmath at 40 digits, and alpha the rational itself or the enclosure
+    n = g + k with g on the grid N + 1 + j*BATCH and k = i*256 + j, the sine
+    and cosine of pi k alpha by angle addition from those of pi i*256 alpha
+    and pi j alpha, and those three pairs, like the pair of pi g alpha, from
+    mpmath at 40 digits, with alpha the rational itself or the enclosure
     midpoint.  The buffered kernel must reproduce every bit."""
     if source.kind is Kind.RATIONAL:
         alpha = Fraction(source.a, source.q)
@@ -180,18 +181,14 @@ def reference_terms(source, f, N, M, lo, hi):
     num, den = alpha.numerator, alpha.denominator
     n_all = np.arange(lo, hi, dtype=np.float64)
     fv = (1.0 / n_all if f.p == 1 else np.power(n_all, -float(f.p))).tolist()
-    scalars = {}
     terms = []
     for n, fn in zip(range(lo, hi), fv):
         k = (n - N - 1) % BATCH
-        if n - k not in scalars:
-            with mpmath.workdps(40):
-                x = mpmath.mpf((n - k) * num % den) / den
-                scalars[n - k] = float(mpmath.sinpi(x)), float(mpmath.cospi(x))
-        sin_b, cos_b = scalars[n - k]
-        r = k * num % den
-        sin_t = sinpi_reference(min(r, den - r) / den)
-        cos_t = math.copysign(sinpi_reference(abs(den - 2 * r) / (2 * den)), den - 2 * r)
+        sin_b, cos_b = _mp_sincospi((n - k) * num, den)
+        sin_i, cos_i = _mp_sincospi((k - k % 256) * num, den)
+        sin_j, cos_j = _mp_sincospi(k % 256 * num, den)
+        sin_t = sin_i * cos_j + cos_i * sin_j
+        cos_t = cos_i * cos_j - sin_i * sin_j
         t = abs(sin_t * cos_b + cos_t * sin_b) * fn
         terms.append(-t if n % 2 else t)
     return np.array(terms)
@@ -277,10 +274,22 @@ def test_sinpi_error_constant_is_proven():
     assert max_e / 2 + horner <= Fraction(sumengine._SINPI_ERR)
 
 
+def test_weight_error_constant_is_derived():
+    """Re-derive _WEIGHT_ERR (see _make_term_fn) in exact arithmetic: every
+    table entry is within 4u + 2^-86, and a weight within
+    (4 sqrt(2) + 3) u + sqrt(2) (2^-86 + 2^-88), here with a rational upper
+    bound r of sqrt(2)."""
+    r = Fraction(99, 70)
+    assert r * r >= 2
+    u = Fraction(1, 1 << 53)
+    derived = (4 * r + 3) * u + r * (Fraction(1, 1 << 86) + Fraction(1, 1 << 88))
+    assert derived <= Fraction(sumengine._WEIGHT_ERR)
+
+
 def test_reduction_table_is_correctly_rounded():
     cases = [(12345, 700001), (1, 3), (0, 1), (10 ** 12, 10 ** 12 + 1), (2 ** 53 - 1, 2 ** 53)]
-    # double-double path: enclosure midpoints, a huge rational, and sums that
-    # wrap onto 0 or 1/2 exactly or land within 2^-60 of an integer
+    # den > 2^53, residues from Python ints: enclosure midpoints, a huge
+    # rational, and residues onto 0 or 1/2 exactly or within 2^-60 of an integer
     for src in (ds.make_constant("pi"), ds.make_constant("e"), ds.make_surd(0, 1, 2, 1)):
         mid = src.approximate(118).midpoint % 1
         cases.append((mid.numerator, mid.denominator))
@@ -292,8 +301,7 @@ def test_reduction_table_is_correctly_rounded():
         (3 * 2 ** 149 - 1, 2 ** 151),
         (2 ** 151 - 1, 2 ** 151),
         (2 ** 150 + 2 ** 97 + 2, 2 ** 151),
-        # y = 1/4 + 2^-55 + 2^-150 and c = 1/4 + 2^-55 + 2^-150: just above a
-        # tie, which the high parts alone round down
+        # y = 1/4 + 2^-55 + 2^-150: just above a tie
         (2 ** 149 + 2 ** 96 + 2, 2 ** 151),
         (2 ** 149 - 2 ** 96 - 2, 2 ** 151),
     ]
@@ -304,10 +312,9 @@ def test_reduction_table_is_correctly_rounded():
     for num, den in cases:
         # the periodic path's tables start at an offset
         for start, length in ((0, BATCH), (den // 3, 1000), (den - 1, 1)):
-            y, c = sumengine._reduced_args(num, den, start, length)
+            y = sumengine._reduced_args(num, den, start, length)
             residues = [(start + k * num) % den for k in range(length)]
             assert y.tolist() == [min(r, den - r) / den for r in residues], (num, den)
-            assert c.tolist() == [(den - 2 * r) / (2 * den) for r in residues], (num, den)
 
 
 def numpy_pairwise_model(xs):
