@@ -12,16 +12,23 @@ point: those of each grid point, and those of a few hundred rows and
 columns with k = row + column, from which one more angle addition builds
 the two tables.  So a weight costs two products, an add and an abs, no
 term is reduced modulo 1 on its own, no weight accumulates O(M) rounding
-drift, and each is within 9.7e-16 of its exact value.  The periodic path
-exploits a rational alpha = a/q instead: the weight of n depends on n mod q
-alone, so it reads a table of one weight per residue class that occurs in
-the window, from correctly rounded arguments through an odd polynomial
-with a proven relative error bound.  Nothing depends on the platform's
-sine.  Windows ending past 2^53 are refused, since n is then no longer
-exact in float64.  Every sum (direct, periodic, checkpoint scan) runs
-through one loop: terms are summed pairwise in chunks of 2^14 on the grid
-N + 1 + j*2^14, fixed by N alone, and the chunk sums are added exactly, so
-no result depends on the worker count.  A checkpoint inside a chunk reads
+drift, and each is within 9.7e-16 of its exact value.  Nothing depends on
+the platform's sine.  Windows ending past 2^53 are refused, since n is
+then no longer exact in float64.
+
+The periodic path exploits a rational alpha = a/q instead: (-1)^n times
+the weight of n depends on n mod L alone (L = q for even q, 2q for odd q),
+so the window is one weighted sum per residue class, each weight from a
+correctly rounded argument through an odd polynomial with a proven
+relative error bound, and each class sum of n^-p in closed form by
+Euler-Maclaurin with a proven remainder.  Its cost grows with min(L, M),
+not with M.  The drift prediction for even q carries an allowance proven
+by Abel summation over one period.
+
+The direct sum and the checkpoint scan run through one loop: terms are
+summed pairwise in chunks of 2^14 on the grid N + 1 + j*2^14, fixed by N
+alone, and the chunk sums are added exactly, so no result depends on the
+worker count.  A checkpoint inside a chunk reads
 that chunk's prefix instead of cutting it, so a scan row does not depend on
 the other checkpoints and a scan's final result is the direct sum.  Each
 worker thread evaluates its contiguous block of chunks two at a time in its
@@ -37,7 +44,7 @@ import math
 import threading
 from bisect import bisect_left, bisect_right
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from typing import Callable, List, Optional, Sequence, Tuple
@@ -99,9 +106,24 @@ _SCALAR_BITS = 96
 # _make_term_fn).
 _WEIGHT_ERR = 9.7e-16
 
-# Allowance multiplier for the O(q f(N)) remainder of the drift law;
-# calibrated against direct summation on the acceptance grid.
-DRIFT_ALLOWANCE_FACTOR = 4.0
+# Relative error of a class weight of the periodic path (see _class_weights).
+_CLASS_WEIGHT_ERR = 2.0e-15
+# Assumed error of np.log1p and np.expm1: one ulp, a relative 2u (see
+# _power_integral; the test suite samples both against mpmath).
+_LIBM_ERR = 2.0 ** -52
+# A class sum adds its first _EM_HEAD terms one by one and the rest by
+# Euler-Maclaurin with _EM_ORDER correction terms (see _class_sums).
+_EM_HEAD = 8
+_EM_ORDER = 12
+_HEAD_STEPS = np.arange(_EM_HEAD, dtype=np.float64)[:, None]
+# The Bernoulli numbers B_2, B_4, ..., B_24.
+_BERNOULLI = tuple(
+    Fraction(n, d)
+    for n, d in (
+        (1, 6), (-1, 30), (1, 42), (-1, 30), (5, 66), (-691, 2730), (7, 6),
+        (-3617, 510), (43867, 798), (-174611, 330), (854513, 138), (-236364091, 2730),
+    )
+)
 
 
 @dataclass(frozen=True)
@@ -114,11 +136,11 @@ class PartialSumResult:
 
 @dataclass(frozen=True)
 class DriftPrediction:
-    """Predicted secular term of S(a/q; M, N) for even q.
+    """Predicted secular term of S(a/q; M, N) for even q, and an allowance
+    that bounds the true sum's distance from it (see drift_predict).
 
-    The sign follows the numerically verified convention (-1)^(N+1): the
-    weight pattern sums to -tan(pi/2q) over one period, so an even starting
-    index N drives the sum negative.
+    (-1)^n |sin(pi n a/q)| sums to -tan(pi/2q) over every period, so the
+    drift is negative wherever the window starts.
     """
 
     magnitude: float
@@ -225,11 +247,18 @@ def _reduced_args(num: int, den: int, start: int, length: int) -> np.ndarray:
     so only a few hundred residues come from Python ints, and one IEEE
     division rounds each quotient correctly.  A larger den is a periodic
     sum's q > 2^53 > N + M, so the window is shorter than q and no class
-    repeats: each quotient is one correctly rounded division of Python ints.
+    repeats: the residue steps by num with one conditional subtraction, and
+    each quotient is one correctly rounded division of Python ints.
     """
     if den > _MAX_INDEX:
-        residues = ((start + k * num) % den for k in range(length))
-        return np.fromiter((min(r, den - r) / den for r in residues), np.float64, length)
+        num, r, half = num % den, start % den, den >> 1
+        quotients = []
+        for _ in range(length):
+            quotients.append((r if r <= half else den - r) / den)
+            r += num
+            if r >= den:
+                r -= den
+        return np.array(quotients, np.float64)
     rows = -(-length // _TABLE_ROW)
     r_row = [(start + i * _TABLE_ROW * num) % den for i in range(rows)]
     r_col = [j * num % den for j in range(_TABLE_ROW)]
@@ -290,8 +319,13 @@ def _power(f: FDescriptor, n_max: int) -> Tuple[Callable[[np.ndarray], np.ndarra
     if f.p == 1:
         return (lambda nf: np.divide(1.0, nf, out=nf)), _U
     neg_p = -float(f.p)
-    p_err = float(abs(f.p + Fraction(neg_p))) * math.log(n_max)
-    return (lambda nf: np.power(nf, neg_p, out=nf)), 2 * _U + p_err
+    return (lambda nf: np.power(nf, neg_p, out=nf)), 2 * _U + _p_err(f, n_max)
+
+
+def _p_err(f: FDescriptor, n_max: int) -> float:
+    """|p - fl(p)| ln(n_max): to first order, the relative gap between n^-p
+    and n^-fl(p) for every n <= n_max (0 when p is a double)."""
+    return float(abs(f.p + Fraction(-float(f.p)))) * math.log(n_max)
 
 
 def _make_term_fn(
@@ -416,18 +450,18 @@ def _sum(
     cps: Sequence[int],
     workers: int,
 ) -> SumTrace:
-    """The one chunk loop behind every sum: direct, scan and periodic.
+    """The one chunk loop behind the direct sum and the checkpoint scan.
 
     term_fn(lo, hi) returns the signed terms for n in [lo, hi) and the
-    magnitudes that coeff multiplies in the bound (f(n) on the direct path,
-    w*f(n) on the periodic one).  Chunks sit on the grid N + 1 + j*_CHUNK,
-    fixed by N alone.  Each worker evaluates a contiguous block of them, two
-    per term_fn call.  A checkpoint m (cps is ascending) inside a chunk
-    reads that chunk's prefix: the sum and the bound of the terms up to m,
-    added to the exact running sums of the whole chunks before it, so a row
-    depends on neither the other checkpoints nor the worker count.  The
-    whole chunks are folded in index order, adding the sums and the bounds
-    exactly, and their fold is the result.
+    magnitudes f(n) that coeff multiplies in the bound.  Chunks sit on the
+    grid N + 1 + j*_CHUNK, fixed by N alone.  Each worker evaluates a
+    contiguous block of them, two per term_fn call.  A checkpoint m (cps is
+    ascending) inside a chunk reads that chunk's prefix: the sum and the
+    bound of the terms up to m, added to the exact running sums of the
+    whole chunks before it, so a row depends on neither the other
+    checkpoints nor the worker count.  The whole chunks are folded in index
+    order, adding the sums and the bounds exactly, and their fold is the
+    result.
     """
 
     def eval_block(first: int, last: int) -> list:
@@ -493,6 +527,173 @@ def partial_sum_direct(
     return _sum(*_make_term_fn(source, f, N, M), N, M, [], workers).final
 
 
+def _class_weights(a: int, q: int, n0: int, length: int) -> np.ndarray:
+    """|sin(pi n a/q)| for n = n0, ..., n0 + length - 1: exactly 0 where q
+    divides n, and otherwise within a relative _CLASS_WEIGHT_ERR = 2e-15.
+
+    With k = a n mod q, a weight is _sinpi_into(min(k, q - k)/q), the
+    argument from _reduced_args: the quotient is correctly rounded (relative
+    error at most 2^-53, which moves sin(pi y) by at most that relatively,
+    since pi y cot(pi y) <= 1 on (0, 1/2]), and the polynomial adds a
+    relative 1e-15.  y = 0 exactly when k = 0, and the polynomial maps it
+    to 0.
+    """
+    y = _reduced_args(a % q, q, a * n0 % q, length)
+    return _sinpi_into(y, np.empty_like(y), np.empty_like(y))
+
+
+@lru_cache(maxsize=None)
+def _em_coeffs(p: float, order: int) -> Tuple[Tuple[float, ...], float, float]:
+    """The Euler-Maclaurin coefficients b_j = B_2j/(2j)! * p(p+1)...(p+2j-2),
+    j = 1, ..., order, each the correctly rounded double of its exact value
+    for the double p; and, with K = _EM_HEAD and J = order, the constants
+    sum_j |b_j| K^(2-2j) and |b_J| K^(2-2J), rounded up, by which r < 1/K
+    turns sum_j |b_j| r^(2j-1) and |b_J| r^(2J-1) into multiples of r."""
+    coeffs, rising, x = [], Fraction(p), Fraction(p)
+    for j, bernoulli in enumerate(_BERNOULLI[:order], 1):
+        coeffs.append(bernoulli / math.factorial(2 * j) * rising)
+        rising *= (x + 2 * j - 1) * (x + 2 * j)
+    scale = [Fraction(1, _EM_HEAD ** (2 * j)) for j in range(order)]
+    total = sum(abs(b) * s for b, s in zip(coeffs, scale))
+    return (
+        tuple(float(b) for b in coeffs),
+        float(total) * (1 + 4 * _U),
+        float(abs(coeffs[-1]) * scale[-1]) * (1 + 4 * _U),
+    )
+
+
+def _power_integral(
+    lo: np.ndarray, hi: np.ndarray, lo_f: np.ndarray, hi_f: np.ndarray, neg_p: float, f_err: float
+) -> Tuple[np.ndarray, np.ndarray]:
+    """The integral of t^neg_p over [lo, hi] elementwise, and bounds of the
+    errors of the values returned.
+
+    lo and hi are float64 rows of integers with 1 <= lo <= hi <= 2^53, so
+    exact, and lo_f, hi_f hold lo^neg_p and hi^neg_p within a relative f_err.
+    ell = log1p((hi - lo)/lo) is ln(hi/lo) within a relative u + _LIBM_ERR:
+    hi - lo is exact, the quotient rounds once, and log1p's condition number
+    t/((1 + t) log1p t) is at most 1.  For neg_p = -1 the integral is ell.
+    Otherwise, with c = fl(1 + neg_p) (within u of 1 - p) and x = fl(c ell),
+    it is (hi^c - lo^c)/c, evaluated two ways, to first order in u:
+
+    * expm1 form, lo lo_f expm1(x)/c, in which nothing cancels: lo_f, the
+      two products, the division and c in it cost f_err + 4u, expm1 its
+      _LIBM_ERR, and the relative error of x (u + _LIBM_ERR from ell, u
+      from the product, u from c) is multiplied by expm1's condition number
+      x e^x/(e^x - 1) <= 1 + x.
+    * difference form, (hi hi_f - lo lo_f)/c: each product is within
+      f_err + u of hi^c or lo^c, and the subtraction, c and the division
+      add u each relative to the value.  Once hi^c/lo^c is far from 1 this
+      is the tighter: the expm1 bound grows with x, this one falls to
+      f_err + 4u.
+
+    Each element takes the form with the smaller bound.
+    """
+    ell = np.log1p((hi - lo) / lo)
+    if neg_p == -1.0:
+        return ell, ell * (_U + _LIBM_ERR)
+    c = 1.0 + neg_p
+    x = c * ell
+    lo_c, hi_c = lo * lo_f, hi * hi_f
+    by_expm1 = lo_c * np.expm1(x) / c
+    expm1_err = by_expm1 * (f_err + 4 * _U + _LIBM_ERR + (1 + x) * (3 * _U + _LIBM_ERR))
+    by_diff = (hi_c - lo_c) / c
+    diff_err = (f_err + _U) * (hi_c + lo_c) / c + 3 * _U * np.abs(by_diff)
+    pick = expm1_err <= diff_err
+    return np.where(pick, by_expm1, by_diff), np.where(pick, expm1_err, diff_err)
+
+
+def _class_sums(
+    n: np.ndarray, cnt: np.ndarray, step: float, f: FDescriptor, n_max: int
+) -> Tuple[np.ndarray, np.ndarray]:
+    """T = sum_{k < cnt} (n + k step)^-p per class, for float64 first indices
+    n and int64 counts cnt with n + (cnt - 1) step <= n_max <= 2^53, and
+    bounds of the absolute errors of the values returned.  Cost and memory
+    are O(len(n)), whatever the counts.  f(n) comes from _power, within a
+    relative f_err.
+
+    The head, the first min(cnt, _EM_HEAD) = 8 terms, is evaluated term by
+    term (a missing term is 0, or inf^-p = 0 in a row that some class
+    needs) and added as a tree of depth 3: each term is within f_err, so
+    the head is within f_err + 3u relatively.
+    When cnt > _EM_HEAD, the remaining terms are sum_{i <= m} h(i) with
+    h(x) = (A + step x)^-p, A = n + _EM_HEAD step, m = cnt - 1 - _EM_HEAD,
+    B = A + m step.  With alpha = A^-p, beta = B^-p, r_A = step/A and
+    r_B = step/B, Euler-Maclaurin (DLMF 2.10.1; Apostol, "An elementary
+    view of Euler's summation formula", Amer. Math. Monthly 106 (1999))
+    gives
+
+        sum = (1/step) int_A^B t^-p dt + (alpha + beta)/2
+              + sum_{j <= J} b_j (alpha r_A^(2j-1) - beta r_B^(2j-1)) + R,
+
+    J = _EM_ORDER = 12, b_j from _em_coeffs, since
+    h^(2j-1)(x) = -p(p+1)...(p+2j-2) step^(2j-1) (A + step x)^(-p-2j+1).
+    h is completely monotone, so h^(2J) > 0 and, as |B~_2J(x)| <= |B_2J|,
+    |R| <= |B_2J|/(2J)! int |h^(2J)| = 2 zeta(2J)/(2 pi)^(2J)
+    |h^(2J-1)(m) - h^(2J-1)(0)| <= |b_J| alpha r_A^(2J-1).  As
+    r_B <= r_A < 1/8, that is below |b_J| 8^(2-2J) alpha r_A < 7e-18 alpha
+    for p <= 1, under 0.01 u of the class sum.  The corrections are
+    alpha r_A P(r_A^2) - beta r_B P(r_B^2), P(y) = sum_j b_j y^(j-1) by
+    Horner.  The tail's error, to first order in u:
+
+    * the integral: _power_integral's bound over step, plus u for that
+      division;
+    * the halves: f_err + u of (alpha + beta)/2;
+    * the corrections: alpha r_A carries f_err + 2u, r_A^2 3u, which
+      y^(j-1) turns into 3(j-1)u, Horner adds 2(J-1)u (Higham, ch. 5) and
+      the rounded b_j u, and the product and the difference u each: within
+      (f_err + 5J u) mag, mag = sum_j |b_j| (alpha r_A^(2j-1) + beta
+      r_B^(2j-1)) <= sum_j |b_j| 8^(2-2j) (alpha r_A + beta r_B);
+    * R, within |b_J| 8^(2-2J) alpha r_A;
+    * the additions halves + corrections, + integral, and head + tail, u
+      each of their results;
+    * the tail is evaluated at the double fl(p): p_err times the tail.
+    """
+    power, f_err = _power(f, n_max)
+    rows = np.zeros((_EM_HEAD, len(n)))
+    head = rows[: min(_EM_HEAD, cnt.max(initial=0))]
+    np.add(n, step * _HEAD_STEPS[: len(head)], out=head)
+    for k in range(cnt.min(initial=_EM_HEAD), len(head)):
+        head[k, cnt <= k] = np.inf
+    power(head)
+    while len(rows) > 1:
+        rows = rows[0::2] + rows[1::2]
+    total = rows[0]
+    err = total * (f_err + 3 * _U)
+    tail = np.flatnonzero(cnt > _EM_HEAD)
+    if tail.size:
+        lo = n[tail] + _EM_HEAD * step
+        hi = lo + (cnt[tail] - 1 - _EM_HEAD) * step
+        lo_f, hi_f = power(lo.copy()), power(hi.copy())
+        integral, integral_err = _power_integral(lo, hi, lo_f, hi_f, -float(f.p), f_err)
+        integral /= step
+        half = (lo_f + hi_f) * 0.5
+        r_lo, r_hi = step / lo, step / hi
+        t_lo, t_hi = lo_f * r_lo, hi_f * r_hi
+        coeffs, mag_coeff, rem_coeff = _em_coeffs(float(f.p), _EM_ORDER)
+        sq_lo, sq_hi = r_lo * r_lo, r_hi * r_hi
+        poly_lo, poly_hi = np.full_like(lo, coeffs[-1]), np.full_like(lo, coeffs[-1])
+        for b in coeffs[-2::-1]:
+            poly_lo *= sq_lo
+            poly_lo += b
+            poly_hi *= sq_hi
+            poly_hi += b
+        corr = t_lo * poly_lo - t_hi * poly_hi
+        rest = half + corr
+        tail_sum = integral + rest
+        total[tail] += tail_sum
+        err[tail] += (
+            integral_err / step
+            + _U * integral
+            + (f_err + _U) * half
+            + (f_err + 5 * _EM_ORDER * _U) * mag_coeff * (t_lo + t_hi)
+            + rem_coeff * t_lo
+            + _U * (np.abs(rest) + tail_sum + total[tail])
+            + _p_err(f, n_max) * tail_sum
+        )
+    return total, err
+
+
 def partial_sum_periodic(
     a: int,
     q: int,
@@ -502,39 +703,44 @@ def partial_sum_periodic(
     *,
     max_terms: int = DEFAULT_MAX_TERMS,
 ) -> PartialSumResult:
-    """S(a/q; M, N) from one sine weight per residue class of n mod q.
+    """S(a/q; M, N) as one weighted class sum per residue class: O(min(q, M))
+    work whatever M, and memory for _CHUNK classes at a time.
 
-    The weight of n depends on n mod q alone, so the weights of the first
-    min(q, M) terms form a table, repeated cyclically to cover every batch:
-    a batch from lo reads the contiguous slice starting at (lo - N - 1) mod q.
-    With k = a n mod q, a weight is _sinpi_into(min(k, q - k) / q), the
-    argument from _reduced_args: the quotient is correctly rounded (relative
-    error at most 2^-53, which moves sin(pi y) by at most that relatively,
-    since pi y cot(pi y) <= 1 on (0, 1/2]), and the polynomial adds a
-    relative 1e-15, so 2e-15 covers a weight's relative error.  The terms
-    w*f(n), signed, run through the chunk loop of the direct path, with
-    w*f(n) as the magnitudes that this relative error and f(n)'s multiply.
+    (-1)^n |sin(pi n a/q)| depends on n mod L alone, L = q for even q and
+    2q for odd q, so the window is the sum over its C = min(L, M) classes
+    j < C, of first index n_j = N + 1 + j and cnt_j = (M - 1 - j) // L + 1
+    terms, of (-1)^(n_j) w_j T_j, with w_j from _class_weights and T_j the
+    class sum of n^-p from _class_sums.  Classes of weight 0 (q divides n_j)
+    are skipped before any f is evaluated.  Classes are taken _CHUNK at a
+    time; each block's products are added by math.fsum, and the block sums
+    by math.fsum again.  The error, to first order in u:
+
+    * each class: w_j times T_j's bound, plus w_j T_j times the weight's
+      2e-15 and u for the product;
+    * each math.fsum rounds once to nearest: u of each block sum and of the
+      result;
+    * one more u times sum w_j T_j covers every second-order term and the
+      arithmetic of the bound itself.
     """
     if q < 1:
         raise ValueError("q must be positive")
     if math.gcd(a, q) != 1:
         raise ValueError("a/q must be in lowest terms")
     _require_range(N, M, max_terms)
-    y = _reduced_args(a % q, q, a * (N + 1) % q, min(q, M))
-    weights = np.resize(_sinpi_into(y, np.empty_like(y), np.empty_like(y)), min(M, q + _BATCH))
-    power, f_err = _power(f, N + M)
-
-    def batch(lo: int, hi: int) -> Tuple[np.ndarray, np.ndarray]:
-        k = hi - lo
-        wf, out = _work_buffers(k)[:2]
-        np.add(_INDEX[:k], float(lo), out=wf)
-        power(wf)
-        offset = (lo - N - 1) % q
-        wf *= weights[offset : offset + k]
-        np.copyto(out, wf)
-        return _apply_signs(out, lo), wf
-
-    return replace(_sum(batch, 2.0e-15 + f_err, N, M, [], 1).final, mode="periodic")
+    period = q if q % 2 == 0 else 2 * q
+    classes = min(period, M)
+    sums, bounds = [], []
+    for j0 in range(0, classes, _CHUNK):
+        w = _apply_signs(_class_weights(a, q, N + 1 + j0, min(_CHUNK, classes - j0)), N + 1 + j0)
+        live = np.flatnonzero(w)
+        j, w = j0 + live, w[live]
+        # cnt_j: (M - 1 - j) // L + 1, which is 1 for every class when M <= L
+        total, err = _class_sums(float(N + 1) + j, (M - 1 - j) // classes + 1, float(period), f, N + M)
+        bounds.append(float(np.sum(np.abs(w) * (err + (_CLASS_WEIGHT_ERR + 2 * _U) * total))))
+        sums.append(math.fsum(w * total))
+    value = math.fsum(sums)
+    bound = math.fsum(bounds) + _U * (math.fsum(map(abs, sums)) + abs(value))
+    return PartialSumResult(value, bound, terms=M, mode="periodic")
 
 
 def geometric_checkpoints(M: int) -> List[int]:
@@ -579,12 +785,38 @@ def scan_partial_sums(
 
 
 def drift_predict(
-    a: int, q: int, f: FDescriptor, N: int, M: int
+    a: int, q: int, f: FDescriptor, N: int, M: int, *, max_terms: int = DEFAULT_MAX_TERMS
 ) -> DriftPrediction:
-    """Secular drift of S(a/q; M, N) for even q: magnitude, sign, allowance.
+    """Secular drift of S(a/q; M, N) for even q: magnitude, sign, and an
+    allowance that bounds |S - predicted|.
 
-    magnitude = (tan(pi/2q)/q) * (F(N+M) - F(N)); the residual is of order
-    q f(N), covered by error_allowance = 4 q f(N).
+    a is odd, so n -> a n mod q permutes the residues and keeps the parity,
+    and s_n w_n = (-1)^n |sin(pi n a/q)| has period q and sums over one
+    period to sum_k (-1)^k sin(pi k/q) = Im 2/(1 + e^(i pi/q)) = -tan(pi/2q).
+    So s_n w_n = mu + z_n with mu = -tan(pi/2q)/q and z of period q and
+    mean 0, and S = mu sum f(n) + sum z_n f(n) over N < n <= N + M:
+
+    * f decreases, so sum f(n) lies between F(N+M+1) - F(N+1) and
+      F(N+M) - F(N), F' = f, and is within F(N+1) - F(N) <= f(N) of the
+      latter: the prediction is mu (F(N+M) - F(N)), negative whatever N.
+    * With Z_m = sum_{N < n <= N+m} z_n, Abel summation gives
+      sum z_n f(n) = Z_M f(N+M) + sum_{m<M} Z_m (f(N+m) - f(N+m+1)), at
+      most max|Z_m| f(N+1) as f decreases; Z has period q in m, so the
+      max runs over m <= min(M, q), computed in blocks of _CHUNK.
+
+    error_allowance = max|Z| f(N+1) + |mu| f(N) plus the rounding of the
+    prediction, to first order in u:
+
+    * Z: each z_n within 2e-15 (its weight) + 8u (mu's and its own
+      rounding), and each partial sum through at most 2m roundings (the
+      running sum within a block, and the carries of the blocks before),
+      each within 2u times the largest |Z| seen;
+    * F(N+M) - F(N) from _power_integral with its bound, and for a p that
+      is no double p_err relatively, as it is evaluated at fl(p);
+      |mu| is within 7u: fl(pi)/(2q) within 2u, tan's condition number
+      at most pi/2 there, its own ulp, and the division by q;
+    * every other factor is within a relative 2^-45 of its value, and the
+      factor 1 + 2^-40 covers them and the arithmetic of the sum.
     """
     if q < 2 or q % 2 != 0:
         raise ValueError("drift law requires even q >= 2 (odd q stays bounded)")
@@ -592,16 +824,22 @@ def drift_predict(
         raise ValueError("a/q must be in lowest terms")
     if N < 2 or N % 2 != 0:
         raise ValueError("N must be even and >= 2 (sign convention anchor)")
-    if M < 1:
-        raise ValueError("M must be positive")
-    magnitude = (
-        math.tan(math.pi / (2 * q))
-        / q
-        * (f.antiderivative(float(N + M)) - f.antiderivative(float(N)))
+    _require_range(N, M, max_terms)
+    mu = math.tan(math.pi / (2 * q)) / q
+    run, z_max, span = 0.0, 0.0, min(M, q)
+    for j0 in range(0, span, _CHUNK):
+        z = _apply_signs(_class_weights(a, q, N + 1 + j0, min(_CHUNK, span - j0)), N + 1 + j0)
+        z += mu
+        z = np.cumsum(z)
+        z += run
+        run, z_max = float(z[-1]), max(z_max, float(np.max(np.abs(z))))
+    z_max += span * (_CLASS_WEIGHT_ERR + 8 * _U + 4 * _U * z_max)
+    power, f_err = _power(f, N + M)
+    f_n, f_next, f_end = power(np.array([N, N + 1, N + M], dtype=np.float64))
+    integral, integral_err = _power_integral(
+        np.array([N], np.float64), np.array([N + M], np.float64), f_n, f_end, -float(f.p), f_err
     )
-    return DriftPrediction(
-        magnitude=magnitude,
-        sign=-1,
-        error_allowance=DRIFT_ALLOWANCE_FACTOR * q * f.eval(float(N)),
-    )
-
+    magnitude = mu * float(integral[0])
+    rounding = mu * float(integral_err[0]) + magnitude * (8 * _U + _p_err(f, N + M))
+    allowance = (z_max * f_next + mu * f_n + rounding) * (1 + 2.0 ** -40)
+    return DriftPrediction(magnitude=magnitude, sign=-1, error_allowance=float(allowance))

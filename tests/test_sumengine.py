@@ -114,6 +114,239 @@ def test_periodic_requires_reduced_fraction():
         ds.partial_sum_periodic(2, 4, ds.make_power_f(1), 0, 10)
 
 
+_P_VALUES = [
+    Fraction(1), Fraction(1, 2), Fraction(1, 3), Fraction(2, 3), Fraction(3, 4), Fraction(1, 7), Fraction(999, 1000)
+]
+
+
+def hurwitz_periodic_sum(a, q, p, N, M):
+    """S(a/q; M, N) at 60 digits, one residue class of n mod L at a time
+    (L = q for even q, 2q for odd q): the class of first index n and cnt
+    terms sums to L^-p (zeta(p, n/L) - zeta(p, n/L + cnt)), or to
+    (psi(n/L + cnt) - psi(n/L))/L at p = 1; a class of at most 16 terms is
+    summed term by term."""
+    L = q if q % 2 == 0 else 2 * q
+    with mpmath.workdps(60):
+        s = mpmath.mpf(p.numerator) / p.denominator
+        total = mpmath.mpf(0)
+        for j in range(min(L, M)):
+            n, cnt = N + 1 + j, (M - 1 - j) // L + 1
+            if n * a % q == 0:
+                continue
+            if cnt <= 16:
+                t = mpmath.fsum(mpmath.mpf(n + i * L) ** -s for i in range(cnt))
+            elif p == 1:
+                x = mpmath.mpf(n) / L
+                t = (mpmath.digamma(x + cnt) - mpmath.digamma(x)) / L
+            else:
+                x = mpmath.mpf(n) / L
+                t = mpmath.mpf(L) ** -s * (mpmath.zeta(s, x) - mpmath.zeta(s, x + cnt))
+            total += (-1) ** n * mpmath.sinpi(mpmath.mpf(n * a % q) / q) * t
+        return total
+
+
+def _coprime_to(a, q):
+    while math.gcd(a, q) != 1:
+        a += 1
+    return a
+
+
+def _log_uniform(lo, hi):
+    """Integers in [lo, hi] with every order of magnitude drawn alike."""
+    digits = st.integers(len(str(lo)), len(str(hi)))
+    return digits.flatmap(lambda d: st.integers(max(lo, 10 ** (d - 1)), min(hi, 10 ** d - 1)))
+
+
+@st.composite
+def _periodic_windows(draw):
+    if draw(st.booleans()):  # any q up to 10^4, in windows of at most 400 terms
+        q, M = draw(_log_uniform(1, 10 ** 4)), draw(st.integers(1, 400))
+    else:  # windows up to 10^9 terms, over few enough classes for mpmath
+        q, M = draw(st.integers(1, 30)), draw(_log_uniform(1, 10 ** 9))
+    N = draw(_log_uniform(1, 10 ** 9 - M + 1)) - 1
+    return _coprime_to(draw(st.integers(1, 2 * q)), q), q, N, M
+
+
+@settings(max_examples=20, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(window=_periodic_windows(), p=st.sampled_from(_P_VALUES))
+def test_periodic_matches_hurwitz_zeta_within_bound(window, p):
+    a, q, N, M = window
+    r = ds.partial_sum_periodic(a, q, ds.make_power_f(p), N, M)
+    ref = hurwitz_periodic_sum(a, q, p, N, M)
+    assert abs(r.value - ref) <= r.rounding_bound + math.ulp(ref) / 2
+
+
+def _exact_class_sum(n, step, cnt, p):
+    with mpmath.workdps(50):
+        s = mpmath.mpf(p.numerator) / p.denominator
+        return mpmath.fsum(mpmath.mpf(n + k * step) ** -s for k in range(cnt))
+
+
+@pytest.mark.parametrize("order", [1, 2, 3, 12])
+@pytest.mark.parametrize("p", [Fraction(1), Fraction(1, 2), Fraction(1, 3)])
+def test_class_sum_bound_holds_at_every_euler_maclaurin_order(monkeypatch, order, p):
+    # below order 12 the truncation remainder dominates the bound, so a
+    # bound without it fails here
+    monkeypatch.setattr(sumengine, "_EM_ORDER", order)
+    rng = random.Random(order)
+    n = [rng.randrange(1, 10 ** 5) for _ in range(30)]
+    cnt = [rng.randrange(9, 60) for _ in range(30)]
+    step = rng.randrange(1, 500)
+    total, err = sumengine._class_sums(
+        np.array(n, np.float64), np.array(cnt), float(step), ds.make_power_f(p), 10 ** 6
+    )
+    for i in range(30):
+        assert abs(total[i] - _exact_class_sum(n[i], step, cnt[i], p)) <= err[i], (n[i], step, cnt[i])
+
+
+def test_euler_maclaurin_remainder_bound_covers_the_omitted_tail():
+    """For small classes, in mpmath at the double p the class sums use: the
+    exact tail against integral + halves + the first J corrections, for
+    every order J, within |b_J| alpha r_A^(2J-1) and within the
+    |b_J| 8^(2-2J) alpha r_A that _class_sums charges."""
+    with mpmath.workdps(50):
+        for p in (1.0, 0.5, float(Fraction(1, 3))):
+            s = mpmath.mpf(p)
+            for A, step, m in ((9, 1, 1), (17, 2, 5), (801, 100, 30), (12345, 1000, 7)):
+                B = A + m * step
+                exact = mpmath.fsum(mpmath.mpf(A + i * step) ** -s for i in range(m + 1))
+                if p == 1.0:
+                    integral = mpmath.log(mpmath.mpf(B) / A) / step
+                else:
+                    integral = (mpmath.mpf(B) ** (1 - s) - mpmath.mpf(A) ** (1 - s)) / ((1 - s) * step)
+                alpha, beta = mpmath.mpf(A) ** -s, mpmath.mpf(B) ** -s
+                r_a, r_b = mpmath.mpf(step) / A, mpmath.mpf(step) / B
+                approx = integral + (alpha + beta) / 2
+                rising = s
+                for J in range(1, sumengine._EM_ORDER + 1):
+                    bern = sumengine._BERNOULLI[J - 1]
+                    assert Fraction(*mpmath.bernfrac(2 * J)) == bern
+                    b = mpmath.mpf(bern.numerator) / bern.denominator / mpmath.factorial(2 * J) * rising
+                    approx += b * (alpha * r_a ** (2 * J - 1) - beta * r_b ** (2 * J - 1))
+                    rising *= (s + 2 * J - 1) * (s + 2 * J)
+                    remainder = abs(exact - approx)
+                    assert remainder <= abs(b) * alpha * r_a ** (2 * J - 1), (p, A, step, m, J)
+                    coeffs, _, rem_coeff = sumengine._em_coeffs(p, J)
+                    assert remainder <= rem_coeff * alpha * r_a, (p, A, step, m, J)
+                    assert abs(coeffs[-1] - b) <= abs(b) * 2.0 ** -53
+
+
+# (n, step, cnt) where the bound of a class sum of 1/n is tightest, among
+# random classes with a head only and with a tail.
+_SHARP_HEADS = [(7372673, 1167, 5), (3122154, 2832, 6), (6805484, 736, 7), (120472, 2286, 8)]
+_SHARP_TAILS = [(8627701, 1378, 34), (823302, 2086, 26)]
+
+
+def test_class_sum_bound_is_sharp_within_a_factor_of_two():
+    # 1/n is one IEEE division, so these sums are the same on every platform;
+    # halving the class-sum bound fails on both kinds of class
+    for picks in (_SHARP_HEADS, _SHARP_TAILS):
+        worst = 0
+        for n, step, cnt in picks:
+            total, err = sumengine._class_sums(
+                np.array([float(n)]), np.array([cnt]), float(step), ds.make_power_f(1), 2 ** 40
+            )
+            exact = sum(Fraction(1, n + k * step) for k in range(cnt))
+            ratio = abs(Fraction(float(total[0])) - exact) / Fraction(float(err[0]))
+            assert ratio <= 1, (n, step, cnt)
+            worst = max(worst, ratio)
+        assert worst > Fraction(1, 2)
+
+
+@pytest.mark.parametrize("p", [Fraction(1), Fraction(1, 2), Fraction(1, 3), Fraction(999, 1000)])
+def test_power_integral_within_its_bound(p):
+    f = ds.make_power_f(p)
+    power, f_err = sumengine._power(f, 2 ** 53)
+    pairs = [
+        (1, 1), (1, 2), (7, 8), (10 ** 8, 10 ** 8 + 1), (10 ** 8, 10 ** 8 + 10 ** 7), (9001, 10 ** 9),
+        (3, 2 ** 53), (2 ** 52, 2 ** 53), (10 ** 15, 10 ** 15 + 12345),
+    ]
+    lo = np.array([x for x, _ in pairs], np.float64)
+    hi = np.array([y for _, y in pairs], np.float64)
+    value, err = sumengine._power_integral(lo, hi, power(lo.copy()), power(hi.copy()), -float(p), f_err)
+    with mpmath.workdps(60):
+        s = mpmath.mpf(float(p))
+        for (x, y), v, e in zip(pairs, value.tolist(), err.tolist()):
+            if s == 1:
+                exact = mpmath.log(mpmath.mpf(y) / x)
+            else:
+                exact = (mpmath.mpf(y) ** (1 - s) - mpmath.mpf(x) ** (1 - s)) / (1 - s)
+            assert abs(v - exact) <= e, (x, y)
+
+
+def test_log1p_and_expm1_stay_within_the_assumed_ulp():
+    # _power_integral assumes np.log1p and np.expm1 within one ulp (_LIBM_ERR)
+    rng = np.random.default_rng(13)
+    x = np.concatenate([10.0 ** rng.uniform(-16, 0, 1000), rng.uniform(0, 37, 1000)])
+    with mpmath.workdps(40):
+        for fn, ref in ((np.log1p, mpmath.log1p), (np.expm1, mpmath.expm1)):
+            for xi, g in zip(x.tolist(), fn(x).tolist()):
+                assert abs(mpmath.mpf(g) - ref(mpmath.mpf(xi))) <= mpmath.mpf(math.ulp(g))
+    assert sumengine._LIBM_ERR == 2.0 ** -52
+
+
+def test_class_weight_error_constant_is_derived():
+    # a class weight: the polynomial's relative _SINPI_ERR, plus u from its
+    # correctly rounded argument
+    assert Fraction(sumengine._SINPI_ERR) + Fraction(1, 1 << 53) <= Fraction(sumengine._CLASS_WEIGHT_ERR)
+
+
+def _counting_power(monkeypatch):
+    """Count the f(n) values the periodic path evaluates."""
+    counted = [0]
+    real = sumengine._power
+
+    def power(f, n_max):
+        fn, err = real(f, n_max)
+
+        def counting(nf):
+            counted[0] += nf.size
+            return fn(nf)
+
+        return counting, err
+
+    monkeypatch.setattr(sumengine, "_power", power)
+    return counted
+
+
+def test_periodic_work_does_not_grow_with_the_window(monkeypatch):
+    counted = _counting_power(monkeypatch)
+    f = ds.make_power_f(Fraction(1, 2))
+    for M in (10 ** 5, 10 ** 7, 10 ** 9 - 1):
+        counted[0] = 0
+        ds.partial_sum_periodic(377, 1000, f, 1, M)
+        # 999 classes of nonzero weight: a head of 8 terms and two ends each
+        assert counted[0] == 999 * 10, M
+
+
+def test_zero_weight_classes_evaluate_no_f(monkeypatch):
+    # q = 2: only odd n have a nonzero weight, so one class is summed
+    counted = _counting_power(monkeypatch)
+    assert ds.partial_sum_periodic(1, 2, ds.make_power_f(1), 10 ** 4, 990000).value < 0
+    assert counted[0] == 10
+    # q = 1: every weight is 0
+    counted[0] = 0
+    r = ds.partial_sum_periodic(1, 1, ds.make_power_f(1), 0, 10 ** 6)
+    assert r == ds.PartialSumResult(0.0, 0.0, 10 ** 6, "periodic")
+    assert counted[0] == 0
+
+
+@settings(max_examples=20, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(
+    half_q=st.integers(1, 10),
+    a=st.integers(1, 40),
+    half_N=_log_uniform(1, 4 * 10 ** 8),
+    M=_log_uniform(1, 2 * 10 ** 8),
+    p=st.sampled_from(_P_VALUES),
+)
+def test_drift_allowance_bounds_the_true_gap(half_q, a, half_N, M, p):
+    q, N = 2 * half_q, 2 * half_N
+    a = _coprime_to(a, q)
+    pred = ds.drift_predict(a, q, ds.make_power_f(p), N, M)
+    exact = hurwitz_periodic_sum(a, q, p, N, M)
+    assert abs(exact - pred.predicted) <= pred.error_allowance
+
+
 def test_workers_do_not_change_the_bits():
     src = ds.make_constant("pi")
     f = ds.make_power_f(1)
@@ -417,6 +650,37 @@ def test_weight_error_stays_within_the_derived_coefficient(window, picks):
             err = abs(abs(mpmath.mpf(term)) - weight * fn)
             assert err <= fn * sumengine._WEIGHT_ERR + mpmath.mpf(math.ulp(term)) / 2
         assert term == 0 or math.copysign(1, term) == (-1) ** n
+
+
+# (num, den, N, k): windows of _BATCH terms and the picks n = N + 1 + k at
+# which the direct weight's error comes nearest to _WEIGHT_ERR, from a scan
+# of every table entry of 150 random rational windows.
+_WORST_WEIGHT_PICKS = [
+    (83830, 188291, 320468, 3248),
+    (135251, 414934, 509380, 19060),
+    (674485, 896692, 878983, 10479),
+    (5971096933915362, 7340062725252671, 878568, 7253),
+    (16009, 271339, 3626286511096998, 19982),
+    (688266306191401, 4791726421911691, 361358901374698, 22622),
+]
+
+
+def test_weight_error_reaches_a_third_of_the_derived_coefficient():
+    # the largest error over table-worst picks: a _WEIGHT_ERR a quarter of
+    # its derived value fails this, or the hypothesis test above
+    worst = 0
+    for num, den, N, k in _WORST_WEIGHT_PICKS:
+        term_fn, _ = sumengine._make_term_fn(ds.make_rational(num, den), ds.make_power_f(1), N, BATCH)
+        n = N + 1 + k
+        terms, fv = term_fn(n, n + 1)
+        term, fn = float(terms[0]), float(fv[0])
+        with mpmath.workdps(40):
+            weight = abs(mpmath.sinpi(mpmath.mpf(n * num % den) / den))
+            # the weight's own error, net of the product's rounding
+            err = abs(abs(mpmath.mpf(term)) - weight * fn) - mpmath.mpf(math.ulp(term)) / 2
+        worst = max(worst, err / fn)
+    assert worst <= sumengine._WEIGHT_ERR
+    assert worst >= sumengine._WEIGHT_ERR / 3
 
 
 _BOUND_SOURCES = st.one_of(
