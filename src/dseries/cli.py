@@ -344,7 +344,7 @@ def _cmd_sum(args: argparse.Namespace, caps: dict, outputs: List[str]) -> _Resul
 
 def _cmd_drift(args: argparse.Namespace, caps: dict, outputs: List[str]) -> _Result:
     f = parse_f(args.f)
-    pred = sumengine.drift_predict(args.a, args.q, f, args.N, args.M)
+    pred = sumengine.drift_predict(args.a, args.q, f, args.N, args.M, max_terms=caps["max_terms"])
     measured = sumengine.partial_sum_periodic(
         args.a, args.q, f, args.N, args.M, max_terms=caps["max_terms"]
     )

@@ -20,10 +20,12 @@ The periodic path exploits a rational alpha = a/q instead: (-1)^n times
 the weight of n depends on n mod L alone (L = q for even q, 2q for odd q),
 so the window is one weighted sum per residue class, each weight from a
 correctly rounded argument through an odd polynomial with a proven
-relative error bound, and each class sum of n^-p in closed form by
-Euler-Maclaurin with a proven remainder.  Its cost grows with min(L, M),
-not with M.  The drift prediction for even q carries an allowance proven
-by Abel summation over one period.
+relative error bound, and each class sum of n^-p term by term up to 32
+terms and past that in closed form by Euler-Maclaurin with a proven
+remainder.  Its cost grows with min(L, M), not with M, and each block of
+weighted class sums is added without rounding error.  The drift
+prediction for even q carries an allowance proven by Abel summation over
+one period.
 
 The direct sum and the checkpoint scan run through one loop: terms are
 summed pairwise in chunks of 2^14 on the grid N + 1 + j*2^14, fixed by N
@@ -47,7 +49,7 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import Callable, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -111,10 +113,16 @@ _CLASS_WEIGHT_ERR = 2.0e-15
 # Assumed error of np.log1p and np.expm1: one ulp, a relative 2u (see
 # _power_integral; the test suite samples both against mpmath).
 _LIBM_ERR = 2.0 ** -52
-# A class sum adds its first _EM_HEAD terms one by one and the rest by
-# Euler-Maclaurin with _EM_ORDER correction terms (see _class_sums).
+# A class sum of at most _EM_MIN terms adds them one by one, _EM_HEAD at a
+# time; a longer one adds its first _EM_HEAD terms one by one and the rest by
+# Euler-Maclaurin with _EM_ORDER correction terms (see _class_sums).  Past
+# about 30 terms the Euler-Maclaurin tail, a few dozen passes over the
+# classes, costs less than the terms it replaces.
+_EM_MIN = 32
 _EM_HEAD = 8
 _EM_ORDER = 12
+# Classes per block of the periodic path.
+_CLASS_BLOCK = 1 << 14
 _HEAD_STEPS = np.arange(_EM_HEAD, dtype=np.float64)[:, None]
 # The Bernoulli numbers B_2, B_4, ..., B_24.
 _BERNOULLI = tuple(
@@ -242,10 +250,13 @@ def _reduced_args(num: int, den: int, start: int, length: int) -> np.ndarray:
     residues r = (start + k*num) mod den, k < length: the distance of r/den
     to the nearest integer, so sin(pi r/den) = sin(pi y) with y in [0, 1/2].
 
-    For den <= 2^53, r is the sum of the exact int64 residues of
-    start + i*_TABLE_ROW*num and j*num, k = i*_TABLE_ROW + j, reduced once,
-    so only a few hundred residues come from Python ints, and one IEEE
-    division rounds each quotient correctly.  A larger den is a periodic
+    For den <= 2^53, r is the sum of the residues of start + i*_TABLE_ROW*num
+    and j*num, k = i*_TABLE_ROW + j, each exact in float64, so only a few
+    hundred residues come from Python ints.  With the first less den, the
+    sum is r - den, an integer in [-den, den) and so exact; its magnitude t
+    is den - r for r < den and r mod den otherwise, and min(t, den - t) is
+    min(r, den - r) with r reduced mod den.  One IEEE division rounds each
+    quotient correctly.  A larger den is a periodic
     sum's q > 2^53 > N + M, so the window is shorter than q and no class
     repeats: the residue steps by num with one conditional subtraction, and
     each quotient is one correctly rounded division of Python ints.
@@ -260,11 +271,12 @@ def _reduced_args(num: int, den: int, start: int, length: int) -> np.ndarray:
                 r -= den
         return np.array(quotients, np.float64)
     rows = -(-length // _TABLE_ROW)
-    r_row = [(start + i * _TABLE_ROW * num) % den for i in range(rows)]
-    r_col = [j * num % den for j in range(_TABLE_ROW)]
-    r = np.add.outer(np.array(r_row, np.int64), np.array(r_col, np.int64)).ravel()[:length]
-    np.subtract(r, den, out=r, where=r >= den)
-    return np.minimum(r, den - r) / float(den)
+    r_row = np.array([(start + i * _TABLE_ROW * num) % den - den for i in range(rows)], np.float64)
+    r_col = (np.arange(_TABLE_ROW, dtype=np.int64) * num % den).astype(np.float64)
+    r = np.add.outer(r_row, r_col).ravel()[:length]
+    np.abs(r, out=r)
+    np.minimum(r, den - r, out=r)
+    return np.divide(r, den, out=r)
 
 
 def _sincospi(r: int, den: int) -> Tuple[float, float]:
@@ -603,25 +615,18 @@ def _power_integral(
     return np.where(pick, by_expm1, by_diff), np.where(pick, expm1_err, diff_err)
 
 
-def _class_sums(
-    n: np.ndarray, cnt: np.ndarray, step: float, f: FDescriptor, n_max: int
+def _em_tail(
+    n: np.ndarray, cnt: int, step: float, f: FDescriptor, n_max: int
 ) -> Tuple[np.ndarray, np.ndarray]:
-    """T = sum_{k < cnt} (n + k step)^-p per class, for float64 first indices
-    n and int64 counts cnt with n + (cnt - 1) step <= n_max <= 2^53, and
-    bounds of the absolute errors of the values returned.  Cost and memory
-    are O(len(n)), whatever the counts.  f(n) comes from _power, within a
-    relative f_err.
+    """sum_{_EM_HEAD <= k < cnt} (n + k step)^-p per class by
+    Euler-Maclaurin, for cnt > _EM_HEAD + 1 and the conditions of
+    _class_sums, and bounds of the absolute errors of the values returned.
 
-    The head, the first min(cnt, _EM_HEAD) = 8 terms, is evaluated term by
-    term (a missing term is 0, or inf^-p = 0 in a row that some class
-    needs) and added as a tree of depth 3: each term is within f_err, so
-    the head is within f_err + 3u relatively.
-    When cnt > _EM_HEAD, the remaining terms are sum_{i <= m} h(i) with
-    h(x) = (A + step x)^-p, A = n + _EM_HEAD step, m = cnt - 1 - _EM_HEAD,
-    B = A + m step.  With alpha = A^-p, beta = B^-p, r_A = step/A and
-    r_B = step/B, Euler-Maclaurin (DLMF 2.10.1; Apostol, "An elementary
-    view of Euler's summation formula", Amer. Math. Monthly 106 (1999))
-    gives
+    The terms are sum_{i <= m} h(i) with h(x) = (A + step x)^-p,
+    A = n + _EM_HEAD step, m = cnt - 1 - _EM_HEAD, B = A + m step.  With
+    alpha = A^-p, beta = B^-p, r_A = step/A and r_B = step/B,
+    Euler-Maclaurin (DLMF 2.10.1; Apostol, "An elementary view of Euler's
+    summation formula", Amer. Math. Monthly 106 (1999)) gives
 
         sum = (1/step) int_A^B t^-p dt + (alpha + beta)/2
               + sum_{j <= J} b_j (alpha r_A^(2j-1) - beta r_B^(2j-1)) + R,
@@ -634,7 +639,7 @@ def _class_sums(
     r_B <= r_A < 1/8, that is below |b_J| 8^(2-2J) alpha r_A < 7e-18 alpha
     for p <= 1, under 0.01 u of the class sum.  The corrections are
     alpha r_A P(r_A^2) - beta r_B P(r_B^2), P(y) = sum_j b_j y^(j-1) by
-    Horner.  The tail's error, to first order in u:
+    Horner.  The error, to first order in u:
 
     * the integral: _power_integral's bound over step, plus u for that
       division;
@@ -645,53 +650,109 @@ def _class_sums(
       (f_err + 5J u) mag, mag = sum_j |b_j| (alpha r_A^(2j-1) + beta
       r_B^(2j-1)) <= sum_j |b_j| 8^(2-2j) (alpha r_A + beta r_B);
     * R, within |b_J| 8^(2-2J) alpha r_A;
-    * the additions halves + corrections, + integral, and head + tail, u
-      each of their results;
+    * the additions halves + corrections and + integral, u each of their
+      results;
     * the tail is evaluated at the double fl(p): p_err times the tail.
     """
     power, f_err = _power(f, n_max)
-    rows = np.zeros((_EM_HEAD, len(n)))
-    head = rows[: min(_EM_HEAD, cnt.max(initial=0))]
-    np.add(n, step * _HEAD_STEPS[: len(head)], out=head)
-    for k in range(cnt.min(initial=_EM_HEAD), len(head)):
-        head[k, cnt <= k] = np.inf
-    power(head)
-    while len(rows) > 1:
-        rows = rows[0::2] + rows[1::2]
-    total = rows[0]
-    err = total * (f_err + 3 * _U)
-    tail = np.flatnonzero(cnt > _EM_HEAD)
-    if tail.size:
-        lo = n[tail] + _EM_HEAD * step
-        hi = lo + (cnt[tail] - 1 - _EM_HEAD) * step
-        lo_f, hi_f = power(lo.copy()), power(hi.copy())
-        integral, integral_err = _power_integral(lo, hi, lo_f, hi_f, -float(f.p), f_err)
-        integral /= step
-        half = (lo_f + hi_f) * 0.5
-        r_lo, r_hi = step / lo, step / hi
-        t_lo, t_hi = lo_f * r_lo, hi_f * r_hi
-        coeffs, mag_coeff, rem_coeff = _em_coeffs(float(f.p), _EM_ORDER)
-        sq_lo, sq_hi = r_lo * r_lo, r_hi * r_hi
-        poly_lo, poly_hi = np.full_like(lo, coeffs[-1]), np.full_like(lo, coeffs[-1])
-        for b in coeffs[-2::-1]:
-            poly_lo *= sq_lo
-            poly_lo += b
-            poly_hi *= sq_hi
-            poly_hi += b
-        corr = t_lo * poly_lo - t_hi * poly_hi
-        rest = half + corr
-        tail_sum = integral + rest
-        total[tail] += tail_sum
-        err[tail] += (
-            integral_err / step
-            + _U * integral
-            + (f_err + _U) * half
-            + (f_err + 5 * _EM_ORDER * _U) * mag_coeff * (t_lo + t_hi)
-            + rem_coeff * t_lo
-            + _U * (np.abs(rest) + tail_sum + total[tail])
-            + _p_err(f, n_max) * tail_sum
-        )
-    return total, err
+    lo = n + _EM_HEAD * step
+    hi = lo + (cnt - 1 - _EM_HEAD) * step
+    lo_f, hi_f = power(lo.copy()), power(hi.copy())
+    integral, integral_err = _power_integral(lo, hi, lo_f, hi_f, -float(f.p), f_err)
+    integral /= step
+    half = (lo_f + hi_f) * 0.5
+    r_lo, r_hi = step / lo, step / hi
+    t_lo, t_hi = lo_f * r_lo, hi_f * r_hi
+    coeffs, mag_coeff, rem_coeff = _em_coeffs(float(f.p), _EM_ORDER)
+    sq_lo, sq_hi = r_lo * r_lo, r_hi * r_hi
+    poly_lo, poly_hi = np.full_like(lo, coeffs[-1]), np.full_like(lo, coeffs[-1])
+    for b in coeffs[-2::-1]:
+        poly_lo *= sq_lo
+        poly_lo += b
+        poly_hi *= sq_hi
+        poly_hi += b
+    rest = half + (t_lo * poly_lo - t_hi * poly_hi)
+    tail = integral + rest
+    return tail, (
+        integral_err / step
+        + _U * integral
+        + (f_err + _U) * half
+        + (f_err + 5 * _EM_ORDER * _U) * mag_coeff * (t_lo + t_hi)
+        + rem_coeff * t_lo
+        + _U * (np.abs(rest) + tail)
+        + _p_err(f, n_max) * tail
+    )
+
+
+def _class_sums(
+    n: np.ndarray, cnt: int, step: float, f: FDescriptor, n_max: int
+) -> Tuple[np.ndarray, Union[float, np.ndarray]]:
+    """T = sum_{k < cnt} (n + k step)^-p per class, for a float64 row n of
+    first indices, each class of cnt >= 1 terms, n + (cnt - 1) step <=
+    n_max <= 2^53; and bounds of the relative errors of the values returned,
+    one float for every class when cnt <= _EM_MIN.  Cost and memory are
+    O(len(n)), whatever cnt.  f(n) comes from _power, within a relative
+    f_err.
+
+    The head, all cnt terms when cnt <= _EM_MIN = 32 and the first
+    _EM_HEAD = 8 otherwise, is evaluated term by term, 8 rows at a time.
+    Within a group of h rows the last half is added onto the first until
+    one row is left, ceil(log2 h) <= 3 additions per term, and the groups
+    are added in turn: each term goes through at most
+    ceil(log2 min(h, 8)) + ceil(h/8) - 1 additions, so the head is within
+    f_err plus that many u relatively.  The rest comes from _em_tail with
+    its bound, _CLASS_BLOCK/4 classes at a time so that its few dozen
+    temporaries stay small, and head + tail rounds once more: u of the
+    result.
+    """
+    power, f_err = _power(f, n_max)
+    head = cnt if cnt <= _EM_MIN else _EM_HEAD
+    group, total = np.empty((min(head, _EM_HEAD), len(n))), None
+    for k0 in range(0, head, _EM_HEAD):
+        rows = group[: head - k0]
+        power(np.add(n, step * (k0 + _HEAD_STEPS[: len(rows)]), out=rows))
+        while len(rows) > 1:
+            half = len(rows) // 2
+            rows[:half] += rows[-half:]
+            rows = rows[:-half]
+        if total is None:  # the next group overwrites rows
+            total = rows[0] if head <= _EM_HEAD else rows[0].copy()
+        else:
+            total += rows[0]
+    rel = f_err + ((min(head, _EM_HEAD) - 1).bit_length() + (head - 1) // _EM_HEAD) * _U
+    if head == cnt:
+        return total, rel
+    err = total * rel
+    for i in range(0, len(n), _CLASS_BLOCK // 4):
+        part = slice(i, i + _CLASS_BLOCK // 4)
+        tail, tail_err = _em_tail(n[part], cnt, step, f, n_max)
+        total[part] += tail
+        err[part] += tail_err + _U * total[part]
+    return total, err / total
+
+
+def _split_sum(x: np.ndarray, s: float) -> Tuple[float, float]:
+    """Two floats whose exact sum is within 4e-10 u s of the exact sum of
+    x, a float64 row of at most 2^14 entries with sum |x_j| <= 2s; x is
+    overwritten.
+
+    After Rump, Ogita and Oishi, "Accurate floating-point summation part I",
+    SIAM J. Sci. Comput. 31 (2008) (ExtractVector): sigma = 2^k is the power
+    of 2 in (4s, 8s], so every sigma + x_j lies in [sigma/2, 3 sigma/2] and
+    its rounding in [sigma/2, 2 sigma]; high_j = fl(sigma + x_j) - sigma is
+    then exact (Sterbenz), a multiple of u sigma and within u sigma of x_j,
+    and x_j - high_j is exact, the rounding error of that addition.  The
+    high_j and their partial sums are multiples of u sigma, below
+    2s + n u sigma < sigma in magnitude, so numpy adds them exactly in any
+    order.  The rest, each at most u sigma, are summed with an error below
+    D n u^2 sigma <= 8 D n u (u s), D = _pairwise_depth(n) <= 25: under
+    4e-10 u s.
+    """
+    sigma = math.ldexp(1.0, math.frexp(s)[1] + 2)
+    high = x + sigma
+    high -= sigma
+    x -= high
+    return float(np.sum(high)), float(np.sum(x))
 
 
 def partial_sum_periodic(
@@ -704,23 +765,30 @@ def partial_sum_periodic(
     max_terms: int = DEFAULT_MAX_TERMS,
 ) -> PartialSumResult:
     """S(a/q; M, N) as one weighted class sum per residue class: O(min(q, M))
-    work whatever M, and memory for _CHUNK classes at a time.
+    work whatever M, and memory for _CLASS_BLOCK classes at a time.
 
     (-1)^n |sin(pi n a/q)| depends on n mod L alone, L = q for even q and
     2q for odd q, so the window is the sum over its C = min(L, M) classes
-    j < C, of first index n_j = N + 1 + j and cnt_j = (M - 1 - j) // L + 1
-    terms, of (-1)^(n_j) w_j T_j, with w_j from _class_weights and T_j the
-    class sum of n^-p from _class_sums.  Classes of weight 0 (q divides n_j)
-    are skipped before any f is evaluated.  Classes are taken _CHUNK at a
-    time; each block's products are added by math.fsum, and the block sums
-    by math.fsum again.  The error, to first order in u:
+    j < C, of first index n_j = N + 1 + j, of (-1)^(n_j) w_j T_j, with w_j
+    from _class_weights and T_j the class sum of n^-p from _class_sums.
+    With M = c L + e, 0 <= e < L, class j holds c + 1 terms for j < e and c
+    for j >= e.  The classes of weight 0, where q divides n_j, are at most
+    two, and the runs of equal count between them leave them out, so no f
+    is evaluated for them.  For odd q, class j + q has the weight of class
+    j and the opposite sign, so the weights of j < min(q, C) serve every
+    class.  Each run is taken _CLASS_BLOCK classes at a time.
+
+    A block's products x_j = fl(w_j T_j) are added by _split_sum, with s
+    the computed sum of |w_j| T_j, a dot product within a relative
+    n u <= 2^-39 of the exact one, so sum |x_j| <= 2s; the pairs of all
+    blocks are combined by math.fsum, which rounds once.  The error, to
+    first order in u:
 
     * each class: w_j times T_j's bound, plus w_j T_j times the weight's
       2e-15 and u for the product;
-    * each math.fsum rounds once to nearest: u of each block sum and of the
-      result;
-    * one more u times sum w_j T_j covers every second-order term and the
-      arithmetic of the bound itself.
+    * u of the result, from math.fsum;
+    * one more u times sum w_j T_j covers every second-order term, the
+      4e-10 u s of each _split_sum and the arithmetic of the bound itself.
     """
     if q < 1:
         raise ValueError("q must be positive")
@@ -729,17 +797,33 @@ def partial_sum_periodic(
     _require_range(N, M, max_terms)
     period = q if q % 2 == 0 else 2 * q
     classes = min(period, M)
-    sums, bounds = [], []
-    for j0 in range(0, classes, _CHUNK):
-        w = _apply_signs(_class_weights(a, q, N + 1 + j0, min(_CHUNK, classes - j0)), N + 1 + j0)
-        live = np.flatnonzero(w)
-        j, w = j0 + live, w[live]
-        # cnt_j: (M - 1 - j) // L + 1, which is 1 for every class when M <= L
-        total, err = _class_sums(float(N + 1) + j, (M - 1 - j) // classes + 1, float(period), f, N + M)
-        bounds.append(float(np.sum(np.abs(w) * (err + (_CLASS_WEIGHT_ERR + 2 * _U) * total))))
-        sums.append(math.fsum(w * total))
-    value = math.fsum(sums)
-    bound = math.fsum(bounds) + _U * (math.fsum(map(abs, sums)) + abs(value))
+    c, e = divmod(M, period)
+    runs, start = [], 0  # (first, end, count) of the classes of nonzero weight
+    for stop in [*range(-(N + 1) % q, classes, q), classes]:
+        runs += [(start, min(stop, e), c + 1), (max(start, e), stop, c)]
+        start = stop + 1
+    parts, bound, magnitude = [], 0.0, 0.0
+    width = min(q, classes)
+    for j0 in range(0, width, _CLASS_BLOCK):
+        w = _apply_signs(_class_weights(a, q, N + 1 + j0, min(_CLASS_BLOCK, width - j0)), N + 1 + j0)
+        aw = np.abs(w)
+        for shift in range(0, classes, q):  # and, for odd q, the classes q on
+            sign = -1.0 if shift else 1.0
+            for first, end, cnt in runs:
+                lo, hi = max(first, j0 + shift), min(end, j0 + shift + len(w))
+                if lo >= hi:
+                    continue
+                part = slice(lo - j0 - shift, hi - j0 - shift)
+                total, rel = _class_sums(
+                    float(N + 1 + lo) + _INDEX[: hi - lo], cnt, float(period), f, N + M
+                )
+                s = float(aw[part] @ total)
+                parts += [sign * x for x in _split_sum(w[part] * total, s)]
+                err = rel * s if np.isscalar(rel) else float((aw[part] * total) @ rel)
+                bound += err + (_CLASS_WEIGHT_ERR + _U) * s
+                magnitude += s
+    value = math.fsum(parts)
+    bound += _U * (magnitude + abs(value))
     return PartialSumResult(value, bound, terms=M, mode="periodic")
 
 
@@ -788,7 +872,9 @@ def drift_predict(
     a: int, q: int, f: FDescriptor, N: int, M: int, *, max_terms: int = DEFAULT_MAX_TERMS
 ) -> DriftPrediction:
     """Secular drift of S(a/q; M, N) for even q: magnitude, sign, and an
-    allowance that bounds |S - predicted|.
+    allowance that bounds |S - predicted|.  N must be even and at least 2,
+    a restriction kept from earlier versions of this interface: the
+    derivation below holds for any N >= 1.
 
     a is odd, so n -> a n mod q permutes the residues and keeps the parity,
     and s_n w_n = (-1)^n |sin(pi n a/q)| has period q and sums over one
@@ -823,7 +909,7 @@ def drift_predict(
     if math.gcd(a, q) != 1:
         raise ValueError("a/q must be in lowest terms")
     if N < 2 or N % 2 != 0:
-        raise ValueError("N must be even and >= 2 (sign convention anchor)")
+        raise ValueError("N must be even and >= 2")
     _require_range(N, M, max_terms)
     mu = math.tan(math.pi / (2 * q)) / q
     run, z_max, span = 0.0, 0.0, min(M, q)

@@ -655,6 +655,37 @@ def test_drift_rejects_odd_q(tmp_path):
     assert code == 1 and payload is None and mani["error"]
 
 
+def test_drift_honours_a_raised_term_cap(tmp_path):
+    # the periodic sum and the prediction cost O(q), so a window past the
+    # default cap of 10^9 terms is cheap once --max-terms allows it
+    code, payload, mani = run(
+        [
+            "drift", "1", "2", "--f", "pow:1", "--N", "10000", "--M", "1500000000",
+            "--max-terms", "2000000000",
+        ],
+        tmp_path,
+        "dcap",
+    )
+    assert code == 0 and mani["error"] is None
+    assert payload["within_allowance"]
+
+
+def test_drift_refuses_a_window_past_a_lowered_cap_before_any_work(tmp_path, monkeypatch):
+    from dseries import sumengine
+
+    def never(*args, **kwargs):
+        raise AssertionError("weights evaluated for a refused window")
+
+    monkeypatch.setattr(sumengine, "_class_weights", never)
+    code, payload, mani = run(
+        ["drift", "1", "2", "--f", "pow:1", "--N", "10000", "--M", "990000", "--max-terms", "100000"],
+        tmp_path,
+        "dlow",
+    )
+    assert code == 2 and payload is None
+    assert "term limit 100000" in mani["error"]
+
+
 # -- liouville -----------------------------------------------------------------
 
 

@@ -182,6 +182,13 @@ def _exact_class_sum(n, step, cnt, p):
         return mpmath.fsum(mpmath.mpf(n + k * step) ** -s for k in range(cnt))
 
 
+def _class_sum_and_bound(n, step, cnt, p, n_max):
+    """_class_sums of the classes with first indices n, and the absolute
+    error bound of each."""
+    total, rel = sumengine._class_sums(np.array(n, np.float64), cnt, float(step), ds.make_power_f(p), n_max)
+    return total, rel * total
+
+
 @pytest.mark.parametrize("order", [1, 2, 3, 12])
 @pytest.mark.parametrize("p", [Fraction(1), Fraction(1, 2), Fraction(1, 3)])
 def test_class_sum_bound_holds_at_every_euler_maclaurin_order(monkeypatch, order, p):
@@ -189,14 +196,24 @@ def test_class_sum_bound_holds_at_every_euler_maclaurin_order(monkeypatch, order
     # bound without it fails here
     monkeypatch.setattr(sumengine, "_EM_ORDER", order)
     rng = random.Random(order)
-    n = [rng.randrange(1, 10 ** 5) for _ in range(30)]
-    cnt = [rng.randrange(9, 60) for _ in range(30)]
     step = rng.randrange(1, 500)
-    total, err = sumengine._class_sums(
-        np.array(n, np.float64), np.array(cnt), float(step), ds.make_power_f(p), 10 ** 6
-    )
-    for i in range(30):
-        assert abs(total[i] - _exact_class_sum(n[i], step, cnt[i], p)) <= err[i], (n[i], step, cnt[i])
+    for cnt in rng.sample(range(sumengine._EM_MIN + 1, 80), 3):
+        n = [rng.randrange(1, 10 ** 5) for _ in range(10)]
+        total, err = _class_sum_and_bound(n, step, cnt, p, 10 ** 6)
+        for i in range(10):
+            assert abs(total[i] - _exact_class_sum(n[i], step, cnt, p)) <= err[i], (n[i], step, cnt)
+
+
+@pytest.mark.parametrize("p", [Fraction(1), Fraction(1, 2), Fraction(1, 3)])
+def test_direct_class_sums_within_bound(p):
+    # every count up to _EM_MIN is summed term by term, in groups of 8
+    rng = random.Random(7)
+    step = rng.randrange(1, 5000)
+    for cnt in range(1, sumengine._EM_MIN + 1):
+        n = [rng.randrange(1, 10 ** 6) for _ in range(4)]
+        total, err = _class_sum_and_bound(n, step, cnt, p, 10 ** 7)
+        for i in range(4):
+            assert abs(total[i] - _exact_class_sum(n[i], step, cnt, p)) <= err[i], (n[i], step, cnt)
 
 
 def test_euler_maclaurin_remainder_bound_covers_the_omitted_tail():
@@ -232,25 +249,40 @@ def test_euler_maclaurin_remainder_bound_covers_the_omitted_tail():
 
 
 # (n, step, cnt) where the bound of a class sum of 1/n is tightest, among
-# random classes with a head only and with a tail.
-_SHARP_HEADS = [(7372673, 1167, 5), (3122154, 2832, 6), (6805484, 736, 7), (120472, 2286, 8)]
-_SHARP_TAILS = [(8627701, 1378, 34), (823302, 2086, 26)]
+# random classes with a head of one group of rows, of two, and with a tail.
+_SHARP_HEADS = [(8135696, 2450, 8), (5941181, 2551, 6), (3225717, 143, 7), (1020384, 1750, 8)]
+_SHARP_GROUPS = [(1018536, 2001, 9), (8245325, 522, 9), (8245447, 1107, 10)]
+_SHARP_TAILS = [(4777231, 2491, 50), (2202326, 1459, 36)]
 
 
 def test_class_sum_bound_is_sharp_within_a_factor_of_two():
     # 1/n is one IEEE division, so these sums are the same on every platform;
-    # halving the class-sum bound fails on both kinds of class
-    for picks in (_SHARP_HEADS, _SHARP_TAILS):
+    # halving the class-sum bound fails on every kind of class
+    for picks in (_SHARP_HEADS, _SHARP_GROUPS, _SHARP_TAILS):
         worst = 0
         for n, step, cnt in picks:
-            total, err = sumengine._class_sums(
-                np.array([float(n)]), np.array([cnt]), float(step), ds.make_power_f(1), 2 ** 40
-            )
+            total, err = _class_sum_and_bound([n], step, cnt, Fraction(1), 2 ** 40)
             exact = sum(Fraction(1, n + k * step) for k in range(cnt))
             ratio = abs(Fraction(float(total[0])) - exact) / Fraction(float(err[0]))
             assert ratio <= 1, (n, step, cnt)
             worst = max(worst, ratio)
         assert worst > Fraction(1, 2)
+
+
+def test_split_sum_is_exact_but_for_a_tiny_rest():
+    # terms over 20 orders of magnitude with both signs, so a plain
+    # pairwise sum is off in some of these cases
+    rng = np.random.default_rng(5)
+    plain_off = False
+    for n in (1, 2, 7, 1000, 2 ** 14):
+        for _ in range(3):
+            x = rng.standard_normal(n) * 10.0 ** rng.uniform(-20, 0, n)
+            s = float(np.sum(np.abs(x)))
+            exact = sum(map(Fraction, x.tolist()))
+            plain_off |= Fraction(float(np.sum(x))) != exact
+            high, rest = sumengine._split_sum(x.copy(), s)
+            assert abs(Fraction(high) + Fraction(rest) - exact) <= Fraction(4e-10) * Fraction(s) / 2 ** 53
+    assert plain_off
 
 
 @pytest.mark.parametrize("p", [Fraction(1), Fraction(1, 2), Fraction(1, 3), Fraction(999, 1000)])
