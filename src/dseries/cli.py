@@ -41,7 +41,7 @@ __all__ = [
 ]
 
 _DEFAULT_MANIFEST = "dseries_manifest.json"
-_MAX_WORKERS = 64  # each worker is a thread with its own 768 KiB of work rows
+_MAX_WORKERS = 64  # each worker is a thread with its own 512 KiB of work rows
 
 _RAT_RE = re.compile(r"^rat:(-?\d+)/(-?\d+)$")
 _SURD_RE = re.compile(r"^surd:\((-?\d+)([+-])(\d+)\*sqrt\((\d+)\)\)/(-?\d+)$")

@@ -8,13 +8,16 @@ n = g + k, with g on a grid of step 2^15 fixed by N.  By angle addition,
 |sin(pi n alpha)| = |S[k] cos(pi B_g) + C[k] sin(pi B_g)|, where
 S[k] = sin(pi T_k) and C[k] = cos(pi T_k) with T_k = k*num/den.  Every
 sine and cosine there comes once per call from exact integers in fixed
-point: those of each grid point, and those of a few hundred rows and
-columns with k = row + column, from which one more angle addition builds
-the two tables.  So a weight costs two products, an add and an abs, no
-term is reduced modulo 1 on its own, no weight accumulates O(M) rounding
-drift, and each is within 9.7e-16 of its exact value.  Nothing depends on
-the platform's sine.  Windows ending past 2^53 are refused, since n is
-then no longer exact in float64.
+point, each sequence of them (the grid points', and those of a few hundred
+rows and columns with k = row + column, from which one more angle addition
+builds the two tables) from one start and one step rotated in integers.
+So a weight costs two products, an add and an abs, no term is reduced
+modulo 1 on its own, no weight accumulates O(M) rounding drift, and each
+is within 9.7e-16 of its exact value.  Nothing depends on the platform's
+sine.  A term divides the weight by n^p: by n itself for p = 1 and by the
+correctly rounded sqrt(n) for p = 1/2, so for both every step is a
+correctly rounded IEEE operation.  Windows ending past 2^53 are refused,
+since n is then no longer exact in float64.
 
 The periodic path exploits a rational alpha = a/q instead: (-1)^n times
 the weight of n depends on n mod L alone (L = q for even q, 2q for odd q),
@@ -34,10 +37,11 @@ worker count.  A checkpoint inside a chunk reads
 that chunk's prefix instead of cutting it, so a scan row does not depend on
 the other checkpoints and a scan's final result is the direct sum.  Each
 worker thread evaluates its contiguous block of chunks two at a time in its
-own three reused work rows (768 KiB), so the kernel runs in cache and
+own two reused work rows (512 KiB), so the kernel runs in cache and
 allocates nothing per chunk.  Every result carries an explicit worst-case
 rounding bound, whose summation part follows the depth of numpy's pairwise
-summation tree.
+summation tree, times the chunk's mass: an upper bound of the sum of n^-p
+over it in closed form, by Hermite-Hadamard, so no pass over f(n) is made.
 """
 
 from __future__ import annotations
@@ -76,8 +80,8 @@ _U = 2.0 ** -53  # unit roundoff of float64
 # its error enters the bound through the depth of numpy's summation tree.
 _CHUNK = 1 << 14
 # Terms evaluated per batch of consecutive chunks (elementwise, so batching
-# never changes a term), and the step of the reduction grid: three float64
-# work rows of 2^15 entries (768 KiB) stay in a 2 MiB L2 cache, and each
+# never changes a term), and the step of the reduction grid: two float64
+# work rows of 2^15 entries (512 KiB) stay in a 2 MiB L2 cache, and each
 # ufunc call does enough work that two worker threads rarely wait on each
 # other for the interpreter lock.
 _BATCH = 2 * _CHUNK
@@ -102,11 +106,14 @@ _SINPI_COEFFS = (
     -2.1138095589715847e-05,
 )
 _SINPI_ERR = 1.0e-15
-# Fractional bits of the fixed-point sine and cosine of a grid point.
-_SCALAR_BITS = 96
+# Fractional bits of the fixed-point sines and cosines behind the direct
+# weights (see _sincospi and _rotation).
+_SCALAR_BITS = 160
 # Absolute error of a direct weight against |sin(pi n num/den)| (derived in
 # _make_term_fn).
 _WEIGHT_ERR = 9.7e-16
+# Integers n below this have n + 1/2 exact in float64 (see _masses).
+_HALF_EXACT = 2 ** 52
 
 # Relative error of a class weight of the periodic path (see _class_weights).
 _CLASS_WEIGHT_ERR = 2.0e-15
@@ -183,18 +190,19 @@ def _require_range(N: int, M: int, max_terms: int) -> None:
     if N + M > _MAX_INDEX:
         raise TermLimitError(
             f"N + M = {N + M} exceeds 2^53 = {_MAX_INDEX}: past it neither n nor "
-            "float(lo), the start of each f(n) row, is exact in float64"
+            "float(lo), the start of each row of n, is exact in float64"
         )
 
 
 def _work_buffers(k: int) -> np.ndarray:
-    """The calling thread's three float64 work rows, cut to length k.
+    """The calling thread's two float64 work rows, cut to length k.
 
-    Allocated once per thread and reused by every batch it evaluates, so a
-    batch allocates nothing of its own size."""
+    Allocated once per thread and reused by every batch it evaluates, and
+    as scratch while _make_term_fn builds its tables, so a batch allocates
+    nothing of its own size."""
     block = getattr(_BUFFERS, "block", None)
     if block is None:
-        block = _BUFFERS.block = np.empty((3, _BATCH), dtype=np.float64)
+        block = _BUFFERS.block = np.empty((2, _BATCH), dtype=np.float64)
     return block[:, :k]
 
 
@@ -279,22 +287,23 @@ def _reduced_args(num: int, den: int, start: int, length: int) -> np.ndarray:
     return np.divide(r, den, out=r)
 
 
-def _sincospi(r: int, den: int) -> Tuple[float, float]:
-    """sin(pi r/den) and cos(pi r/den) for integers r and den > 0, each
-    within 2^-88 of its exact value before its one rounding to a double.
+def _sincospi(r: int, den: int) -> Tuple[int, int]:
+    """sin(pi r/den) and cos(pi r/den) for integers r and den > 0, in fixed
+    point with _SCALAR_BITS = 160 fractional bits, each within 2^7 units
+    (2^-153) of its exact value.
 
     With r = t + m*den and t in [-den/2, den/2], the angle pi |t|/den lies in
     [0, pi/2], and x = pi |t|/den or pi/2 - pi |t|/den = pi (den - 2|t|)/(2 den),
     whichever is at most pi/4, gives the pair (sin, cos) or (cos, sin); t's
     sign goes to the sine, and an odd m turns both signs.  x is taken in
-    fixed point with _SCALAR_BITS = 96 fractional bits, within 1.5 units
-    (from floor(pi 2^96) and one floor division).  The terms x^n/n! follow
-    one from the next by a product, a shift and a division by n, each
-    floored, and are summed into the two Taylor series until one vanishes,
-    which takes fewer than 30 terms.  A unit of error in x moves each sum by
-    at most e^x < 2.2 units, each step's two floors cost two units that the
-    later terms carry on with factors x/n, and the tail after the vanishing
-    term is below 4 units: the error stays below 200 units, under 2^-88.
+    fixed point within 1.5 units (from floor(pi 2^160) and one floor
+    division).  The terms x^n/n! follow one from the next by a product, a
+    shift and a division by n, each floored, and are summed into the two
+    Taylor series until one vanishes, which takes at most 38 terms.  A term
+    is within 2 units of x^n/n! for the computed x (its two floors cost
+    1 + 1/n, and the error of the term before shrinks by x/n <= pi/4), the
+    tail from the vanishing term on is below 4 units, and the 1.5 units of
+    x move each sum by at most 1.5 e^x < 3.3: under 38*2 + 4 + 3.3 < 2^7.
     """
     t = r % den
     if 2 * t > den:
@@ -311,25 +320,80 @@ def _sincospi(r: int, den: int) -> Tuple[float, float]:
         n += 1
         term = (term * x >> _SCALAR_BITS) // n
         sums[n & 1] += -term if n & 2 else term
-    cos_v, sin_v = sums[swap] / one, sums[not swap] / one
-    flip = -1.0 if (r - t) // den % 2 else 1.0
-    return flip * math.copysign(sin_v, t), flip * cos_v
+    cos_v, sin_v = sums[swap], sums[not swap]
+    if t < 0:
+        sin_v = -sin_v
+    if (r - t) // den % 2:
+        sin_v, cos_v = -sin_v, -cos_v
+    return sin_v, cos_v
 
 
-def _power(f: FDescriptor, n_max: int) -> Tuple[Callable[[np.ndarray], np.ndarray], float]:
-    """The in-place map n -> f(n) = n^-p on float64 rows of n <= n_max, and
-    the relative error bound of the values it writes.
+def _rotation(r0: int, step: int, den: int, count: int) -> np.ndarray:
+    """The pairs (sin, cos) of pi (r0 + k*step)/den for k < count, as rows
+    of a float64 array, each entry within 2^-88 of its exact value before
+    its one rounding to a double, for every count up to 2^38 + 1.
 
-    p = 1 is one IEEE division, correctly rounded: u = 2^-53.  Other p call
-    np.power with the double -fl(p), whose result is assumed within one ulp
-    of n^-fl(p): a relative 2u.  (Against mpmath, on 40 000 sampled n for
-    each of p = 1/4, 1/3, 1/2 and 3/4, the largest error seen was 0.68 ulp,
-    numpy 2.4 on x86-64.)  A p that is no double adds the factor
-    exp(|p - fl(p)| ln n) between n^-fl(p) and n^-p, to first order
+    The pairs of r0 and of step come from _sincospi, each entry within
+    2^-153.  Each next pair is the one before rotated by the step's,
+    (s, c) -> (s c_1 + c s_1, c c_1 - s s_1), each exact sum of products
+    floored to _SCALAR_BITS = 160 bits.  As vectors in the plane, with v_k
+    the computed pair and w_k the exact one: the computed step acts as
+    R + D, R the exact rotation and D a multiple of a rotation with
+    |D| <= sqrt(2) 2^-153, and the floors add under sqrt(2) 2^-160, so
+
+        |v_{k+1} - w_{k+1}| <= |v_k - w_k| + |D| |v_k| + sqrt(2) 2^-160.
+
+    While |v_k - w_k| <= 1, |v_k| <= 2 and each step adds under 2^-151, as
+    the start does: |v_K - w_K| < (K + 1) 2^-151, below 2^-112 for every
+    K <= 2^38, the most grid points that a window ending at 2^53 has.  Each
+    entry then rounds once: float() of a Python integer is correctly
+    rounded, and the scaling by 2^-160 is exact.
+    """
+    s, c = _sincospi(r0, den)
+    s1, c1 = _sincospi(step, den)
+    entries = []
+    append = entries.append
+    for _ in range(count):
+        append(s)
+        append(c)
+        s, c = (s * c1 + c * s1) >> _SCALAR_BITS, (c * c1 - s * s1) >> _SCALAR_BITS
+    pairs = np.fromiter(map(float, entries), np.float64, 2 * count).reshape(count, 2)
+    return pairs * 2.0 ** -_SCALAR_BITS
+
+
+def _root(f: FDescriptor, n_max: int) -> Tuple[Callable[[np.ndarray], np.ndarray], float]:
+    """The in-place map n -> n^p on float64 rows of 0 < n <= n_max, and the
+    relative error bound of the values it writes.
+
+    p = 1 leaves n as it is, exactly, and p = 1/2 is np.sqrt, correctly
+    rounded: u = 2^-53.  Other p call np.power with the double fl(p), whose
+    result is assumed within one ulp of n^fl(p): a relative 2u (the test
+    suite samples it against mpmath).  A p that is no double adds the factor
+    exp(|p - fl(p)| ln n) between n^fl(p) and n^p, to first order
     |p - fl(p)| ln(n_max).
     """
     if f.p == 1:
-        return (lambda nf: np.divide(1.0, nf, out=nf)), _U
+        return (lambda nf: nf), 0.0
+    if f.p == Fraction(1, 2):
+        return (lambda nf: np.sqrt(nf, out=nf)), _U
+    p = float(f.p)
+    return (lambda nf: np.power(nf, p, out=nf)), 2 * _U + _p_err(f, n_max)
+
+
+def _power(f: FDescriptor, n_max: int) -> Tuple[Callable[[np.ndarray], np.ndarray], float]:
+    """The in-place map n -> f(n) = n^-p on float64 rows of 0 < n <= n_max,
+    and the relative error bound of the values it writes.
+
+    p = 1 and p = 1/2 divide 1 by _root's n^p: one or two correctly rounded
+    steps, u and 2u with u = 2^-53.  Other p call np.power with the double
+    -fl(p), whose result is assumed within one ulp of n^-fl(p), a relative
+    2u (against mpmath, on 40 000 sampled n for each of p = 1/4, 1/3 and
+    3/4, the largest error seen was 0.68 ulp, numpy 2.4 on x86-64), plus
+    _root's |p - fl(p)| ln(n_max) for a p that is no double.
+    """
+    if f.p == 1 or f.p == Fraction(1, 2):
+        root, root_err = _root(f, n_max)
+        return (lambda nf: np.divide(1.0, root(nf), out=nf)), root_err + _U
     neg_p = -float(f.p)
     return (lambda nf: np.power(nf, neg_p, out=nf)), 2 * _U + _p_err(f, n_max)
 
@@ -342,13 +406,12 @@ def _p_err(f: FDescriptor, n_max: int) -> float:
 
 def _make_term_fn(
     source: RealSource, f: FDescriptor, N: int, M: int
-) -> Tuple[Callable[[int, int], Tuple[np.ndarray, np.ndarray]], float]:
+) -> Tuple[Callable[[int, int], np.ndarray], float]:
     """Build the evaluator of the terms with n in [lo, hi), hi - lo <= _BATCH;
-    returns it plus the per-term error coefficient of the weight and of f(n)
-    (it multiplies f(n) in the bound; _chunk_bound adds the roundings of the
-    product and of the summation).  The evaluator returns the terms and the
-    f(n) values as views of the calling thread's work rows, valid until that
-    thread's next call.
+    returns it plus the per-term error coefficient, which multiplies f(n) in
+    the bound (_chunk_bound adds the rounding of the division and of the
+    summation).  The evaluator returns the terms as a view of the calling
+    thread's work rows, valid until that thread's next call.
 
     alpha mod 1 is taken exactly as num/den: a/q for a rational, the
     enclosure midpoint otherwise, whose distance to alpha moves n*alpha by
@@ -357,15 +420,16 @@ def _make_term_fn(
     T = k*num/den and B = g*num/den (an integer added to either only flips
     the sign that |.| drops), the weight |sin(pi n num/den)| is |a + b| with
     a = sin(pi T) cos(pi B) and b = cos(pi T) sin(pi B).  Every sine and
-    cosine comes from _sincospi, all before the first batch: those of pi B
+    cosine comes from _rotation, all before the first batch: those of pi B
     at each grid point, and those of pi R_i and pi G_j, with
     R_i = i*_TABLE_ROW*num/den and G_j = j*num/den, for at most 128 rows
     and _TABLE_ROW columns.  For k = i*_TABLE_ROW + j < min(M, _BATCH), one
     more angle addition gives the tables of sin(pi T) and cos(pi T),
     S[k] = fl(fl(s_i c_j) + fl(c_i s_j)) and C[k] = fl(fl(c_i c_j) - fl(s_i s_j)),
     with (s_i, c_i) the scalars of R_i and (s_j, c_j) those of G_j.  A batch
-    computes |fl(fl(S cos(pi B)) + fl(C sin(pi B)))|.  Its error, with
-    u = 2^-53 and to first order in u:
+    computes the weight w = |fl(fl(S cos(pi B)) + fl(C sin(pi B)))| and the
+    term fl(w / r), r = n^p from _root.  Its error, with u = 2^-53 and to
+    first order in u:
 
     * Each scalar: within 2^-88 before one rounding (relative u).
     * S and C: with P1 and P2 the two exact products, the four roundings
@@ -379,10 +443,16 @@ def _make_term_fn(
       times |S| + |C| <= sqrt(2); and the roundings of the grid scalars,
       the two products and the sum, u each, relative to |a|, |b| and
       |a| + |b| = max(|sin pi(T + B)|, |sin pi(T - B)|) <= 1.
+    * The division: r is n^p within _root's relative error, so w / r is
+      within that much of w f(n), and the division rounds once more (u).
+      For p = 1 (r = n, exact) and p = 1/2 (r = fl(sqrt(n))) every step is
+      a correctly rounded IEEE operation, so nothing here rests on a
+      library's accuracy.
 
     So the weight is within (4 sqrt(2) + 3) u + sqrt(2) (2^-86 + 2^-88)
     = 9.611e-16 of its value; the second-order terms are below 1e-29, so
-    _WEIGHT_ERR = 9.7e-16 covers it.  The bound is absolute only, unlike
+    _WEIGHT_ERR = 9.7e-16 covers it, and the term is within
+    (_WEIGHT_ERR + root_err + u) f(n).  The bound is absolute only, unlike
     _sinpi_into's relative one, which the direct bound does not need.  A
     term depends on n alone for given (source, N, M).
     """
@@ -394,20 +464,20 @@ def _make_term_fn(
         num = (interval.lo_m + interval.hi_m) % den
         arg_err = float((N + M) * interval.width / 2)
     length = min(M, _BATCH)
-    rows = [_sincospi(i * _TABLE_ROW * num, den) for i in range(-(-length // _TABLE_ROW))]
-    cols = [_sincospi(j * num, den) for j in range(min(length, _TABLE_ROW))]
-    (sin_i, cos_i), (sin_j, cos_j) = np.array(rows).T, np.array(cols).T
+    sin_i, cos_i = _rotation(0, _TABLE_ROW * num, den, -(-length // _TABLE_ROW)).T
+    sin_j, cos_j = _rotation(0, num, den, min(length, _TABLE_ROW)).T
+    product = _work_buffers(len(sin_i) * len(sin_j))[0].reshape(len(sin_i), len(sin_j))
     sin_t = np.multiply.outer(sin_i, cos_j)
-    sin_t += np.multiply.outer(cos_i, sin_j)
+    sin_t += np.multiply.outer(cos_i, sin_j, out=product)
     cos_t = np.multiply.outer(cos_i, cos_j)
-    cos_t -= np.multiply.outer(sin_i, sin_j)
+    cos_t -= np.multiply.outer(sin_i, sin_j, out=product)
     sin_t, cos_t = sin_t.ravel()[:length], cos_t.ravel()[:length]
-    scalars = [_sincospi(g * num, den) for g in range(N + 1, N + M + 1, _BATCH)]
-    power, f_err = _power(f, N + M)
+    scalars = _rotation((N + 1) * num, _BATCH * num, den, -(-M // _BATCH)).tolist()
+    root, root_err = _root(f, N + M)
 
-    def batch(lo: int, hi: int) -> Tuple[np.ndarray, np.ndarray]:
+    def batch(lo: int, hi: int) -> np.ndarray:
         k = hi - lo
-        out, fv, z = _work_buffers(k)
+        out, z = _work_buffers(k)
         for g in range(lo - (lo - N - 1) % _BATCH, hi, _BATCH):
             a, b = max(lo, g), min(hi, g + _BATCH)
             sin_b, cos_b = scalars[(g - N - 1) // _BATCH]
@@ -416,11 +486,10 @@ def _make_term_fn(
             np.multiply(cos_t[a - g : b - g], sin_b, out=t)
             w += t
         np.abs(out, out=out)
-        np.add(_INDEX[:k], float(lo), out=fv)
-        out *= power(fv)
-        return _apply_signs(out, lo), fv
+        out /= root(np.add(_INDEX[:k], float(lo), out=z))
+        return _apply_signs(out, lo)
 
-    return batch, math.pi * arg_err + _WEIGHT_ERR + f_err
+    return batch, math.pi * arg_err + _WEIGHT_ERR + root_err
 
 
 @lru_cache(maxsize=None)
@@ -439,63 +508,88 @@ def _pairwise_depth(n: int) -> int:
     return 1 + max(_pairwise_depth(half), _pairwise_depth(n - half))
 
 
-def _chunk_bound(absf: float, length: int, coeff: float) -> float:
-    """Rounding bound of one pairwise sum of `length` terms, given absf, the
-    computed sum of the magnitudes that coeff multiplies.
+def _masses(f: FDescriptor, firsts: Sequence[int], lasts: Sequence[int]) -> np.ndarray:
+    """Upper bounds of sum_{a <= n <= b} n^-p, one per pair a = firsts[i],
+    b = lasts[i] of integers with 1 <= a <= b <= 2^53 and b - a < _CHUNK.
 
-    Each term is the rounded product x of a weight and an f(n) that are
-    within coeff times the magnitude of their exact product, so the terms
-    are within absf * (coeff + u) of the exact ones; the pairwise sum adds
-    at most D u sum|x| with D = _pairwise_depth(length) (Higham, Accuracy
-    and Stability of Numerical Algorithms, ch. 4).  One more u * absf
-    covers every second-order term, the rounding of absf itself and the
-    arithmetic of this bound.
+    n^-p is convex and decreasing, so by Hermite-Hadamard it is at most its
+    mean over [n - 1/2, n + 1/2], and the sum is at most
+    a^-p + int_{a + 1/2}^{b + 1/2} t^-p dt: the first term is kept apart,
+    as the integral over its own interval would overshoot it by 10% at
+    a = 1.  Past 2^52 a half-integer is no double, so where b reaches 2^52
+    the interval moves left by 1/2 to [a, b], which only raises the
+    integral of a decreasing function and, as t^-p is nearly flat there,
+    by under a relative 2^-52.  Either way both ends and their difference
+    b - a are exact, as _power_integral needs.  The first terms come from
+    _power within f_err, and the integral from _power_integral within its
+    bound, at fl(p): a p that is no double moves it by at most
+    p_err <= f_err relatively, over t <= max(lasts) + 1.  So the exact sum
+    is at most (first + integral + bound)(1 + f_err) to first order; the
+    two additions and the product round by at most 4u, and the factor
+    1 + f_err + 8u covers them and every second-order term.
     """
-    return absf * (coeff + (_pairwise_depth(length) + 2) * _U)
+    first = np.array(firsts, np.float64)
+    last = np.array(lasts, np.float64)
+    shift = np.where(last < _HALF_EXACT, 0.5, 0.0)
+    lo, hi = first + shift, last + shift
+    power, f_err = _power(f, max(lasts) + 1)
+    integral, err = _power_integral(lo, hi, power(lo.copy()), power(hi.copy()), -float(f.p), f_err)
+    return (power(first) + integral + err) * (1 + f_err + 8 * _U)
+
+
+def _chunk_bound(mass: float, length: int, coeff: float) -> float:
+    """Rounding bound of one pairwise sum of `length` terms, given mass, an
+    upper bound of the sum of f(n) over them (from _masses).
+
+    Each term is the rounded quotient x of a weight and n^p, within
+    (coeff + u) f(n) of the exact term (see _make_term_fn), so the terms are
+    within mass * (coeff + u) of the exact ones; the pairwise sum adds at
+    most D u sum|x| <= D u mass, to first order, with
+    D = _pairwise_depth(length) (Higham, Accuracy and Stability of
+    Numerical Algorithms, ch. 4).  One more u * mass covers every
+    second-order term and the arithmetic of this bound.
+    """
+    return mass * (coeff + (_pairwise_depth(length) + 2) * _U)
 
 
 def _sum(
-    term_fn: Callable[[int, int], Tuple[np.ndarray, np.ndarray]],
-    coeff: float,
-    N: int,
-    M: int,
-    cps: Sequence[int],
-    workers: int,
+    source: RealSource, f: FDescriptor, N: int, M: int, cps: Sequence[int], workers: int
 ) -> SumTrace:
     """The one chunk loop behind the direct sum and the checkpoint scan.
 
-    term_fn(lo, hi) returns the signed terms for n in [lo, hi) and the
-    magnitudes f(n) that coeff multiplies in the bound.  Chunks sit on the
-    grid N + 1 + j*_CHUNK, fixed by N alone.  Each worker evaluates a
-    contiguous block of them, two per term_fn call.  A checkpoint m (cps is
-    ascending) inside a chunk reads that chunk's prefix: the sum and the
-    bound of the terms up to m, added to the exact running sums of the
-    whole chunks before it, so a row depends on neither the other
-    checkpoints nor the worker count.  The whole chunks are folded in index
-    order, adding the sums and the bounds exactly, and their fold is the
-    result.
+    Chunks sit on the grid N + 1 + j*_CHUNK, fixed by N alone.  Each worker
+    evaluates a contiguous block of them, two per call of _make_term_fn's
+    evaluator.  A checkpoint m (cps is ascending) inside a chunk reads that
+    chunk's prefix: the sum of the terms up to n = N + m, added to the
+    exact running sums of the whole chunks before it, so a row depends on
+    neither the other checkpoints nor the worker count.  The bounds of the
+    chunks and of the prefixes come from their masses, all from one
+    _masses call before the first term.  The whole chunks are folded in
+    index order, adding the sums and the bounds exactly, and their fold is
+    the result.
     """
+    term_fn, coeff = _make_term_fn(source, f, N, M)
+    firsts = list(range(N + 1, N + M + 1, _CHUNK))
+    lasts = [min(n + _CHUNK - 1, N + M) for n in firsts]
+    chunks = len(firsts)
+    firsts += [N + 1 + (m - 1) // _CHUNK * _CHUNK for m in cps]
+    lasts += [N + m for m in cps]
+    masses = _masses(f, firsts, lasts).tolist()
+    bounds = [_chunk_bound(w, b - a + 1, coeff) for w, a, b in zip(masses, firsts, lasts)]
+    prefix_bounds = dict(zip(cps, bounds[chunks:]))
 
     def eval_block(first: int, last: int) -> list:
-        records = []  # (chunk sum, chunk bound, prefix reads)
+        records = []  # (chunk sum, [(m, prefix sum) per checkpoint in the chunk])
         for start in range(first, last, _BATCH):
             stop = min(start + _BATCH, last)
-            terms, fv = term_fn(start, stop)
+            terms = term_fn(start, stop)
             for lo in range(start, stop, _CHUNK):
                 hi = min(lo + _CHUNK, stop)
-                part = slice(lo - start, hi - start)
-                reads = []  # (m, prefix sum, prefix bound) per checkpoint in the chunk
-                m0 = lo - N  # the chunk's first term count
-                for m in cps[bisect_left(cps, m0) : bisect_right(cps, hi - 1 - N)]:
-                    k = m - m0 + 1  # the chunk's terms up to m
-                    head = slice(part.start, part.start + k)
-                    prefix_bound = _chunk_bound(float(np.sum(fv[head])), k, coeff)
-                    reads.append((m, float(np.sum(terms[head])), prefix_bound))
-                bound = _chunk_bound(float(np.sum(fv[part])), hi - lo, coeff)
-                records.append((float(np.sum(terms[part])), bound, reads))
+                in_chunk = cps[bisect_left(cps, lo - N) : bisect_right(cps, hi - 1 - N)]
+                reads = [(m, float(np.sum(terms[lo - start : N + m + 1 - start]))) for m in in_chunk]
+                records.append((float(np.sum(terms[lo - start : hi - start])), reads))
         return records
 
-    chunks = -(-M // _CHUNK)
     nblocks = max(1, min(workers, chunks))
     grid = [min(N + 1 + chunks * i // nblocks * _CHUNK, N + M + 1) for i in range(nblocks + 1)]
     if nblocks > 1:
@@ -506,16 +600,16 @@ def _sum(
         records = eval_block(*grid)
 
     sums: List[float] = []  # the chunk sums so far, added exactly by math.fsum
-    bounds: List[float] = []  # the chunk bounds so far
+    done: List[float] = []  # the chunk bounds so far
     rows: List[TraceRow] = []
-    for chunk_sum, chunk_bound, reads in records:
-        for m, s, b in reads:
+    for (chunk_sum, reads), chunk_bound in zip(records, bounds[:chunks]):
+        for m, s in reads:
             value = math.fsum(sums + [s])
-            rows.append(TraceRow(m, value, math.fsum(bounds + [b]) + 2 * _EPS * abs(value)))
+            rows.append(TraceRow(m, value, math.fsum(done + [prefix_bounds[m]]) + 2 * _EPS * abs(value)))
         sums.append(chunk_sum)
-        bounds.append(chunk_bound)
+        done.append(chunk_bound)
     value = math.fsum(sums)
-    bound = math.fsum(bounds) + 2 * _EPS * abs(value)
+    bound = math.fsum(done) + 2 * _EPS * abs(value)
     return SumTrace(tuple(rows), PartialSumResult(value, bound, terms=M, mode="direct"))
 
 
@@ -536,7 +630,7 @@ def partial_sum_direct(
     with exact accumulation.
     """
     _require_range(N, M, max_terms)
-    return _sum(*_make_term_fn(source, f, N, M), N, M, [], workers).final
+    return _sum(source, f, N, M, [], workers).final
 
 
 def _class_weights(a: int, q: int, n0: int, length: int) -> np.ndarray:
@@ -580,10 +674,11 @@ def _power_integral(
     """The integral of t^neg_p over [lo, hi] elementwise, and bounds of the
     errors of the values returned.
 
-    lo and hi are float64 rows of integers with 1 <= lo <= hi <= 2^53, so
-    exact, and lo_f, hi_f hold lo^neg_p and hi^neg_p within a relative f_err.
+    lo and hi are float64 rows with 1 <= lo <= hi whose differences
+    hi - lo are exact (integers up to 2^53, or the ends of _masses), and
+    lo_f, hi_f hold lo^neg_p and hi^neg_p within a relative f_err.
     ell = log1p((hi - lo)/lo) is ln(hi/lo) within a relative u + _LIBM_ERR:
-    hi - lo is exact, the quotient rounds once, and log1p's condition number
+    the quotient rounds once, and log1p's condition number
     t/((1 + t) log1p t) is at most 1.  For neg_p = -1 the integral is ell.
     Otherwise, with c = fl(1 + neg_p) (within u of 1 - p) and x = fl(c ell),
     it is (hi^c - lo^c)/c, evaluated two ways, to first order in u:
@@ -865,16 +960,14 @@ def scan_partial_sums(
         cps = sorted(set(int(c) for c in checkpoints))
         if cps and (cps[0] < 1 or cps[-1] > M):
             raise ValueError("checkpoints must lie in [1, M]")
-    return _sum(*_make_term_fn(source, f, N, M), N, M, cps, workers)
+    return _sum(source, f, N, M, cps, workers)
 
 
 def drift_predict(
     a: int, q: int, f: FDescriptor, N: int, M: int, *, max_terms: int = DEFAULT_MAX_TERMS
 ) -> DriftPrediction:
-    """Secular drift of S(a/q; M, N) for even q: magnitude, sign, and an
-    allowance that bounds |S - predicted|.  N must be even and at least 2,
-    a restriction kept from earlier versions of this interface: the
-    derivation below holds for any N >= 1.
+    """Secular drift of S(a/q; M, N) for even q and any N >= 1: magnitude,
+    sign, and an allowance that bounds |S - predicted|.
 
     a is odd, so n -> a n mod q permutes the residues and keeps the parity,
     and s_n w_n = (-1)^n |sin(pi n a/q)| has period q and sums over one
@@ -908,8 +1001,8 @@ def drift_predict(
         raise ValueError("drift law requires even q >= 2 (odd q stays bounded)")
     if math.gcd(a, q) != 1:
         raise ValueError("a/q must be in lowest terms")
-    if N < 2 or N % 2 != 0:
-        raise ValueError("N must be even and >= 2")
+    if N < 1:
+        raise ValueError("N must be >= 1: the allowance needs f(N)")
     _require_range(N, M, max_terms)
     mu = math.tan(math.pi / (2 * q)) / q
     run, z_max, span = 0.0, 0.0, min(M, q)

@@ -8,7 +8,7 @@ from functools import lru_cache
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings, strategies as st
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 import dseries as ds
 import lemmas
@@ -306,6 +306,36 @@ def test_power_integral_within_its_bound(p):
             assert abs(v - exact) <= e, (x, y)
 
 
+def _exact_mass(p, first, last):
+    """sum_{first <= n <= last} n^-p at 60 digits: term by term below 64
+    terms, otherwise from the Hurwitz zeta function (digamma at p = 1)."""
+    with mpmath.workdps(60):
+        s = mpmath.mpf(p.numerator) / p.denominator
+        if last - first < 63:
+            return mpmath.fsum(mpmath.mpf(n) ** -s for n in range(first, last + 1))
+        if p == 1:
+            return mpmath.digamma(last + 1) - mpmath.digamma(first)
+        return mpmath.zeta(s, first) - mpmath.zeta(s, last + 1)
+
+
+@settings(max_examples=80, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(
+    p=st.sampled_from([Fraction(1), Fraction(1, 2), Fraction(1, 3), Fraction(3, 4)]),
+    first=_log_uniform(1, 2 ** 53),
+    length=_log_uniform(1, CHUNK),
+)
+def test_chunk_mass_bounds_the_exact_sum(p, first, length):
+    # the chunk bounds scale with these masses in place of a sum of f(n):
+    # never below the exact mass, and close to it once a chunk is not tiny
+    first = min(first, 2 ** 53 - length + 1)
+    last = first + length - 1
+    mass = mpmath.mpf(float(sumengine._masses(ds.make_power_f(p), [first], [last])[0]))
+    exact = _exact_mass(p, first, last)
+    assert mass >= exact, (first, last)
+    if length >= 64:
+        assert mass <= exact * mpmath.mpf(1.02), (first, last)
+
+
 def test_log1p_and_expm1_stay_within_the_assumed_ulp():
     # _power_integral assumes np.log1p and np.expm1 within one ulp (_LIBM_ERR)
     rng = np.random.default_rng(13)
@@ -367,12 +397,18 @@ def test_zero_weight_classes_evaluate_no_f(monkeypatch):
 @given(
     half_q=st.integers(1, 10),
     a=st.integers(1, 40),
-    half_N=_log_uniform(1, 4 * 10 ** 8),
+    N=_log_uniform(1, 8 * 10 ** 8),
     M=_log_uniform(1, 2 * 10 ** 8),
     p=st.sampled_from(_P_VALUES),
 )
-def test_drift_allowance_bounds_the_true_gap(half_q, a, half_N, M, p):
-    q, N = 2 * half_q, 2 * half_N
+# q = 2 windows of one term with a weight of 0, after an odd N: the sum is
+# then furthest from mu times the integral, and an allowance without its
+# |mu| f(N) term fails on them
+@example(half_q=1, a=1, N=1, M=1, p=Fraction(1))
+@example(half_q=1, a=1, N=3, M=1, p=Fraction(1, 2))
+@example(half_q=1, a=1, N=5, M=1, p=Fraction(1, 3))
+def test_drift_allowance_bounds_the_true_gap(half_q, a, N, M, p):
+    q = 2 * half_q
     a = _coprime_to(a, q)
     pred = ds.drift_predict(a, q, ds.make_power_f(p), N, M)
     exact = hurwitz_periodic_sum(a, q, p, N, M)
@@ -395,7 +431,7 @@ def reversed_chunk_sum(source, f, N, M):
     term_fn, _ = sumengine._make_term_fn(source, f, N, M)
     sums = []
     for lo in range(N + 1, N + M + 1, CHUNK):
-        terms, _ = term_fn(lo, min(lo + CHUNK, N + M + 1))
+        terms = term_fn(lo, min(lo + CHUNK, N + M + 1))
         sums.append(float(np.sum(terms[::-1])))
     return math.fsum(sums)
 
@@ -438,23 +474,30 @@ def reference_terms(source, f, N, M, lo, hi):
     and cosine of pi k alpha by angle addition from those of pi i*256 alpha
     and pi j alpha, and those three pairs, like the pair of pi g alpha, from
     mpmath at 40 digits, with alpha the rational itself or the enclosure
-    midpoint.  The buffered kernel must reproduce every bit."""
+    midpoint; the weight divided by n^p (n itself for p = 1, its correctly
+    rounded square root for p = 1/2, np.power otherwise).  The buffered
+    kernel must reproduce every bit."""
     if source.kind is Kind.RATIONAL:
         alpha = Fraction(source.a, source.q)
     else:
         alpha = source.approximate((N + M).bit_length() + 64).midpoint
     num, den = alpha.numerator, alpha.denominator
     n_all = np.arange(lo, hi, dtype=np.float64)
-    fv = (1.0 / n_all if f.p == 1 else np.power(n_all, -float(f.p))).tolist()
+    if f.p == 1:
+        roots = n_all.tolist()
+    elif f.p == Fraction(1, 2):
+        roots = [math.sqrt(n) for n in n_all.tolist()]
+    else:
+        roots = np.power(n_all, float(f.p)).tolist()
     terms = []
-    for n, fn in zip(range(lo, hi), fv):
+    for n, root in zip(range(lo, hi), roots):
         k = (n - N - 1) % BATCH
         sin_b, cos_b = _mp_sincospi((n - k) * num, den)
         sin_i, cos_i = _mp_sincospi((k - k % 256) * num, den)
         sin_j, cos_j = _mp_sincospi(k % 256 * num, den)
         sin_t = sin_i * cos_j + cos_i * sin_j
         cos_t = cos_i * cos_j - sin_i * sin_j
-        t = abs(sin_t * cos_b + cos_t * sin_b) * fn
+        t = abs(sin_t * cos_b + cos_t * sin_b) / root
         terms.append(-t if n % 2 else t)
     return np.array(terms)
 
@@ -474,11 +517,9 @@ def test_kernel_terms_match_reference_bit_for_bit(source, p, N, M):
     term_fn, _ = sumengine._make_term_fn(source, f, N, M)
     for lo in (N + 1, N + 2):
         hi = min(lo + sumengine._BATCH, N + M + 1)
-        terms, fv = term_fn(lo, hi)
+        terms = term_fn(lo, hi)
         ref = reference_terms(source, f, N, M, lo, hi)
         assert terms.tobytes() == ref.tobytes()
-        n = np.arange(lo, hi, dtype=np.float64)
-        assert fv.tobytes() == (1.0 / n if p == 1 else np.power(n, -float(p))).tobytes()
 
 
 @pytest.mark.parametrize("source, p, N, M", KERNEL_WINDOWS)
@@ -625,27 +666,54 @@ def test_grid_scalars_are_within_their_bound(den):
     # r near 0, den/4, den/2 and den, where sin or cos vanishes or the two meet
     rs = {0, 1, 2, 3 * den // 4, den - 2, den - 1, den, den + 1}
     rs |= {den // 4 + d for d in (-1, 0, 1)} | {den // 2 + d for d in (-1, 0, 1)}
-    with mpmath.workdps(50):
+    one = mpmath.mpf(1 << sumengine._SCALAR_BITS)
+    with mpmath.workdps(60):
         for r in rs:
             x = mpmath.mpf(r) / den
             for got, exact in zip(sumengine._sincospi(r, den), (mpmath.sinpi(x), mpmath.cospi(x))):
-                err = abs(mpmath.mpf(got) - exact)
-                assert err <= mpmath.mpf(math.ulp(got)) / 2 + mpmath.mpf(2) ** -88, (r, den)
+                assert abs(got / one - exact) <= mpmath.mpf(2) ** -153, (r, den)
+        # the rotation helper's pairs up to 2^16 steps on: after k steps,
+        # within (k + 1) 2^-151 before their one rounding
+        steps = 1 << 16
+        for r0, step in ((den // 4 + 1, den // 3 + 1), (den - 1, 12345), (0, den // 2 - 1)):
+            pairs = sumengine._rotation(r0, step, den, steps + 1)
+            for k in list(range(0, steps + 1, 997)) + list(range(steps - 15, steps + 1)):
+                x = mpmath.mpf(r0 + k * step) / den
+                for got, exact in zip(pairs[k].tolist(), (mpmath.sinpi(x), mpmath.cospi(x))):
+                    err = abs(mpmath.mpf(got) - exact)
+                    bound = mpmath.mpf(math.ulp(got)) / 2 + (k + 1) * mpmath.mpf(2) ** -151
+                    assert err <= bound, (r0, step, k, den)
 
 
 def test_power_stays_within_the_assumed_ulp():
-    # _power's bound assumes np.power within one ulp of n^-fl(p); p = 1 is
-    # a division, correctly rounded
+    # p = 1 and p = 1/2 are correctly rounded steps: n itself or sqrt(n),
+    # then 1/. for _power, so they are held to the relative bound that
+    # _power returns, 2u at p = 1/2; other p assume np.power within one ulp
+    # of n^-fl(p) and n^fl(p)
     rng = np.random.default_rng(11)
     n = np.concatenate([rng.integers(1, 10 ** 6, 500), rng.integers(1, 2 ** 53, 1500)]).astype(np.float64)
     for p in (Fraction(1), Fraction(1, 2), Fraction(3, 4), Fraction(1, 3)):
-        power, err = sumengine._power(ds.make_power_f(p), 2 ** 53)
-        got = power(n.copy())
+        f = ds.make_power_f(p)
+        power, err = sumengine._power(f, 2 ** 53)
+        root, root_err = sumengine._root(f, 2 ** 53)
+        got, got_root = power(n.copy()), root(n.copy())
         with mpmath.workdps(40):
-            for x, g in zip(n.tolist(), got.tolist()):
-                exact = mpmath.mpf(x) ** -mpmath.mpf(float(p))
-                assert abs(mpmath.mpf(g) - exact) <= mpmath.mpf(math.ulp(g)) * (0.5 if p == 1 else 1)
-        assert err == (2.0 ** -53 if p == 1 else 2.0 ** -52 + float(abs(p - Fraction(float(p)))) * math.log(2 ** 53))
+            s = mpmath.mpf(float(p))
+            for x, g, r in zip(n.tolist(), got.tolist(), got_root.tolist()):
+                exact, exact_root = mpmath.mpf(x) ** -s, mpmath.mpf(x) ** s
+                if p == 1:
+                    assert abs(mpmath.mpf(g) - exact) <= mpmath.mpf(math.ulp(g)) / 2 and r == x
+                elif p == Fraction(1, 2):
+                    assert abs(mpmath.mpf(g) - exact) <= err * exact
+                    assert abs(mpmath.mpf(r) - exact_root) <= mpmath.mpf(math.ulp(r)) / 2
+                else:
+                    assert abs(mpmath.mpf(g) - exact) <= mpmath.mpf(math.ulp(g))
+                    assert abs(mpmath.mpf(r) - exact_root) <= mpmath.mpf(math.ulp(r))
+        p_err = float(abs(p - Fraction(float(p)))) * math.log(2 ** 53)
+        u = 2.0 ** -53
+        assert (err, root_err) == {
+            Fraction(1): (u, 0.0), Fraction(1, 2): (2 * u, u)
+        }.get(p, (2 * u + p_err, 2 * u + p_err))
 
 
 @st.composite
@@ -670,17 +738,18 @@ def _weight_windows(draw):
 def test_weight_error_stays_within_the_derived_coefficient(window, picks):
     source, N, M = window
     term_fn, coeff = sumengine._make_term_fn(source, ds.make_power_f(1), N, M)
-    # a rational carries no argument error, and 1/n rounds once
-    assert coeff == sumengine._WEIGHT_ERR + 2.0 ** -53
+    # a rational carries no argument error, and for p = 1 the kernel divides
+    # by n itself, exactly: the weight's error is the whole coefficient
+    assert coeff == sumengine._WEIGHT_ERR
+    assert sumengine._make_term_fn(source, ds.make_power_f(Fraction(1, 2)), N, M)[1] == coeff + 2.0 ** -53
     for pick in picks:
         n = N + 1 + pick % M
-        terms, fv = term_fn(n, n + 1)
-        term, fn = float(terms[0]), float(fv[0])
+        term = float(term_fn(n, n + 1)[0])
         with mpmath.workdps(40):
             weight = abs(mpmath.sinpi(mpmath.mpf(n * source.a % source.q) / source.q))
-            # |term| is fl(w fn) for the computed weight w
-            err = abs(abs(mpmath.mpf(term)) - weight * fn)
-            assert err <= fn * sumengine._WEIGHT_ERR + mpmath.mpf(math.ulp(term)) / 2
+            # |term| is fl(w / n) for the computed weight w
+            err = abs(abs(mpmath.mpf(term)) - weight / n)
+            assert err <= sumengine._WEIGHT_ERR / mpmath.mpf(n) + mpmath.mpf(math.ulp(term)) / 2
         assert term == 0 or math.copysign(1, term) == (-1) ** n
 
 
@@ -704,13 +773,12 @@ def test_weight_error_reaches_a_third_of_the_derived_coefficient():
     for num, den, N, k in _WORST_WEIGHT_PICKS:
         term_fn, _ = sumengine._make_term_fn(ds.make_rational(num, den), ds.make_power_f(1), N, BATCH)
         n = N + 1 + k
-        terms, fv = term_fn(n, n + 1)
-        term, fn = float(terms[0]), float(fv[0])
+        term = float(term_fn(n, n + 1)[0])
         with mpmath.workdps(40):
             weight = abs(mpmath.sinpi(mpmath.mpf(n * num % den) / den))
-            # the weight's own error, net of the product's rounding
-            err = abs(abs(mpmath.mpf(term)) - weight * fn) - mpmath.mpf(math.ulp(term)) / 2
-        worst = max(worst, err / fn)
+            # the weight's own error, net of the division's rounding
+            err = abs(abs(mpmath.mpf(term)) - weight / n) - mpmath.mpf(math.ulp(term)) / 2
+        worst = max(worst, err * n)
     assert worst <= sumengine._WEIGHT_ERR
     assert worst >= sumengine._WEIGHT_ERR / 3
 
@@ -894,14 +962,16 @@ def test_drift_rejects_bad_inputs():
     with pytest.raises(ValueError):
         ds.drift_predict(1, 3, f, 100, 10)  # odd q
     with pytest.raises(ValueError):
-        ds.drift_predict(1, 2, f, 101, 10)  # odd N
+        ds.drift_predict(1, 2, f, 0, 10)  # N = 0: no f(N)
     with pytest.raises(ValueError):
         ds.drift_predict(2, 4, f, 100, 10)  # not reduced
 
 
 def test_drift_sign_depends_on_parity_anchor():
+    # the drift is negative whichever parity the window starts on
     f = ds.make_power_f(1)
     assert ds.drift_predict(1, 2, f, 10, 100).sign == -1
+    assert ds.drift_predict(1, 2, f, 11, 100).sign == -1
 
 
 # The lemma checkers of tests/lemmas.py.
