@@ -213,6 +213,10 @@ def _round_dyadic(m: int, exp: int, up: bool) -> float:
 
 def _outward_floats(iv) -> Tuple[float, float]:
     """Tightest doubles lo <= iv.lo and hi >= iv.hi."""
+    if iv.lo_m >= 0 and iv.hi_m.bit_length() <= iv.exp - 1074:
+        # 0 <= lo <= hi < 2^-1074, the smallest subnormal: the distances of
+        # a long expansion's later convergents
+        return 0.0, (5e-324 if iv.hi_m else 0.0)
     return _round_dyadic(iv.lo_m, iv.exp, False), _round_dyadic(iv.hi_m, iv.exp, True)
 
 
@@ -434,20 +438,79 @@ def _nonneg_int(text: str) -> int:
     return value
 
 
-def _manifest_parser() -> argparse.ArgumentParser:
-    """The parser of --manifest alone, which every subcommand inherits."""
-    parser = argparse.ArgumentParser(add_help=False, allow_abbrev=False, exit_on_error=False)
+def _add_manifest(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--manifest", default=_DEFAULT_MANIFEST, help="run manifest path")
+
+
+def _manifest_parser() -> argparse.ArgumentParser:
+    """The parser of --manifest alone, which reads it again after a failed parse."""
+    parser = argparse.ArgumentParser(add_help=False, allow_abbrev=False, exit_on_error=False)
+    _add_manifest(parser)
     return parser
 
 
-def _build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False, parents=[_manifest_parser()])
-    common.add_argument("--max-bits", dest="max_bits", type=int, help="precision cap override")
-    common.add_argument("--max-terms", dest="max_terms", type=int, help="term cap override")
-    common.add_argument("--workers", type=int, help="worker threads for sums (1 to 64)")
-    common.add_argument("--json", dest="json_path", help="write the JSON document here instead of stdout")
+def _cf_arguments(s: argparse.ArgumentParser):
+    s.add_argument("alpha")
+    s.add_argument("--terms", type=_positive_int, default=12)
+    return _cmd_cf
 
+
+def _classify_arguments(s: argparse.ArgumentParser):
+    s.add_argument("alpha")
+    s.add_argument("--f", required=True, help="weight spec, e.g. pow:1 or pow:1/2")
+    s.add_argument("--cert", action="append", help="roth | mahler | measure:mu,C")
+    s.add_argument("--budget", type=_positive_int, default=24, help="expansion budget (convergents)")
+    return _cmd_classify
+
+
+def _sum_arguments(s: argparse.ArgumentParser):
+    s.add_argument("alpha")
+    s.add_argument("--f", required=True)
+    s.add_argument("--N", type=_nonneg_int, default=0)
+    s.add_argument("--M", type=_positive_int, required=True)
+    s.add_argument("--mode", choices=["direct", "periodic", "both"], default="direct")
+    s.add_argument("--trace", help="CSV trace path (geometric checkpoints)")
+    return _cmd_sum
+
+
+def _drift_arguments(s: argparse.ArgumentParser):
+    s.add_argument("a", type=int)
+    s.add_argument("q", type=int)
+    s.add_argument("--f", required=True)
+    s.add_argument("--N", type=_nonneg_int, required=True)
+    s.add_argument("--M", type=_positive_int, required=True)
+    return _cmd_drift
+
+
+def _liouville_arguments(s: argparse.ArgumentParser):
+    s.add_argument("--schedule", required=True, choices=["factorial", "tower100"])
+    s.add_argument("--digits", default="1", help="repeating digit pattern over {1,3}")
+    s.add_argument("--base", default="0/1", help="rational offset a/q")
+    s.add_argument("--start", type=_positive_int, default=1)
+    s.add_argument("--terms", type=_positive_int, default=4, help="number of staircase levels")
+    s.add_argument("--p", default="1/2", help="power-weight exponent for criterion terms")
+    return _cmd_liouville
+
+
+# each subcommand's summary, and the function that adds its own arguments
+# and returns its handler
+_COMMANDS = {
+    "cf": ("continued-fraction expansion", _cf_arguments),
+    "classify": ("convergence verdict", _classify_arguments),
+    "sum": ("partial sums S(alpha; M, N)", _sum_arguments),
+    "drift": ("even-q drift prediction vs measurement", _drift_arguments),
+    "liouville": ("staircase construction report", _liouville_arguments),
+}
+
+
+def _build_parser(argv: Sequence[str] = ()) -> argparse.ArgumentParser:
+    """The top-level parser, with the one subparser that argv[0] names, or
+    with all five when it names none (help, --version, a missing or unknown
+    command).
+
+    A run parses and fails as it would under all five: a subparser does not
+    depend on its siblings, and the top-level usage line, the one place
+    where they all appear, spells the command list as a fixed metavar."""
     # no abbreviated flags, so a failed parse and a successful one read the
     # same --manifest: the manifest parser refuses abbreviations too
     parser = argparse.ArgumentParser(
@@ -456,48 +519,21 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Convergence toolkit for alternating sine-weighted series",
     )
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    def command(name: str, summary: str) -> argparse.ArgumentParser:
-        return sub.add_parser(name, parents=[common], allow_abbrev=False, help=summary)
-
-    s = command("cf", "continued-fraction expansion")
-    s.add_argument("alpha")
-    s.add_argument("--terms", type=_positive_int, default=12)
-    s.set_defaults(func=_cmd_cf)
-
-    s = command("classify", "convergence verdict")
-    s.add_argument("alpha")
-    s.add_argument("--f", required=True, help="weight spec, e.g. pow:1 or pow:1/2")
-    s.add_argument("--cert", action="append", help="roth | mahler | measure:mu,C")
-    s.add_argument("--budget", type=_positive_int, default=24, help="expansion budget (convergents)")
-    s.set_defaults(func=_cmd_classify)
-
-    s = command("sum", "partial sums S(alpha; M, N)")
-    s.add_argument("alpha")
-    s.add_argument("--f", required=True)
-    s.add_argument("--N", type=_nonneg_int, default=0)
-    s.add_argument("--M", type=_positive_int, required=True)
-    s.add_argument("--mode", choices=["direct", "periodic", "both"], default="direct")
-    s.add_argument("--trace", help="CSV trace path (geometric checkpoints)")
-    s.set_defaults(func=_cmd_sum)
-
-    s = command("drift", "even-q drift prediction vs measurement")
-    s.add_argument("a", type=int)
-    s.add_argument("q", type=int)
-    s.add_argument("--f", required=True)
-    s.add_argument("--N", type=_nonneg_int, required=True)
-    s.add_argument("--M", type=_positive_int, required=True)
-    s.set_defaults(func=_cmd_drift)
-
-    s = command("liouville", "staircase construction report")
-    s.add_argument("--schedule", required=True, choices=["factorial", "tower100"])
-    s.add_argument("--digits", default="1", help="repeating digit pattern over {1,3}")
-    s.add_argument("--base", default="0/1", help="rational offset a/q")
-    s.add_argument("--start", type=_positive_int, default=1)
-    s.add_argument("--terms", type=_positive_int, default=4, help="number of staircase levels")
-    s.add_argument("--p", default="1/2", help="power-weight exponent for criterion terms")
-    s.set_defaults(func=_cmd_liouville)
+    names: Sequence[str] = list(_COMMANDS)
+    metavar = None
+    if argv and argv[0] in _COMMANDS:
+        names, metavar = argv[:1], "{%s}" % ",".join(_COMMANDS)
+    # the prog prefix given, argparse does not format a usage line to find it
+    sub = parser.add_subparsers(dest="command", required=True, metavar=metavar, prog="dseries")
+    for name in names:
+        summary, add_arguments = _COMMANDS[name]
+        s = sub.add_parser(name, allow_abbrev=False, help=summary)
+        _add_manifest(s)
+        s.add_argument("--max-bits", dest="max_bits", type=int, help="precision cap override")
+        s.add_argument("--max-terms", dest="max_terms", type=int, help="term cap override")
+        s.add_argument("--workers", type=int, help="worker threads for sums (1 to 64)")
+        s.add_argument("--json", dest="json_path", help="write the JSON document here instead of stdout")
+        s.set_defaults(func=add_arguments(s))
     return parser
 
 
@@ -525,7 +561,7 @@ def console_main(argv: Optional[Sequence[str]] = None) -> int:
         "error": None,
     }
     try:
-        args = _build_parser().parse_args(argv)
+        args = _build_parser(argv).parse_args(argv)
     except SystemExit as exc:
         code = 0 if exc.code == 0 else 1
         if code:

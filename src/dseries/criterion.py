@@ -44,6 +44,9 @@ __all__ = [
 # a handful of multiplications, one pow and one log, each good to ~1 ulp.
 _TERM_REL_ERR = 1e-13
 
+# _digits converts integers below 2^this to Decimal directly
+_DIGITS_LEAF_BITS = 1024
+
 
 @dataclass(frozen=True)
 class FDescriptor:
@@ -276,13 +279,42 @@ class VerdictCertificate(str, Enum):
 
 def _digits(n: int) -> str:
     """Decimal text of n.  Past Python's limit on int-to-str conversion,
-    where str() raises, the slower Decimal conversion runs."""
+    where str() raises, n is built as a Decimal from halves of its bits,
+    n = lo + hi 2^h, as CPython 3.12's _pylong does: Decimal multiplies long
+    numbers in subquadratic time, while str() and Decimal(n) are quadratic."""
     try:
         return str(n)
     except ValueError:
-        from decimal import Decimal
+        pass
+    import decimal
 
-        return str(Decimal(n))
+    powers: Dict[int, decimal.Decimal] = {}
+
+    def power(w: int) -> decimal.Decimal:  # 2^w, each w built once
+        out = powers.get(w)
+        if out is None:
+            if w <= _DIGITS_LEAF_BITS:
+                out = decimal.Decimal(1 << w)
+            elif w - 1 in powers:
+                out = powers[w - 1] * 2
+            else:
+                out = power(w >> 1) * power(w - (w >> 1))
+            powers[w] = out
+        return out
+
+    def convert(m: int, w: int) -> decimal.Decimal:  # 0 <= m < 2^w
+        if w <= _DIGITS_LEAF_BITS:
+            return decimal.Decimal(m)
+        h = w >> 1
+        hi = m >> h
+        return convert(m - (hi << h), h) + convert(hi, w - h) * power(h)
+
+    with decimal.localcontext() as ctx:
+        # exact integer arithmetic: any rounding would raise Inexact
+        ctx.prec, ctx.Emax = decimal.MAX_PREC, decimal.MAX_EMAX
+        ctx.traps[decimal.Inexact] = True
+        text = str(convert(abs(n), abs(n).bit_length()))
+    return "-" + text if n < 0 else text
 
 
 @dataclass(frozen=True)

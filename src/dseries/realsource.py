@@ -328,12 +328,16 @@ def _liouville_places(level: int) -> int:
     return int(math.ceil((level + 2) * _LOG10_2)) + 3
 
 
-def _recurrence(pqs: Sequence[int]) -> List[Tuple[int, int]]:
-    """(p_n, q_n) of every prefix a_0..a_n of the partial quotients."""
-    convs: List[Tuple[int, int]] = []
-    pm1, qm1 = 1, 0
-    pm2, qm2 = 0, 1
-    for a in pqs:
+def _recurrence(
+    pqs: Sequence[int], convs: Optional[List[Tuple[int, int]]] = None
+) -> List[Tuple[int, int]]:
+    """(p_n, q_n) of every prefix a_0..a_n of the partial quotients.
+
+    Given convs, those of a shorter prefix of pqs, it appends the rest to
+    convs and returns it."""
+    convs = [] if convs is None else convs
+    (pm2, qm2), (pm1, qm1) = ([(0, 1), (1, 0)] + convs[-2:])[-2:]
+    for a in pqs[len(convs):]:
         pm1, pm2 = a * pm1 + pm2, pm1
         qm1, qm2 = a * qm1 + qm2, qm1
         convs.append((pm1, qm1))

@@ -2,6 +2,7 @@
 
 import math
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -9,6 +10,8 @@ from hypothesis import strategies as st
 
 import dseries as ds
 from dseries import cfrac
+from dseries.errors import PrecisionLimitError
+from dseries.realsource import _recurrence
 from conftest import cf_convergents, euclid_cf
 
 
@@ -243,3 +246,104 @@ def test_prefix_distances_are_the_image_of_the_exact_prefix_interval(pqs):
     assert exp.partial_quotients == tuple(pqs)
     for c in exp.convergents:
         assert (c.dist.lo, c.dist.hi, c.dist.exp) == (*_distance_image(c, lo, hi), grid)
+
+
+# -- resumed rounds against the loop that restarted Euclid -------------------------
+
+
+def _restarting_expand(source, count):
+    """expand() on an escalating source as it ran before rounds resumed:
+    each round runs Euclid from the first quotient and rebuilds the (p, q)
+    recurrence from a_0."""
+    cap = source.max_bits
+    bits, used = min(128, cap), 0
+    while True:
+        try:
+            iv = source.approximate(bits)
+        except PrecisionLimitError as exc:
+            if not used:
+                raise
+            reason = str(exc)
+            break
+        lo, hi, grid, used = iv.lo_m, iv.hi_m, iv.exp, bits
+        pqs = cfrac._common_pqs(lo, hi, 1 << grid, count + 4)
+        start = cfrac._emit_start(pqs)
+        rec = _recurrence(pqs[: start + count + 1])
+        m = 0
+        for k in range(min(count, len(rec) - start - 1), 0, -1):
+            q_ref = rec[start + k][1]
+            if (hi - lo) * (q_ref * q_ref << 25) <= 1 << grid:
+                m = k
+                break
+        if m == count or bits >= cap:
+            reason = f"precision cap {cap} bits reached"
+            break
+        bits = min(bits * 2, cap)
+    capped = m < count
+    return cfrac.Expansion(
+        convergents=cfrac._emit(pqs, _recurrence(pqs), lo, hi, 1 << grid, grid, m),
+        partial_quotients=tuple(pqs[: cfrac._emit_start(pqs) + m]),
+        exact=False,
+        capped=capped,
+        cap_reason=f"{reason}; emitted {m} of {count}" if capped else None,
+        bits_used=used,
+    )
+
+
+_NON_SQUARES = [d for d in range(2, 200) if math.isqrt(d) ** 2 != d]
+
+
+@st.composite
+def _escalating_sources(draw):
+    """Surds, pi, 1/pi, e and Liouville numbers, with a precision cap small
+    enough to stop some expansions or large enough for all."""
+    max_bits = draw(st.one_of(st.integers(64, 400), st.integers(401, 20_000)))
+    kind = draw(st.sampled_from(["surd", "const", "liouville"]))
+    if kind == "surd":
+        return ds.make_surd(
+            draw(st.integers(-50, 50)),
+            draw(st.integers(-9, 9).filter(bool)),
+            draw(st.sampled_from(_NON_SQUARES)),
+            draw(st.integers(-20, 20).filter(bool)),
+            max_bits=max_bits,
+        )
+    if kind == "const":
+        return ds.make_constant(draw(st.sampled_from(["pi", "invpi", "e"])), max_bits=max_bits)
+    base_den = draw(st.integers(1, 50))
+    spec = ds.LiouvilleSpec(
+        base_num=draw(st.integers(-100, 100).filter(lambda a: math.gcd(a, base_den) == 1)),
+        base_den=base_den,
+        digits=tuple(draw(st.lists(st.sampled_from([1, 3]), min_size=1, max_size=3))),
+        start=draw(st.integers(1, 3)),
+        schedule=draw(st.sampled_from(list(ds.Schedule))),
+    )
+    return ds.make_liouville(spec, max_bits=max_bits)
+
+
+@settings(max_examples=120, deadline=None)
+@given(source=_escalating_sources(), count=st.integers(1, 150))
+def test_resumed_rounds_match_euclid_from_scratch(source, count):
+    rounds = []
+    common_pqs = cfrac._common_pqs
+
+    def recording(lo, hi, den, limit, known=(), rec=()):
+        out = common_pqs(lo, hi, den, limit, known, rec)
+        rounds.append((list(known), out, common_pqs(lo, hi, den, limit)))
+        return out
+
+    with mock.patch.object(cfrac, "_common_pqs", recording):
+        got = cfrac.expand(source, count)
+    for k, (known, resumed, scratch) in enumerate(rounds):
+        assert resumed == scratch
+        # each round resumes after every quotient of the round before
+        assert known == (rounds[k - 1][1] if k else [])
+    assert got == _restarting_expand(source, count)
+
+
+@pytest.mark.parametrize("name", ["pi", "invpi", "e"])
+@pytest.mark.parametrize("max_bits", [64, 200, 1000])
+def test_capped_expansion_keeps_its_reason_and_precision(name, max_bits):
+    source = ds.make_constant(name, max_bits=max_bits)
+    got = cfrac.expand(source, 400)
+    assert got.capped and got.bits_used == max_bits
+    assert got == _restarting_expand(source, 400)

@@ -1,6 +1,9 @@
 """Command-line layer: grammar round-trips, cap flags, manifests,
 exit codes, and the JSON/CSV payload shapes of every subcommand."""
 
+import argparse
+import contextlib
+import io
 import json
 import math
 import os
@@ -20,7 +23,10 @@ import dseries as ds
 from dseries import cfrac
 from dseries.realsource import _recurrence
 from dseries.cli import (
+    _COMMANDS,
+    _build_parser,
     _outward_floats,
+    _round_dyadic,
     console_main,
     format_alpha,
     parse_alpha,
@@ -839,6 +845,107 @@ def test_outward_floats_match_their_exact_definition(m_exp):
 def test_outward_floats_keep_exact_endpoints():
     assert _outward_floats(ds.DyadicInterval(3, 5, 2)) == (0.75, 1.25)
     assert _outward_floats(ds.DyadicInterval(0, 1, 1074)) == (0.0, 5e-324)
+
+
+@st.composite
+def _near_subnormal_intervals(draw):
+    """0 <= lo_m <= hi_m on grids of up to 10^4 bits, with ends on either
+    side of 2^-1074 (the smallest subnormal) or 2^-1022 (the smallest normal)."""
+    exp = draw(st.integers(1074, 10_000))
+    edge = 1 << (exp - draw(st.sampled_from([1074, 1022])))
+    near = st.one_of(st.integers(-3, 3), st.integers(-edge, edge))
+    ends = sorted(max(0, edge + draw(near)) for _ in range(2))
+    return ds.DyadicInterval(ends[0], ends[1], exp)
+
+
+@settings(max_examples=400, deadline=None)
+@given(_near_subnormal_intervals())
+def test_outward_floats_below_the_smallest_subnormal_match_round_dyadic(iv):
+    expected = _round_dyadic(iv.lo_m, iv.exp, False), _round_dyadic(iv.hi_m, iv.exp, True)
+    assert _outward_floats(iv) == expected
+
+
+@pytest.mark.parametrize(
+    "lo_m, hi_m, exp, expected",
+    [
+        (0, 0, 5000, (0.0, 0.0)),
+        (0, 1, 5000, (0.0, 5e-324)),
+        (3 ** 2000, 3 ** 2000 + 1, 5000, (0.0, 5e-324)),  # about 2^-1830
+        ((1 << 1000) - 1, 1 << 1000, 2074, (0.0, 5e-324)),  # hi = 2^-1074 exactly
+        ((1 << 1000) + 1, (1 << 1000) + 1, 2074, (5e-324, 1e-323)),
+    ],
+    ids=["zero", "one-grid-step", "long-mantissa", "hi-at-2^-1074", "just-above-2^-1074"],
+)
+def test_outward_floats_at_the_smallest_subnormal(lo_m, hi_m, exp, expected):
+    assert _outward_floats(ds.DyadicInterval(lo_m, hi_m, exp)) == expected
+
+
+# -- the parser: one subcommand's parser per run -----------------------------------
+
+
+def _subcommands_built(parser):
+    (sub,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    return list(sub.choices)
+
+
+def test_a_run_builds_the_one_subcommand_parser_it_names():
+    assert _subcommands_built(_build_parser(["cf", "const:pi"])) == ["cf"]
+    for argv in ([], ["-h"], ["--version"], ["bogus"], ["--manifest", "m.json", "cf"]):
+        assert _subcommands_built(_build_parser(argv)) == list(_COMMANDS)
+
+
+@pytest.mark.parametrize("command", list(_COMMANDS))
+def test_usage_error_under_each_subcommand_writes_the_last_manifest(tmp_path, command):
+    a, b = tmp_path / "a.json", tmp_path / "b.json"
+    argv = [command, "--no-such-flag", "--manifest", str(a), "--manifest", str(b)]
+    assert console_main(argv) == 1
+    assert not a.exists()
+    mani = json.loads(b.read_text())
+    assert mani["error"] == "argument parsing failed" and mani["command"] is None
+
+
+def test_top_level_help_lists_every_subcommand(capsys):
+    assert console_main(["--help"]) == 0
+    out = capsys.readouterr().out
+    assert "{cf,classify,sum,drift,liouville}" in out
+    for name, (summary, _) in _COMMANDS.items():
+        assert re.search(rf"^    {name} +{re.escape(summary)}$", out, re.M)
+
+
+def _full_parser_output(argv):
+    """(exit code, stdout, stderr) of the parser with all five subcommands."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            _build_parser().parse_args(argv)
+            code = None
+        except SystemExit as exc:
+            code = exc.code
+    return code, out.getvalue(), err.getvalue()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [[c, "--no-such-flag"] for c in _COMMANDS]
+    + [[c, "-h"] for c in _COMMANDS]
+    + [
+        ["cf"],
+        ["cf", "rat:1/3", "extra"],
+        ["cf", "rat:1/3", "--version"],
+        ["classify", "rat:1/3"],
+        ["sum", "rat:1/3", "--f", "pow:1", "--M", "0"],
+        ["sum", "rat:1/3", "--f", "pow:1", "--M", "3", "--mode", "fast"],
+        ["drift", "1"],
+        ["liouville", "--schedule", "linear"],
+    ],
+)
+def test_subcommand_parser_prints_what_the_full_parser_prints(argv, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setenv("COLUMNS", "80")
+    code, out, err = _full_parser_output(argv)
+    assert console_main(argv) == (0 if code == 0 else 1)
+    assert (out, err) == capsys.readouterr()
+    assert "usage: dseries" in out + err
 
 
 def test_python_dash_m_runs_the_cli(tmp_path):

@@ -3,6 +3,7 @@
 import json
 import math
 import os
+import random
 import subprocess
 import sys
 from decimal import Decimal
@@ -10,9 +11,11 @@ from fractions import Fraction
 
 import mpmath
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import dseries as ds
-from dseries.criterion import FDescriptor
+from dseries.criterion import FDescriptor, _digits
 from conftest import pi_fraction
 
 
@@ -407,3 +410,29 @@ def test_measure_tail_bound_is_never_below_its_formula(mu, C, p):
         assert bound > 0, from_q
         with mpmath.workdps(50):
             assert exact <= bound <= exact * (1 + mpmath.mpf(2) ** -30) + 2.0 ** -1073, from_q
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    bits=st.one_of(st.integers(0, 2_000), st.integers(14_000, 15_000), st.integers(15_000, 70_000)),
+    seed=st.integers(0, 2 ** 64),
+    negative=st.booleans(),
+    form=st.sampled_from(["random", "power", "power-1", "power+1"]),
+)
+def test_digits_equal_str_past_the_digit_limit(bits, seed, negative, form):
+    # 4300 digits are 14 284 bits: both sides of str()'s limit, powers of two
+    # at the split points, and up to 21 000 digits
+    n = {
+        "random": random.Random(seed).getrandbits(bits) if bits else 0,
+        "power": 1 << bits,
+        "power-1": (1 << bits) - 1,
+        "power+1": (1 << bits) + 1,
+    }[form]
+    n = -n if negative else n
+    text = _digits(n)
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)  # process-wide: lifted for this one str()
+    try:
+        assert text == str(n)
+    finally:
+        sys.set_int_max_str_digits(limit)
