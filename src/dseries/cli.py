@@ -21,7 +21,7 @@ from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from . import __version__, cfrac, criterion, realsource, sumengine
-from .criterion import FDescriptor, MeasureCertificate, Outcome, _digits
+from .criterion import FDescriptor, Outcome, _digits
 from .errors import DSeriesError, ResourceLimitError
 from .realsource import (
     DEFAULT_MAX_BITS,
@@ -35,7 +35,6 @@ __all__ = [
     "parse_alpha",
     "format_alpha",
     "parse_f",
-    "parse_cert",
     "console_main",
     "main",
 ]
@@ -160,36 +159,6 @@ def parse_f(text: str) -> FDescriptor:
     raise ValueError(f"unrecognized weight spec {text!r}; expected pow:p")
 
 
-def parse_cert(text: str) -> MeasureCertificate:
-    """Certificate spec: roth | mahler | measure:mu,C (a user's constant C)."""
-    if text == "roth":
-        return criterion.roth_certificate()
-    if text == "mahler":
-        return criterion.mahler_certificate()
-    if text.startswith("measure:"):
-        body = text.split(":", 1)[1]
-        parts = body.split(",")
-        if len(parts) != 2:
-            raise ValueError("measure certificate needs measure:mu,C")
-        return MeasureCertificate(mu=float(parts[0]), C=float(parts[1]), label="user")
-    raise ValueError(f"unrecognized certificate spec {text!r}")
-
-
-def _resolve_config(args: argparse.Namespace) -> Dict[str, int]:
-    """The caps: each flag given, or its default; checked before any work."""
-    caps = {
-        "max_bits": DEFAULT_MAX_BITS if args.max_bits is None else args.max_bits,
-        "max_terms": sumengine.DEFAULT_MAX_TERMS if args.max_terms is None else args.max_terms,
-        "workers": 1 if args.workers is None else args.workers,
-    }
-    if caps["max_bits"] < 64 or caps["max_terms"] < 1 or not 1 <= caps["workers"] <= _MAX_WORKERS:
-        raise ValueError(
-            "config values out of range: need max_bits >= 64, max_terms >= 1, "
-            f"1 <= workers <= {_MAX_WORKERS}"
-        )
-    return caps
-
-
 def _fmt17(x: float) -> str:
     return format(x, ".17g")
 
@@ -265,16 +234,16 @@ def _cf_document(alpha: str, exp: cfrac.Expansion) -> str:
 _Result = Tuple[str, int, Optional[str]]
 
 
-def _cmd_cf(args: argparse.Namespace, caps: dict, outputs: List[str]) -> _Result:
-    source = parse_alpha(args.alpha, max_bits=caps["max_bits"])
+def _cmd_cf(args: argparse.Namespace, outputs: List[str]) -> _Result:
+    source = parse_alpha(args.alpha, max_bits=args.max_bits)
     exp = cfrac.expand(source, args.terms)
     return _cf_document(format_alpha(source), exp), (2 if exp.capped else 0), None
 
 
-def _cmd_classify(args: argparse.Namespace, caps: dict, outputs: List[str]) -> _Result:
-    source = parse_alpha(args.alpha, max_bits=caps["max_bits"])
+def _cmd_classify(args: argparse.Namespace, outputs: List[str]) -> _Result:
+    source = parse_alpha(args.alpha, max_bits=args.max_bits)
     f = parse_f(args.f)
-    certs = [parse_cert(c) for c in (args.cert or [])]
+    certs = [_CERTS[name]() for name in args.cert or ()]
     verdict = criterion.classify(source, f, args.budget, certs)
     payload = {
         "schema": 1,
@@ -295,8 +264,8 @@ def _result_dict(r: sumengine.PartialSumResult, duration: float) -> dict:
     }
 
 
-def _cmd_sum(args: argparse.Namespace, caps: dict, outputs: List[str]) -> _Result:
-    source = parse_alpha(args.alpha, max_bits=caps["max_bits"])
+def _cmd_sum(args: argparse.Namespace, outputs: List[str]) -> _Result:
+    source = parse_alpha(args.alpha, max_bits=args.max_bits)
     f = parse_f(args.f)
     if args.mode != "direct" and source.kind is not Kind.RATIONAL:
         raise ValueError("periodic mode requires a rational alpha (rat:a/q)")
@@ -307,18 +276,18 @@ def _cmd_sum(args: argparse.Namespace, caps: dict, outputs: List[str]) -> _Resul
     t0 = time.perf_counter()
     if args.trace:
         trace = sumengine.scan_partial_sums(
-            source, f, N, M, max_terms=caps["max_terms"], workers=caps["workers"]
+            source, f, N, M, max_terms=args.max_terms, workers=args.workers
         )
         rd = trace.final
     elif args.mode != "periodic":
         rd = sumengine.partial_sum_direct(
-            source, f, N, M, max_terms=caps["max_terms"], workers=caps["workers"]
+            source, f, N, M, max_terms=args.max_terms, workers=args.workers
         )
     if args.mode != "periodic":
         results["direct"] = _result_dict(rd, time.perf_counter() - t0)
     if args.mode in ("periodic", "both"):
         t0 = time.perf_counter()
-        rp = sumengine.partial_sum_periodic(source.a, source.q, f, N, M, max_terms=caps["max_terms"])
+        rp = sumengine.partial_sum_periodic(source.a, source.q, f, N, M, max_terms=args.max_terms)
         results["periodic"] = _result_dict(rp, time.perf_counter() - t0)
     payload = {
         "schema": 1,
@@ -346,11 +315,11 @@ def _cmd_sum(args: argparse.Namespace, caps: dict, outputs: List[str]) -> _Resul
     return _document(payload), 0, None
 
 
-def _cmd_drift(args: argparse.Namespace, caps: dict, outputs: List[str]) -> _Result:
+def _cmd_drift(args: argparse.Namespace, outputs: List[str]) -> _Result:
     f = parse_f(args.f)
-    pred = sumengine.drift_predict(args.a, args.q, f, args.N, args.M, max_terms=caps["max_terms"])
+    pred = sumengine.drift_predict(args.a, args.q, f, args.N, args.M, max_terms=args.max_terms)
     measured = sumengine.partial_sum_periodic(
-        args.a, args.q, f, args.N, args.M, max_terms=caps["max_terms"]
+        args.a, args.q, f, args.N, args.M, max_terms=args.max_terms
     )
     gap = abs(measured.value - pred.predicted)
     payload = {
@@ -377,9 +346,9 @@ def _cmd_drift(args: argparse.Namespace, caps: dict, outputs: List[str]) -> _Res
     return _document(payload), 0, None
 
 
-def _cmd_liouville(args: argparse.Namespace, caps: dict, outputs: List[str]) -> _Result:
+def _cmd_liouville(args: argparse.Namespace, outputs: List[str]) -> _Result:
     spec = _liouville_spec(args.schedule, args.base, args.digits, args.start)
-    source = realsource.make_liouville(spec, max_bits=caps["max_bits"])
+    source = realsource.make_liouville(spec, max_bits=args.max_bits)
     f = parse_f(f"pow:{args.p}")
     levels, exp, error = criterion.staircase_levels(source, f, args.terms)
     qalpha = cfrac.q_alpha(exp.convergents)
@@ -424,18 +393,29 @@ def _cmd_liouville(args: argparse.Namespace, caps: dict, outputs: List[str]) -> 
 # -- driver -------------------------------------------------------------------
 
 
-def _positive_int(text: str) -> int:
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError("must be >= 1")
-    return value
+def _int_in(lo: int, hi: Optional[int] = None):
+    """The argparse type of an integer flag in [lo, hi], or at least lo."""
+
+    def parse(text: str) -> int:
+        value = int(text)
+        if value < lo or (hi is not None and value > hi):
+            bounds = f">= {lo}" if hi is None else f"{lo} to {hi}"
+            raise argparse.ArgumentTypeError(f"must be {bounds}")
+        return value
+
+    parse.__name__ = "int"  # argparse names it in "invalid int value: 'x'"
+    return parse
 
 
-def _nonneg_int(text: str) -> int:
-    value = int(text)
-    if value < 0:
-        raise argparse.ArgumentTypeError("must be >= 0")
-    return value
+# each cap a subcommand may read: its flag, type, default and help
+_CAPS = {
+    "max_bits": ("--max-bits", _int_in(64), DEFAULT_MAX_BITS, "precision cap in bits"),
+    "max_terms": ("--max-terms", _int_in(1), sumengine.DEFAULT_MAX_TERMS, "term cap of a sum"),
+    "workers": ("--workers", _int_in(1, _MAX_WORKERS), 1, f"worker threads (1 to {_MAX_WORKERS})"),
+}
+
+# --cert NAME, and the criterion function that builds that certificate
+_CERTS = {"mahler": criterion.mahler_certificate, "roth": criterion.roth_certificate}
 
 
 def _add_manifest(parser: argparse.ArgumentParser) -> None:
@@ -451,23 +431,23 @@ def _manifest_parser() -> argparse.ArgumentParser:
 
 def _cf_arguments(s: argparse.ArgumentParser):
     s.add_argument("alpha")
-    s.add_argument("--terms", type=_positive_int, default=12)
+    s.add_argument("--terms", type=_int_in(1), default=12)
     return _cmd_cf
 
 
 def _classify_arguments(s: argparse.ArgumentParser):
     s.add_argument("alpha")
     s.add_argument("--f", required=True, help="weight spec, e.g. pow:1 or pow:1/2")
-    s.add_argument("--cert", action="append", help="roth | mahler | measure:mu,C")
-    s.add_argument("--budget", type=_positive_int, default=24, help="expansion budget (convergents)")
+    s.add_argument("--cert", action="append", choices=tuple(_CERTS), help="a certificate to try")
+    s.add_argument("--budget", type=_int_in(1), default=24, help="expansion budget (convergents)")
     return _cmd_classify
 
 
 def _sum_arguments(s: argparse.ArgumentParser):
     s.add_argument("alpha")
     s.add_argument("--f", required=True)
-    s.add_argument("--N", type=_nonneg_int, default=0)
-    s.add_argument("--M", type=_positive_int, required=True)
+    s.add_argument("--N", type=_int_in(0), default=0)
+    s.add_argument("--M", type=_int_in(1), required=True)
     s.add_argument("--mode", choices=["direct", "periodic", "both"], default="direct")
     s.add_argument("--trace", help="CSV trace path (geometric checkpoints)")
     return _cmd_sum
@@ -477,8 +457,8 @@ def _drift_arguments(s: argparse.ArgumentParser):
     s.add_argument("a", type=int)
     s.add_argument("q", type=int)
     s.add_argument("--f", required=True)
-    s.add_argument("--N", type=_nonneg_int, required=True)
-    s.add_argument("--M", type=_positive_int, required=True)
+    s.add_argument("--N", type=_int_in(0), required=True)
+    s.add_argument("--M", type=_int_in(1), required=True)
     return _cmd_drift
 
 
@@ -486,20 +466,20 @@ def _liouville_arguments(s: argparse.ArgumentParser):
     s.add_argument("--schedule", required=True, choices=["factorial", "tower100"])
     s.add_argument("--digits", default="1", help="repeating digit pattern over {1,3}")
     s.add_argument("--base", default="0/1", help="rational offset a/q")
-    s.add_argument("--start", type=_positive_int, default=1)
-    s.add_argument("--terms", type=_positive_int, default=4, help="number of staircase levels")
+    s.add_argument("--start", type=_int_in(1), default=1)
+    s.add_argument("--terms", type=_int_in(1), default=4, help="number of staircase levels")
     s.add_argument("--p", default="1/2", help="power-weight exponent for criterion terms")
     return _cmd_liouville
 
 
-# each subcommand's summary, and the function that adds its own arguments
-# and returns its handler
+# each subcommand's summary, the function that adds its own arguments and
+# returns its handler, and the caps that handler reads
 _COMMANDS = {
-    "cf": ("continued-fraction expansion", _cf_arguments),
-    "classify": ("convergence verdict", _classify_arguments),
-    "sum": ("partial sums S(alpha; M, N)", _sum_arguments),
-    "drift": ("even-q drift prediction vs measurement", _drift_arguments),
-    "liouville": ("staircase construction report", _liouville_arguments),
+    "cf": ("continued-fraction expansion", _cf_arguments, ("max_bits",)),
+    "classify": ("convergence verdict", _classify_arguments, ("max_bits",)),
+    "sum": ("partial sums S(alpha; M, N)", _sum_arguments, ("max_bits", "max_terms", "workers")),
+    "drift": ("even-q drift prediction vs measurement", _drift_arguments, ("max_terms",)),
+    "liouville": ("staircase construction report", _liouville_arguments, ("max_bits",)),
 }
 
 
@@ -526,12 +506,12 @@ def _build_parser(argv: Sequence[str] = ()) -> argparse.ArgumentParser:
     # the prog prefix given, argparse does not format a usage line to find it
     sub = parser.add_subparsers(dest="command", required=True, metavar=metavar, prog="dseries")
     for name in names:
-        summary, add_arguments = _COMMANDS[name]
+        summary, add_arguments, caps = _COMMANDS[name]
         s = sub.add_parser(name, allow_abbrev=False, help=summary)
         _add_manifest(s)
-        s.add_argument("--max-bits", dest="max_bits", type=int, help="precision cap override")
-        s.add_argument("--max-terms", dest="max_terms", type=int, help="term cap override")
-        s.add_argument("--workers", type=int, help="worker threads for sums (1 to 64)")
+        for cap in caps:
+            flag, kind, default, text = _CAPS[cap]
+            s.add_argument(flag, dest=cap, type=kind, default=default, help=text)
         s.add_argument("--json", dest="json_path", help="write the JSON document here instead of stdout")
         s.set_defaults(func=add_arguments(s))
     return parser
@@ -576,6 +556,7 @@ def console_main(argv: Optional[Sequence[str]] = None) -> int:
             _write_manifest(manifest_path, manifest)
         return code
     manifest["command"] = args.command
+    manifest["caps"] = {cap: getattr(args, cap) for cap in _COMMANDS[args.command][2]}
     manifest["parameters"] = {
         k: (v if isinstance(v, (str, int, float, bool)) or v is None else str(v))
         for k, v in vars(args).items()
@@ -584,8 +565,7 @@ def console_main(argv: Optional[Sequence[str]] = None) -> int:
     outputs: List[str] = []
     code = 0
     try:
-        manifest["caps"] = caps = _resolve_config(args)
-        text, code, error = args.func(args, caps, outputs)
+        text, code, error = args.func(args, outputs)
         if args.json_path:
             with open(args.json_path, "w", encoding="utf-8") as fh:
                 fh.write(text)

@@ -52,8 +52,7 @@ _DIGITS_LEAF_BITS = 1024
 class FDescriptor:
     """The weight f(x) = x^(-p) on [1, oo), with 0 < p <= 1.
 
-    antiderivative is F with F' = f and F(1) = 0.  Build descriptors with
-    make_power_f, which checks the range of p.
+    Build descriptors with make_power_f, which checks the range of p.
     """
 
     p: Fraction
@@ -61,15 +60,6 @@ class FDescriptor:
     @property
     def name(self) -> str:
         return f"x^-{self.p}"
-
-    def eval(self, x: float) -> float:
-        return x ** (-float(self.p))
-
-    def antiderivative(self, x: float) -> float:
-        if self.p == 1:
-            return math.log(x)
-        c = float(1 - self.p)
-        return (x ** c - 1.0) / c
 
 
 def make_power_f(p: Union[Fraction, float, int, str]) -> FDescriptor:
@@ -90,7 +80,7 @@ def make_power_f(p: Union[Fraction, float, int, str]) -> FDescriptor:
 
 @dataclass(frozen=True)
 class CriterionTerm:
-    """One term (1/q^2) * (F(q_next) - F(1)) of the criterion series.
+    """One term (1/q^2) * (F(q_next) - F(1)) of the criterion series, F' = f.
 
     value is the double-precision magnitude (inf if above float range);
     log10_value is always finite and is the reliable representation for

@@ -190,7 +190,7 @@ def alternating_tail_check(f: FDescriptor, X: float, Y: float) -> Tuple[float, f
         raise ValueError("need 1 <= X <= Y")
     lo = math.ceil(X)
     hi = math.floor(Y)
-    bound = f.eval(float(X))
+    bound = float(X) ** -float(f.p)
     if lo > hi:
         return 0.0, bound
     ns = np.arange(lo, hi + 1, dtype=np.int64)

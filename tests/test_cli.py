@@ -30,7 +30,6 @@ from dseries.cli import (
     console_main,
     format_alpha,
     parse_alpha,
-    parse_cert,
     parse_f,
 )
 from conftest import cf_convergents, euclid_cf, mp_partial_sum, pi_fraction
@@ -139,46 +138,84 @@ def test_parse_f_rejects(bad):
         parse_f(bad)
 
 
-def test_parse_cert_forms():
-    assert parse_cert("roth").label == "roth"
-    m = parse_cert("mahler")
-    assert m.label == "mahler"
-    u = parse_cert("measure:2.5,1")
-    assert (u.mu, u.C, u.label) == (2.5, 1.0, "user")
-    # a user's constant is measure:mu,C, never labelled mahler
-    for bad in ("mahler:40", "measure:2.5", "measure:a,b", "junk"):
-        with pytest.raises(ValueError):
-            parse_cert(bad)
+def test_cert_names_only_the_derived_certificates(tmp_path, capsys):
+    argv = ["classify", "const:invpi", "--f", "pow:1", "--cert"]
+    code, payload, mani = run(argv + ["measure:2.5,1"], tmp_path, "user")
+    _assert_refused_by_argparse(code, payload, mani, capsys.readouterr().err, "--cert")
+    code, payload, _ = run(argv + ["mahler"], tmp_path, "mahler")
+    assert code == 0 and payload["outcome"] == "Converges"
+    assert payload["parameters"]["measure"] == "mahler"
 
 
 # -- cap flags -----------------------------------------------------------------
 
 
-def test_config_out_of_range_flag(tmp_path):
-    code, _, mani = run(
+def _never(*args, **kwargs):
+    raise AssertionError("work started")
+
+
+def _assert_refused_by_argparse(code, payload, mani, stderr, flag):
+    assert code == 1 and payload is None
+    assert mani["error"] == "argument parsing failed"
+    assert f"argument {flag}: " in stderr
+
+
+def test_config_out_of_range_flag(tmp_path, monkeypatch, capsys):
+    from dseries import criterion
+
+    monkeypatch.setattr(criterion, "classify", _never)
+    code, payload, mani = run(
         ["classify", "rat:1/3", "--f", "pow:1", "--max-bits", "32"],
         tmp_path,
         "lowbits",
     )
-    assert code == 1 and "max_bits" in mani["error"]
+    _assert_refused_by_argparse(code, payload, mani, capsys.readouterr().err, "--max-bits")
 
 
 @pytest.mark.parametrize("extra", [["--workers", "100000"]], ids=["flag"])
-def test_config_rejects_more_than_64_workers_before_summing(tmp_path, monkeypatch, extra):
+def test_config_rejects_more_than_64_workers_before_summing(tmp_path, monkeypatch, capsys, extra):
     from dseries import sumengine
 
-    def never(*args, **kwargs):
-        raise AssertionError("a sum started")
-
-    monkeypatch.setattr(sumengine, "partial_sum_direct", never)
+    monkeypatch.setattr(sumengine, "partial_sum_direct", _never)
     code, payload, mani = run(
         ["sum", "rat:1/3", "--f", "pow:1", "--M", "10", *extra], tmp_path, "manyw"
     )
-    assert code == 1 and payload is None
-    assert "workers <= 64" in mani["error"]
+    _assert_refused_by_argparse(code, payload, mani, capsys.readouterr().err, "--workers")
     argv = ["sum", "rat:1/3", "--f", "pow:1", "--M", "10", "--mode", "periodic", "--workers", "64"]
     code, _, mani = run(argv, tmp_path, "w64")
     assert code == 0 and mani["caps"]["workers"] == 64
+
+
+# each subcommand's cheapest run, and the caps it reads
+_CAP_RUNS = {
+    "cf": (["cf", "rat:1/3"], {"max_bits"}),
+    "classify": (["classify", "rat:1/3", "--f", "pow:1"], {"max_bits"}),
+    "sum": (["sum", "rat:1/3", "--f", "pow:1", "--M", "10"], {"max_bits", "max_terms", "workers"}),
+    "drift": (["drift", "1", "2", "--f", "pow:1", "--N", "2", "--M", "10"], {"max_terms"}),
+    "liouville": (["liouville", "--schedule", "factorial", "--terms", "1"], {"max_bits"}),
+}
+_CAP_VALUES = {"max_bits": 100000, "max_terms": 1000, "workers": 2}
+
+
+@pytest.mark.parametrize("cap", list(_CAP_VALUES))
+@pytest.mark.parametrize("command", list(_CAP_RUNS))
+def test_each_subcommand_accepts_only_the_caps_it_reads(tmp_path, monkeypatch, capsys, command, cap):
+    from dseries import cli
+
+    argv, reads = _CAP_RUNS[command]
+    value = _CAP_VALUES[cap]
+    flag = "--" + cap.replace("_", "-")
+    if cap not in reads:
+        monkeypatch.setattr(cli, f"_cmd_{command}", _never)
+    code, payload, mani = run(argv + [flag, str(value)], tmp_path, "cap")
+    if cap in reads:
+        assert code == 0 and mani["error"] is None
+        assert set(mani["caps"]) == reads
+        assert mani["caps"][cap] == mani["parameters"][cap] == value
+    else:
+        assert code == 1 and payload is None
+        assert mani["error"] == "argument parsing failed"
+        assert f"unrecognized arguments: {flag} {value}" in capsys.readouterr().err
 
 
 # -- manifests and exit codes --------------------------------------------------
@@ -282,20 +319,18 @@ def test_exit_code_contract(tmp_path):
     assert code == 3 and payload["outcome"] == "Inconclusive"
 
 
-def test_non_finite_certificate_never_yields_converges(tmp_path):
+def test_non_finite_certificate_never_yields_converges(tmp_path, monkeypatch, capsys):
+    from dseries import criterion
+
+    # the CLI takes no typed constant at all; the library's refusal of a
+    # non-finite or overflowing one is tested in test_criterion
+    monkeypatch.setattr(criterion, "classify", _never)
     sqrt2 = "surd:(0+1*sqrt(2))/1"
-    # 1: a non-finite mu or C is bad input, with the manifest written
-    for i, spec in enumerate(["measure:2.5,inf", "measure:inf,1"]):
+    for i, spec in enumerate(["measure:2.5,inf", "measure:inf,1", "measure:1e308,1"]):
         code, payload, mani = run(
             ["classify", sqrt2, "--f", "pow:1", "--cert", spec], tmp_path, f"nf{i}"
         )
-        assert code == 1 and payload is None
-        assert "finite" in mani["error"]
-    # 3: a finite certificate whose tail bound overflows decides nothing
-    code, payload, _ = run(
-        ["classify", sqrt2, "--f", "pow:1", "--cert", "measure:1e308,1"], tmp_path, "nf2"
-    )
-    assert code == 3 and payload["outcome"] == "Inconclusive"
+        _assert_refused_by_argparse(code, payload, mani, capsys.readouterr().err, "--cert")
 
 
 # -- cf ------------------------------------------------------------------------
@@ -584,7 +619,7 @@ def test_sum_window_past_2_53_exits_2_with_manifest(tmp_path):
 def test_unexpected_exception_exits_1_with_manifest(tmp_path, monkeypatch, capsys, exc):
     from dseries import cli
 
-    def boom(args, cfg, outputs):
+    def boom(args, outputs):
         raise exc
 
     monkeypatch.setattr(cli, "_cmd_sum", boom)
@@ -908,7 +943,7 @@ def test_top_level_help_lists_every_subcommand(capsys):
     assert console_main(["--help"]) == 0
     out = capsys.readouterr().out
     assert "{cf,classify,sum,drift,liouville}" in out
-    for name, (summary, _) in _COMMANDS.items():
+    for name, (summary, _, _) in _COMMANDS.items():
         assert re.search(rf"^    {name} +{re.escape(summary)}$", out, re.M)
 
 

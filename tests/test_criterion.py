@@ -32,21 +32,10 @@ def test_make_power_f_validates_range():
 
 @pytest.mark.parametrize("p", [Fraction(1), Fraction(1, 2), Fraction(1, 3), Fraction(1, 4), Fraction(7, 9)])
 def test_power_f_matches_closure_arithmetic_bit_for_bit(p):
-    # the float operations of the closures the descriptor used to carry
-    pf, c = float(p), float(1 - p)
+    # the descriptor is its exact exponent: every float weight is computed
+    # from f.p where it is used
     f = ds.make_power_f(p)
     assert f == FDescriptor(p) and f.name == f"x^-{p}"
-    for x in (1.0, 1.5, 2.0, 10.0, 12345.678, 1e9, 2.0 ** 53):
-        assert f.eval(x) == x ** (-pf)
-        assert f.antiderivative(x) == (math.log(x) if p == 1 else (x ** c - 1.0) / c)
-
-
-def test_power_f_evaluates():
-    f = ds.make_power_f(Fraction(1, 2))
-    assert f.eval(4.0) == pytest.approx(0.5)
-    assert f.antiderivative(9.0) == pytest.approx(2.0 * (3.0 - 1.0) + f.antiderivative(1.0), abs=1e-12)
-    g = ds.make_power_f(1)
-    assert g.antiderivative(math.e) == pytest.approx(1.0)
 
 
 def test_rational_parity_verdicts():
