@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import re
 import sys
 import time
@@ -40,7 +41,7 @@ __all__ = [
 ]
 
 _DEFAULT_MANIFEST = "dseries_manifest.json"
-_MAX_WORKERS = 64  # each worker is a thread with its own 512 KiB of work rows
+_MAX_WORKERS = 64  # each worker is a process with its own 512 KiB of work rows
 
 _RAT_RE = re.compile(r"^rat:(-?\d+)/(-?\d+)$")
 _SURD_RE = re.compile(r"^surd:\((-?\d+)([+-])(\d+)\*sqrt\((\d+)\)\)/(-?\d+)$")
@@ -230,17 +231,19 @@ def _cf_document(alpha: str, exp: cfrac.Expansion) -> str:
 
 # -- subcommands --------------------------------------------------------------
 
-# each subcommand returns its JSON document, exit code and manifest error
+# each subcommand takes its arguments and the run's manifest, to which it may
+# add output paths and durations, and returns its JSON document, exit code and
+# manifest error
 _Result = Tuple[str, int, Optional[str]]
 
 
-def _cmd_cf(args: argparse.Namespace, outputs: List[str]) -> _Result:
+def _cmd_cf(args: argparse.Namespace, manifest: dict) -> _Result:
     source = parse_alpha(args.alpha, max_bits=args.max_bits)
     exp = cfrac.expand(source, args.terms)
     return _cf_document(format_alpha(source), exp), (2 if exp.capped else 0), None
 
 
-def _cmd_classify(args: argparse.Namespace, outputs: List[str]) -> _Result:
+def _cmd_classify(args: argparse.Namespace, manifest: dict) -> _Result:
     source = parse_alpha(args.alpha, max_bits=args.max_bits)
     f = parse_f(args.f)
     certs = [_CERTS[name]() for name in args.cert or ()]
@@ -254,17 +257,11 @@ def _cmd_classify(args: argparse.Namespace, outputs: List[str]) -> _Result:
     return _document(payload), (0 if verdict.outcome is not Outcome.INCONCLUSIVE else 3), None
 
 
-def _result_dict(r: sumengine.PartialSumResult, duration: float) -> dict:
-    return {
-        "value": r.value,
-        "rounding_bound": r.rounding_bound,
-        "terms": r.terms,
-        "mode": r.mode,
-        "duration_s": duration,
-    }
+def _result_dict(r: sumengine.PartialSumResult) -> dict:
+    return {"value": r.value, "rounding_bound": r.rounding_bound, "terms": r.terms, "mode": r.mode}
 
 
-def _cmd_sum(args: argparse.Namespace, outputs: List[str]) -> _Result:
+def _cmd_sum(args: argparse.Namespace, manifest: dict) -> _Result:
     source = parse_alpha(args.alpha, max_bits=args.max_bits)
     f = parse_f(args.f)
     if args.mode != "direct" and source.kind is not Kind.RATIONAL:
@@ -284,11 +281,13 @@ def _cmd_sum(args: argparse.Namespace, outputs: List[str]) -> _Result:
             source, f, N, M, max_terms=args.max_terms, workers=args.workers
         )
     if args.mode != "periodic":
-        results["direct"] = _result_dict(rd, time.perf_counter() - t0)
+        manifest["durations"]["direct_s"] = time.perf_counter() - t0
+        results["direct"] = _result_dict(rd)
     if args.mode in ("periodic", "both"):
         t0 = time.perf_counter()
         rp = sumengine.partial_sum_periodic(source.a, source.q, f, N, M, max_terms=args.max_terms)
-        results["periodic"] = _result_dict(rp, time.perf_counter() - t0)
+        manifest["durations"]["periodic_s"] = time.perf_counter() - t0
+        results["periodic"] = _result_dict(rp)
     payload = {
         "schema": 1,
         "alpha": format_alpha(source),
@@ -310,12 +309,12 @@ def _cmd_sum(args: argparse.Namespace, outputs: List[str]) -> _Result:
             fh.write("M,S,rounding_bound\n")
             for row in trace.rows:
                 fh.write(f"{row.m},{_fmt17(row.value)},{_fmt17(row.rounding_bound)}\n")
-        outputs.append(args.trace)
+        manifest["outputs"].append(args.trace)
         payload["trace"] = args.trace
     return _document(payload), 0, None
 
 
-def _cmd_drift(args: argparse.Namespace, outputs: List[str]) -> _Result:
+def _cmd_drift(args: argparse.Namespace, manifest: dict) -> _Result:
     f = parse_f(args.f)
     pred = sumengine.drift_predict(args.a, args.q, f, args.N, args.M, max_terms=args.max_terms)
     measured = sumengine.partial_sum_periodic(
@@ -346,7 +345,7 @@ def _cmd_drift(args: argparse.Namespace, outputs: List[str]) -> _Result:
     return _document(payload), 0, None
 
 
-def _cmd_liouville(args: argparse.Namespace, outputs: List[str]) -> _Result:
+def _cmd_liouville(args: argparse.Namespace, manifest: dict) -> _Result:
     spec = _liouville_spec(args.schedule, args.base, args.digits, args.start)
     source = realsource.make_liouville(spec, max_bits=args.max_bits)
     f = parse_f(f"pow:{args.p}")
@@ -407,11 +406,20 @@ def _int_in(lo: int, hi: Optional[int] = None):
     return parse
 
 
+def _usable_cpus() -> int:
+    """The CPUs this process may run on, at most _MAX_WORKERS."""
+    usable = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+    return min(usable, _MAX_WORKERS)
+
+
 # each cap a subcommand may read: its flag, type, default and help
 _CAPS = {
     "max_bits": ("--max-bits", _int_in(64), DEFAULT_MAX_BITS, "precision cap in bits"),
     "max_terms": ("--max-terms", _int_in(1), sumengine.DEFAULT_MAX_TERMS, "term cap of a sum"),
-    "workers": ("--workers", _int_in(1, _MAX_WORKERS), 1, f"worker threads (1 to {_MAX_WORKERS})"),
+    "workers": (
+        "--workers", _int_in(1, _MAX_WORKERS), _usable_cpus(),
+        f"worker processes (1 to {_MAX_WORKERS}; default: the CPUs this process may use)",
+    ),
 }
 
 # --cert NAME, and the criterion function that builds that certificate
@@ -520,7 +528,9 @@ def _build_parser(argv: Sequence[str] = ()) -> argparse.ArgumentParser:
 def _write_manifest(path: str, manifest: dict) -> None:
     try:
         with open(path, "w", encoding="utf-8") as fh:
-            json.dump(manifest, fh, sort_keys=True, indent=2)
+            # lists such as --cert's stay JSON lists; any other value that
+            # is no JSON type is written as its str()
+            json.dump(manifest, fh, sort_keys=True, indent=2, default=str)
             fh.write("\n")
     except OSError as exc:
         print(f"warning: cannot write manifest {path}: {exc}", file=sys.stderr)
@@ -537,6 +547,7 @@ def console_main(argv: Optional[Sequence[str]] = None) -> int:
         "version": __version__,
         "caps": {},
         "outputs": [],
+        "durations": {},
         "duration_s": 0.0,
         "error": None,
     }
@@ -557,19 +568,14 @@ def console_main(argv: Optional[Sequence[str]] = None) -> int:
         return code
     manifest["command"] = args.command
     manifest["caps"] = {cap: getattr(args, cap) for cap in _COMMANDS[args.command][2]}
-    manifest["parameters"] = {
-        k: (v if isinstance(v, (str, int, float, bool)) or v is None else str(v))
-        for k, v in vars(args).items()
-        if k != "func"
-    }
-    outputs: List[str] = []
+    manifest["parameters"] = {k: v for k, v in vars(args).items() if k != "func"}
     code = 0
     try:
-        text, code, error = args.func(args, outputs)
+        text, code, error = args.func(args, manifest)
         if args.json_path:
             with open(args.json_path, "w", encoding="utf-8") as fh:
                 fh.write(text)
-            outputs.append(args.json_path)
+            manifest["outputs"].append(args.json_path)
         else:
             sys.stdout.write(text)
         manifest["error"] = error
@@ -581,7 +587,6 @@ def console_main(argv: Optional[Sequence[str]] = None) -> int:
         print(f"error: {message}", file=sys.stderr)
         manifest["error"] = message
         code = 2 if isinstance(exc, ResourceLimitError) else 1
-    manifest["outputs"] = outputs
     manifest["duration_s"] = time.perf_counter() - start
     _write_manifest(args.manifest, manifest)
     return code

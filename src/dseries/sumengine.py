@@ -33,27 +33,32 @@ one period.
 The direct sum and the checkpoint scan run through one loop: terms are
 summed pairwise in chunks of 2^14 on the grid N + 1 + j*2^14, fixed by N
 alone, and the chunk sums are added exactly, so no result depends on the
-worker count.  A checkpoint inside a chunk reads
-that chunk's prefix instead of cutting it, so a scan row does not depend on
-the other checkpoints and a scan's final result is the direct sum.  Each
-worker thread evaluates its contiguous block of chunks two at a time in its
-own two reused work rows (512 KiB), so the kernel runs in cache and
-allocates nothing per chunk.  Every result carries an explicit worst-case
-rounding bound, whose summation part follows the depth of numpy's pairwise
-summation tree, times the chunk's mass: an upper bound of the sum of n^-p
-over it in closed form, by Hermite-Hadamard, so no pass over f(n) is made.
+worker count.  A checkpoint inside a chunk reads that chunk's prefix
+instead of cutting it, so a scan row does not depend on the other
+checkpoints and a scan's final result is the direct sum.  A window of
+several million terms is split into contiguous blocks of chunks, one per
+worker: the calling process evaluates the first and a forked child process
+each other (see _run_blocks), so the workers share no interpreter lock.
+Each evaluates its chunks two at a time in two reused work rows (512 KiB),
+so the kernel runs in cache and allocates nothing per chunk.  Every result
+carries an explicit worst-case rounding bound, whose summation part
+follows the depth of numpy's pairwise summation tree, times the chunk's
+mass: an upper bound of the sum of n^-p over it in closed form, by
+Hermite-Hadamard, so no pass over f(n) is made.
 """
 
 from __future__ import annotations
 
+import marshal
 import math
+import os
+import signal
 import threading
 from bisect import bisect_left, bisect_right
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Callable, List, Optional, Sequence, Tuple, Union
+from typing import BinaryIO, Callable, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -82,11 +87,13 @@ _CHUNK = 1 << 14
 # Terms evaluated per batch of consecutive chunks (elementwise, so batching
 # never changes a term), and the step of the reduction grid: two float64
 # work rows of 2^15 entries (512 KiB) stay in a 2 MiB L2 cache, and each
-# ufunc call does enough work that two worker threads rarely wait on each
-# other for the interpreter lock.
+# ufunc call does enough work to amortise its Python overhead.
 _BATCH = 2 * _CHUNK
 _INDEX = np.arange(_BATCH, dtype=np.float64)
-_BUFFERS = threading.local()
+_BUFFERS = threading.local()  # work rows per calling thread of the library
+# Fewest terms per worker for which a sum forks: on a 2-vCPU x86-64 host a
+# fork and its wait cost about 4 ms, and 2^20 terms about 5 ms.
+_FORK_TERMS = 1 << 20
 _MAX_INDEX = 2 ** 53  # largest window end whose indices are exact in float64
 # Tables indexed by k = i*_TABLE_ROW + j are assembled from one value per row
 # i and one per column j: the direct path's sines and cosines, and the
@@ -197,9 +204,10 @@ def _require_range(N: int, M: int, max_terms: int) -> None:
 def _work_buffers(k: int) -> np.ndarray:
     """The calling thread's two float64 work rows, cut to length k.
 
-    Allocated once per thread and reused by every batch it evaluates, and
-    as scratch while _make_term_fn builds its tables, so a batch allocates
-    nothing of its own size."""
+    Allocated once per thread (a forked worker inherits its parent's copy)
+    and reused by every batch it evaluates, and as scratch while
+    _make_term_fn builds its tables, so a batch allocates nothing of its own
+    size."""
     block = getattr(_BUFFERS, "block", None)
     if block is None:
         block = _BUFFERS.block = np.empty((2, _BATCH), dtype=np.float64)
@@ -557,16 +565,18 @@ def _sum(
 ) -> SumTrace:
     """The one chunk loop behind the direct sum and the checkpoint scan.
 
-    Chunks sit on the grid N + 1 + j*_CHUNK, fixed by N alone.  Each worker
-    evaluates a contiguous block of them, two per call of _make_term_fn's
-    evaluator.  A checkpoint m (cps is ascending) inside a chunk reads that
-    chunk's prefix: the sum of the terms up to n = N + m, added to the
-    exact running sums of the whole chunks before it, so a row depends on
-    neither the other checkpoints nor the worker count.  The bounds of the
-    chunks and of the prefixes come from their masses, all from one
-    _masses call before the first term.  The whole chunks are folded in
-    index order, adding the sums and the bounds exactly, and their fold is
-    the result.
+    Chunks sit on the grid N + 1 + j*_CHUNK, fixed by N alone.  The window
+    is split into one contiguous block of them per worker: as many as
+    `workers` allows with at least _FORK_TERMS terms each, and one where
+    os.fork is missing.  _run_blocks evaluates the blocks, two chunks per
+    call of _make_term_fn's evaluator.  A checkpoint m (cps is ascending)
+    inside a chunk reads that chunk's prefix: the sum of the terms up to
+    n = N + m, added to the exact running sums of the whole chunks before
+    it, so a row depends on neither the other checkpoints nor the worker
+    count.  The bounds of the chunks and of the prefixes come from their
+    masses, all from one _masses call before the first term.  The whole
+    chunks are folded in index order, adding the sums and the bounds
+    exactly, and their fold is the result.
     """
     term_fn, coeff = _make_term_fn(source, f, N, M)
     firsts = list(range(N + 1, N + M + 1, _CHUNK))
@@ -590,14 +600,9 @@ def _sum(
                 records.append((float(np.sum(terms[lo - start : hi - start])), reads))
         return records
 
-    nblocks = max(1, min(workers, chunks))
+    nblocks = max(1, min(workers, M // _FORK_TERMS)) if hasattr(os, "fork") else 1
     grid = [min(N + 1 + chunks * i // nblocks * _CHUNK, N + M + 1) for i in range(nblocks + 1)]
-    if nblocks > 1:
-        with ThreadPoolExecutor(max_workers=nblocks) as pool:
-            blocks = pool.map(eval_block, grid, grid[1:])
-            records = [r for block in blocks for r in block]
-    else:
-        records = eval_block(*grid)
+    records = _run_blocks(eval_block, grid)
 
     sums: List[float] = []  # the chunk sums so far, added exactly by math.fsum
     done: List[float] = []  # the chunk bounds so far
@@ -613,6 +618,75 @@ def _sum(
     return SumTrace(tuple(rows), PartialSumResult(value, bound, terms=M, mode="direct"))
 
 
+def _run_blocks(eval_block: Callable[[int, int], list], grid: Sequence[int]) -> list:
+    """The records of eval_block over the blocks [grid[i], grid[i+1]), in
+    index order: the first block in this process and each other in a forked
+    child, so that the blocks run on separate CPUs, never waiting on one
+    interpreter lock.
+
+    A child inherits eval_block and its tables from the fork, computes its
+    block, writes the records to a pipe by marshal, which keeps every float
+    bit for bit, and ends with os._exit (see _serve_block).  The parent
+    reads each pipe to its end, then reaps that child.  A child that fails
+    raises RuntimeError here with its reason; on that and every other error
+    path, the children not yet reaped are killed and reaped before the
+    exception leaves, so no child outlives the call.  A child runs only
+    numpy's elementwise kernels and reductions and objects this thread made:
+    nothing takes a lock that another thread of the parent, such as numpy's
+    idle BLAS pool, could hold at the fork.  (Python 3.12 and later warn
+    about any fork of a process with threads, by a DeprecationWarning that
+    is hidden by default.)
+    """
+    children: List[Tuple[int, BinaryIO]] = []  # (pid, read end of its pipe)
+    try:
+        for first, last in zip(grid[1:-1], grid[2:]):
+            read, write = os.pipe()
+            pipe = open(read, "rb")
+            with open(write, "wb") as out:  # the parent's copy closes after the fork
+                try:
+                    pid = os.fork()
+                except BaseException:
+                    pipe.close()
+                    raise
+                if pid == 0:
+                    _serve_block(eval_block, first, last, out)
+            children.append((pid, pipe))
+        records = eval_block(grid[0], grid[1])
+        while children:
+            pid, pipe = children[0]
+            with pipe:
+                data = pipe.read()
+            status = os.waitpid(pid, 0)[1]
+            del children[0]
+            if status:
+                reason = marshal.loads(data) if data else f"status {os.waitstatus_to_exitcode(status)}"
+                raise RuntimeError(f"a sum worker failed: {reason}")
+            records += marshal.loads(data)
+        return records
+    finally:
+        for pid, pipe in children:
+            pipe.close()
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+
+
+def _serve_block(eval_block: Callable[[int, int], list], first: int, last: int, out: BinaryIO) -> None:
+    """In a forked child: write the marshalled records of eval_block(first,
+    last), or on an exception its text, to out, and end the process with
+    status 0 or 1.  It never returns, so the child never runs its parent's
+    code past the fork, whatever is raised."""
+    code = 1
+    try:
+        try:
+            data, code = marshal.dumps(eval_block(first, last)), 0
+        except Exception as exc:
+            data = marshal.dumps(f"{type(exc).__name__}: {exc}")
+        out.write(data)
+        out.flush()
+    finally:
+        os._exit(code)
+
+
 def partial_sum_direct(
     source: RealSource,
     f: FDescriptor,
@@ -625,9 +699,10 @@ def partial_sum_direct(
     """Sum the M terms after index N straight from an enclosure of alpha.
 
     The result is deterministic for fixed inputs regardless of `workers`:
-    chunk boundaries do not depend on it, each worker takes a contiguous
-    block of chunks, and the chunk sums are always combined in index order
-    with exact accumulation.
+    chunk boundaries do not depend on it, each worker process takes a
+    contiguous block of chunks, and the chunk sums are always combined in
+    index order with exact accumulation.  More workers only split a window
+    of at least 2^21 terms (see _sum).
     """
     _require_range(N, M, max_terms)
     return _sum(source, f, N, M, [], workers).final

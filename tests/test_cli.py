@@ -239,6 +239,14 @@ def test_manifest_written_on_success(tmp_path):
         assert pathlib.Path(out).exists()
 
 
+def test_manifest_writes_list_parameters_as_json_lists(tmp_path):
+    argv = ["classify", "const:invpi", "--f", "pow:1"]
+    _, _, mani = run(argv + ["--cert", "mahler"], tmp_path, "cert")
+    assert mani["parameters"]["cert"] == ["mahler"]
+    _, _, mani = run(argv, tmp_path, "nocert")
+    assert mani["parameters"]["cert"] is None
+
+
 def test_manifest_written_on_handler_failure(tmp_path):
     code, payload, mani = run(
         ["classify", "rat:1/0", "--f", "pow:1"], tmp_path, "bad"
@@ -536,6 +544,31 @@ def test_sum_workers_do_not_change_the_value(tmp_path, monkeypatch):
         run(argv + ["--workers", w, "--trace", str(tmp_path / f"t{w}.csv")], tmp_path, "t" + w)
     assert seen == [1, 4]
     assert (tmp_path / "t1.csv").read_bytes() == (tmp_path / "t4.csv").read_bytes()
+
+
+def test_sum_stdout_is_a_function_of_argv_whatever_the_workers(tmp_path, capsys):
+    # 3 * 2^20 terms and more fork at two and at three workers
+    trace, mani = tmp_path / "t.csv", str(tmp_path / "m.json")
+    for argv in (
+        ["sum", "const:e", "--f", "pow:1/2", "--N", "12345", "--M", str(3 * 2 ** 20 + 99)],
+        ["sum", "rat:5/1002", "--f", "pow:1", "--N", "777", "--M", str(3 * 2 ** 20), "--mode", "both"],
+    ):
+        outputs = set()
+        for extra in ([], ["--workers", "1"], ["--workers", "2"], ["--workers", "3"], []):
+            assert console_main(argv + extra + ["--trace", str(trace), "--manifest", mani]) == 0
+            outputs.add((capsys.readouterr().out, trace.read_bytes()))
+        assert len(outputs) == 1
+        # the durations are the manifest's, and the results carry none
+        durations = json.loads(Path(mani).read_text())["durations"]
+        assert sorted(durations) == (["direct_s", "periodic_s"] if "both" in argv else ["direct_s"])
+        assert all(set(r) == {"value", "rounding_bound", "terms", "mode"}
+                   for r in json.loads(outputs.pop()[0])["results"].values())
+
+
+def test_sum_workers_default_to_the_usable_cpus(tmp_path):
+    _, _, mani = run(["sum", "rat:1/3", "--f", "pow:1", "--M", "10"], tmp_path, "wdefault")
+    usable = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    assert mani["caps"]["workers"] == mani["parameters"]["workers"] == min(usable, 64)
 
 
 def test_sum_trace_csv_shape(tmp_path):

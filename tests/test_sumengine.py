@@ -1,7 +1,9 @@
 """Partial-sum engine: accuracy against mpmath references, bound honesty."""
 
 import math
+import os
 import random
+import signal
 from fractions import Fraction
 from functools import lru_cache
 
@@ -938,6 +940,92 @@ def test_scan_does_not_depend_on_workers(source):
     # repr tells every two distinct doubles apart: rows and bounds are all
     # bit-identical
     assert len({repr(r) for r in runs}) == 1
+
+
+# -- forked workers -------------------------------------------------------------
+
+# three blocks of at least _FORK_TERMS terms each, and a partial last chunk
+FORK_M = 3 * sumengine._FORK_TERMS + 4321
+
+
+def _assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.fixture
+def forks(monkeypatch):
+    """The os.fork calls made while the test runs, one entry each."""
+    calls, fork = [], os.fork
+    monkeypatch.setattr(os, "fork", lambda: calls.append(None) or fork())
+    return calls
+
+
+@pytest.mark.parametrize(
+    "source, p", [(ds.make_surd(3, -2, 7, 5), Fraction(1)), (ds.make_constant("e"), Fraction(1, 2))]
+)
+def test_forked_workers_give_the_bits_of_one(forks, source, p):
+    f = ds.make_power_f(p)
+    N, chunks = 99999937, -(-FORK_M // CHUNK)
+    # checkpoints at the last term of a block of two or three workers and
+    # the first term of the next
+    edges = [k * CHUNK + d for k in (chunks // 3, chunks // 2, 2 * chunks // 3) for d in (0, 1)]
+    cps = ds.geometric_checkpoints(FORK_M) + edges
+    runs = []
+    for workers in (1, 2, 3):
+        direct = ds.partial_sum_direct(source, f, N, FORK_M, workers=workers)
+        scan = ds.scan_partial_sums(source, f, N, FORK_M, cps, workers=workers)
+        assert repr(scan.final) == repr(direct)
+        runs.append(repr(scan))
+    assert runs[1] == runs[0] and runs[2] == runs[0]
+    # workers 2 fork once per sum, workers 3 twice
+    assert len(forks) == 2 * (1 + 2)
+    _assert_no_child_left()
+
+
+def test_blocks_of_a_few_chunks_give_the_bits_of_one(monkeypatch, forks):
+    # with the threshold at one chunk a short window forks too, into blocks
+    # whose edges fall next to checkpoints
+    monkeypatch.setattr(sumengine, "_FORK_TERMS", CHUNK)
+    f = ds.make_power_f(Fraction(1, 3))
+    M = 7 * CHUNK + 5
+    cps = [m for k in range(8) for m in (k * CHUNK - 1, k * CHUNK, k * CHUNK + 1) if 1 <= m <= M]
+    runs = {repr(ds.scan_partial_sums(ds.make_constant("e"), f, 3, M, cps, workers=w)) for w in range(1, 6)}
+    assert len(runs) == 1
+    assert len(forks) == 1 + 2 + 3 + 4
+    _assert_no_child_left()
+
+
+def _fail(terms, lo):
+    raise FloatingPointError("injected")
+
+
+def _killed(terms, lo):
+    os.kill(os.getpid(), signal.SIGKILL)
+
+
+@pytest.mark.parametrize(
+    "in_child, action, error, message",
+    [
+        (True, _fail, RuntimeError, "a sum worker failed: FloatingPointError: injected"),
+        (True, _killed, RuntimeError, f"a sum worker failed: status {-signal.SIGKILL}"),
+        (False, _fail, FloatingPointError, "injected"),
+    ],
+    ids=["child-raises", "child-killed", "parent-raises"],
+)
+def test_a_failed_block_raises_and_every_child_is_reaped(monkeypatch, forks, in_child, action, error, message):
+    parent, apply_signs = os.getpid(), sumengine._apply_signs
+
+    def signs(terms, lo):
+        if (os.getpid() != parent) == in_child:
+            action(terms, lo)
+        return apply_signs(terms, lo)
+
+    monkeypatch.setattr(sumengine, "_apply_signs", signs)
+    with pytest.raises(error, match=message):
+        ds.partial_sum_direct(ds.make_constant("pi"), ds.make_power_f(1), 0, FORK_M, workers=3)
+    assert len(forks) == 2
+    _assert_no_child_left()
 
 
 @pytest.mark.parametrize("source, p, N, M", KERNEL_WINDOWS)
