@@ -119,13 +119,15 @@ def _liouville_spec(
 
 def format_alpha(source: RealSource) -> str:
     """Canonical textual form; parse(format(s)) describes the same number."""
+    if source.pqs:
+        # a cf: prefix; a surd's is followed by its declared tail of 1s
+        rest = [str(a) for a in source.pqs[1:]]
+        if source.kind is Kind.QUADRATIC_SURD:
+            rest.append("...")
+        return f"cf:[{source.pqs[0]};{','.join(rest)}]" if rest else f"cf:[{source.pqs[0]}]"
     if source.kind is Kind.RATIONAL:
         return f"rat:{source.a}/{source.q}"
     if source.kind is Kind.QUADRATIC_SURD:
-        if source.all_ones_tail and source.pqs:
-            head = ",".join(str(a) for a in source.pqs[1:])
-            sep = f";{head}," if head else ";"
-            return f"cf:[{source.pqs[0]}{sep}...]"
         sign = "+" if source.r >= 0 else "-"
         return f"surd:({source.p}{sign}{abs(source.r)}*sqrt({source.d}))/{source.s}"
     if source.kind is Kind.NAMED_CONSTANT:
@@ -140,11 +142,6 @@ def format_alpha(source: RealSource) -> str:
         if spec.start != 1:
             out += f",start={spec.start}"
         return out
-    if source.kind is Kind.PQ_STREAM:
-        if len(source.pqs) == 1:
-            return f"cf:[{source.pqs[0]}]"
-        rest = ",".join(str(a) for a in source.pqs[1:])
-        return f"cf:[{source.pqs[0]};{rest}]"
     raise ValueError(f"cannot format source of kind {source.kind}")
 
 
@@ -246,8 +243,7 @@ def _cmd_cf(args: argparse.Namespace, manifest: dict) -> _Result:
 def _cmd_classify(args: argparse.Namespace, manifest: dict) -> _Result:
     source = parse_alpha(args.alpha, max_bits=args.max_bits)
     f = parse_f(args.f)
-    certs = [_CERTS[name]() for name in args.cert or ()]
-    verdict = criterion.classify(source, f, args.budget, certs)
+    verdict = criterion.classify(source, f, args.budget, args.cert or ())
     payload = {
         "schema": 1,
         "alpha": format_alpha(source),
@@ -262,6 +258,8 @@ def _result_dict(r: sumengine.PartialSumResult) -> dict:
 
 
 def _cmd_sum(args: argparse.Namespace, manifest: dict) -> _Result:
+    if args.mode == "periodic":
+        del manifest["caps"]["workers"]  # the periodic sum runs in one process
     source = parse_alpha(args.alpha, max_bits=args.max_bits)
     f = parse_f(args.f)
     if args.mode != "direct" and source.kind is not Kind.RATIONAL:
@@ -418,12 +416,10 @@ _CAPS = {
     "max_terms": ("--max-terms", _int_in(1), sumengine.DEFAULT_MAX_TERMS, "term cap of a sum"),
     "workers": (
         "--workers", _int_in(1, _MAX_WORKERS), _usable_cpus(),
-        f"worker processes (1 to {_MAX_WORKERS}; default: the CPUs this process may use)",
+        f"worker processes of a direct sum or --trace scan (1 to {_MAX_WORKERS}; "
+        "default: the CPUs this process may use)",
     ),
 }
-
-# --cert NAME, and the criterion function that builds that certificate
-_CERTS = {"mahler": criterion.mahler_certificate, "roth": criterion.roth_certificate}
 
 
 def _add_manifest(parser: argparse.ArgumentParser) -> None:
@@ -446,7 +442,7 @@ def _cf_arguments(s: argparse.ArgumentParser):
 def _classify_arguments(s: argparse.ArgumentParser):
     s.add_argument("alpha")
     s.add_argument("--f", required=True, help="weight spec, e.g. pow:1 or pow:1/2")
-    s.add_argument("--cert", action="append", choices=tuple(_CERTS), help="a certificate to try")
+    s.add_argument("--cert", action="append", choices=list(criterion.CERTIFICATES), help="a certificate to try")
     s.add_argument("--budget", type=_int_in(1), default=24, help="expansion budget (convergents)")
     return _cmd_classify
 

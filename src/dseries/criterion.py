@@ -33,16 +33,11 @@ __all__ = [
     "make_power_f",
     "criterion_partial_sum",
     "measure_tail_bound",
-    "roth_certificate",
-    "mahler_certificate",
+    "CERTIFICATES",
     "classify",
     "StaircaseLevel",
     "staircase_levels",
 ]
-
-# Relative error carried by a criterion term evaluated in double precision;
-# a handful of multiplications, one pow and one log, each good to ~1 ulp.
-_TERM_REL_ERR = 1e-13
 
 # _digits converts integers below 2^this to Decimal directly
 _DIGITS_LEAF_BITS = 1024
@@ -92,7 +87,6 @@ class CriterionTerm:
     q_next: int
     value: float
     log10_value: float
-    rel_err: float = _TERM_REL_ERR
 
 
 def _power_term(p: Fraction, entry: QAlphaEntry) -> CriterionTerm:
@@ -133,26 +127,17 @@ def criterion_partial_sum(
 
 @dataclass(frozen=True)
 class MeasureCertificate:
-    """Asserted denominator growth law q_next <= C * q^(mu - 1).
+    """A proven denominator growth law q_next <= C * q^(mu - 1), named by
+    label in CERTIFICATES, the only certificates classify takes.
 
-    label records provenance: "roth" (algebraic irrationals of degree >= 2,
-    exponent 5/2), "mahler" (pi and 1/pi, exponent 42), or "user".
     eventual certificates allow finitely many exceptions; tail bounds are
     then only applied from the caller-supplied threshold onward.
     """
 
     mu: float
     C: float
-    label: str = "user"
+    label: str
     eventual: bool = False
-
-    def __post_init__(self) -> None:
-        if not self.mu > 2:
-            raise ValueError("irrationality measure exponent must exceed 2")
-        if not self.C > 0:
-            raise ValueError("growth constant must be positive")
-        if not (math.isfinite(self.mu) and math.isfinite(self.C)):
-            raise ValueError("irrationality measure exponent and growth constant must be finite")
 
     def check_applicable(self, source: RealSource) -> None:
         if self.label == "mahler":
@@ -165,37 +150,33 @@ class MeasureCertificate:
                     "the transcendence-measure certificate applies only to "
                     "the circle constant and its reciprocal"
                 )
-        elif self.label == "roth":
-            if source.kind is not Kind.QUADRATIC_SURD:
-                raise CertificateError(
-                    "the algebraic-number certificate requires a declared "
-                    "quadratic surd source"
-                )
-        else:
-            if source.kind is Kind.RATIONAL:
-                raise CertificateError(
-                    "a growth certificate is meaningless for a rational source"
-                )
+        elif source.kind is not Kind.QUADRATIC_SURD:
+            raise CertificateError(
+                "the algebraic-number certificate requires a declared "
+                "quadratic surd source"
+            )
 
 
-def roth_certificate() -> MeasureCertificate:
-    return MeasureCertificate(mu=2.5, C=1.0, label="roth", eventual=True)
-
-
-def mahler_certificate() -> MeasureCertificate:
-    """q_next <= q^41 for every convergent a/q, q >= 2, of pi or 1/pi.
-
-    Mahler (1953) proves |pi - a/b| > b^-42 for all integers a and b >= 2,
-    and a convergent a/q of alpha satisfies |alpha - a/q| < 1/(q q_next).
-    * pi: the two give q^-42 < 1/(q q_next), so q_next < q^41.
-    * 1/pi: multiplying by q pi gives |q - a pi| < pi/q_next <= pi, hence
-      a < (q + pi)/pi.  If a >= 2, Mahler's bound for q/a gives
-      a^-42 < pi/(a q_next), so q_next < pi a^41 < q^41 (1 + pi/q)^41 / pi^40
-      <= q^41, as (1 + pi/q)^41 <= (1 + pi/2)^41 < e^39 < pi^40 for q >= 2.
-      If a = 1, |q - pi| >= pi - 3 gives q_next < pi/(pi - 3) < 23 < q^41.
-    So the growth law holds with mu = 42 and C = 1, and nothing is eventual.
-    """
-    return MeasureCertificate(mu=42.0, C=1.0, label="mahler")
+# The growth laws classify may apply, by name.
+# * mahler: q_next <= q^41 for every convergent a/q, q >= 2, of pi or 1/pi.
+#   Mahler (1953) proves |pi - a/b| > b^-42 for all integers a and b >= 2,
+#   and a convergent a/q of alpha satisfies |alpha - a/q| < 1/(q q_next).
+#   - pi: the two give q^-42 < 1/(q q_next), so q_next < q^41.
+#   - 1/pi: multiplying by q pi gives |q - a pi| < pi/q_next <= pi, hence
+#     a < (q + pi)/pi.  If a >= 2, Mahler's bound for q/a gives
+#     a^-42 < pi/(a q_next), so q_next < pi a^41 < q^41 (1 + pi/q)^41 / pi^40
+#     <= q^41, as (1 + pi/q)^41 <= (1 + pi/2)^41 < e^39 < pi^40 for q >= 2.
+#     If a = 1, |q - pi| >= pi - 3 gives q_next < pi/(pi - 3) < 23 < q^41.
+#   So the law holds with mu = 42 and C = 1, and nothing is eventual.
+# * roth: quadratic surds, mu = 2.5 with C = 1 from a threshold on.  Roth's
+#   theorem gives no such constant, so this law is not effective.
+CERTIFICATES: Dict[str, MeasureCertificate] = {
+    cert.label: cert
+    for cert in (
+        MeasureCertificate(mu=42.0, C=1.0, label="mahler"),
+        MeasureCertificate(mu=2.5, C=1.0, label="roth", eventual=True),
+    )
+}
 
 
 def _times_power(x: float, q: int, beta: Fraction) -> float:
@@ -248,8 +229,10 @@ def measure_tail_bound(
         return None
     one_minus = float(1 - p)
     lead = c_eff ** one_minus / one_minus
-    # 1 - 2^(-beta/2), without cancellation for a small beta
-    return _times_power(lead / -math.expm1(-float(beta) * math.log(2.0) / 2), from_q, beta)
+    # 1 - 2^(-beta/2), without cancellation for a small beta; 0 when a
+    # beta below about 1e-323 underflows, and then the bound is inf
+    ratio = -math.expm1(-float(beta) * math.log(2.0) / 2)
+    return _times_power(lead / ratio, from_q, beta) if ratio else math.inf
 
 
 class Outcome(str, Enum):
@@ -387,22 +370,25 @@ def classify(
     source: RealSource,
     f: FDescriptor,
     budget: int = 24,
-    certs: Sequence[MeasureCertificate] = (),
+    certs: Sequence[str] = (),
 ) -> Verdict:
     """Decision ladder for the alternating sine-weighted series.
 
     1. Rational a/q: exact parity decision (odd q converges, even diverges).
-    2. Declared all-ones partial-quotient tail: the entry set is provably
-       finite, so the criterion sum is finite and the series converges.
-    3. Growth certificates: if q_next <= C q^(mu-1) applies to this source,
-       (mu-1)(1-p) < 2 and the tail bound is finite, the criterion series
-       is bounded and the series converges.
+    2. A surd declared by a cf: prefix with an all-ones tail (its pqs): the
+       entry set is provably finite, so the criterion sum is finite and the
+       series converges.
+    3. Growth certificates, named from CERTIFICATES: if q_next <= C q^(mu-1)
+       applies to this source and measure_tail_bound gives a finite bound,
+       the criterion series is bounded and the series converges.
     4. Staircase (Liouville-type) sources whose criterion terms are
        provably unbounded: diverges.
     5. Otherwise Inconclusive, carrying computed partial sums as evidence.
     """
-    for cert in certs:
-        cert.check_applicable(source)
+    for name in certs:
+        if name not in CERTIFICATES:
+            raise ValueError(f"unknown certificate {name!r}; choose from {', '.join(CERTIFICATES)}")
+        CERTIFICATES[name].check_applicable(source)
 
     if source.kind is Kind.RATIONAL:
         q = source.q
@@ -420,7 +406,7 @@ def classify(
             notes=("even denominator forces secular drift of size tan(pi/2q)/q * integral of f",),
         )
 
-    if source.all_ones_tail:
+    if source.kind is Kind.QUADRATIC_SURD and source.pqs:
         entries, series, notes = _expansion_evidence(source, f, budget)
         return Verdict(
             outcome=Outcome.CONVERGES,
@@ -436,16 +422,14 @@ def classify(
         )
 
     p = f.p
-    for cert in certs:
-        if not (cert.mu - 1.0) * float(1 - p) < 2.0:
-            continue
+    for name in certs:
+        cert = CERTIFICATES[name]
+        if measure_tail_bound(cert.mu, cert.C, p) is None:
+            continue  # the law says nothing at this p
         entries, series, notes = _expansion_evidence(source, f, budget)
-        if entries:
-            from_q = 2 * entries[-1].q
-        else:
-            from_q = 2
+        from_q = 2 * entries[-1].q if entries else 2
         tail = measure_tail_bound(cert.mu, cert.C, p, from_q)
-        if tail is None or not math.isfinite(tail):
+        if not math.isfinite(tail):
             continue
         return Verdict(
             outcome=Outcome.CONVERGES,

@@ -28,5 +28,5 @@ class TermLimitError(ResourceLimitError):
 
 
 class CertificateError(DSeriesError):
-    """A certificate was supplied for a source it cannot apply to
-    (CLI exit code 1)."""
+    """A certificate of criterion.CERTIFICATES was named for a source its
+    growth law does not cover (CLI exit code 1)."""

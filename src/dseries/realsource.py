@@ -10,7 +10,8 @@ a given (source, bits) pair.  Supported kinds:
 * the named constants pi, 1/pi and e,
 * lacunary decimal ("Liouville-type") numbers a/q + sum d_k 10^(-e_k)
   with digits d_k in {1, 3} and a factorial or tower exponent schedule,
-* finite partial-quotient prefixes (optionally with a declared all-ones tail).
+* finite partial-quotient prefixes, and prefixes followed by an all-ones
+  tail, which are quadratic surds.
 
 This module does not implement general real arithmetic; the only operations
 are construction and refinement of a single number's enclosure.
@@ -213,8 +214,8 @@ class RealSource:
     s: int = 1
     const: Optional[Constant] = None
     liouville: Optional[LiouvilleSpec] = None
+    # a cf: prefix: all of a PQ_STREAM, or a surd's prefix before its tail of 1s
     pqs: Tuple[int, ...] = ()
-    all_ones_tail: bool = False
     max_bits: int = DEFAULT_MAX_BITS
     _cache: dict = field(default_factory=dict, repr=False)
     _lock: threading.Lock = field(default_factory=threading.Lock, repr=False)
@@ -482,21 +483,12 @@ def make_rational(a: int, q: int, *, max_bits: int = DEFAULT_MAX_BITS) -> RealSo
     return RealSource(Kind.RATIONAL, a=a // g, q=q // g, max_bits=max_bits)
 
 
-def make_surd(
-    p: int,
-    r: int,
-    d: int,
-    s: int,
-    *,
-    all_ones_tail: bool = False,
-    max_bits: int = DEFAULT_MAX_BITS,
-) -> RealSource:
+def make_surd(p: int, r: int, d: int, s: int, *, max_bits: int = DEFAULT_MAX_BITS) -> RealSource:
     """Quadratic surd (p + r*sqrt(d))/s.
 
     d must be >= 2 and not a perfect square, and r nonzero, so the value is
-    irrational.  all_ones_tail declares (as trusted caller knowledge) that
-    all but finitely many partial quotients equal 1; it is classical for the
-    golden ratio (1 + sqrt(5))/2 and its conjugates.
+    irrational.  Its partial quotients are not declared: a surd known to end
+    in 1s comes from make_pq_stream, which records the prefix before them.
     """
     if s == 0:
         raise ValueError("denominator must be nonzero")
@@ -506,15 +498,7 @@ def make_surd(
         raise ValueError("d must be >= 2 and not a perfect square")
     if s < 0:
         p, r, s = -p, -r, -s
-    return RealSource(
-        Kind.QUADRATIC_SURD,
-        p=p,
-        r=r,
-        d=d,
-        s=s,
-        all_ones_tail=all_ones_tail,
-        max_bits=max_bits,
-    )
+    return RealSource(Kind.QUADRATIC_SURD, p=p, r=r, d=d, s=s, max_bits=max_bits)
 
 
 def make_constant(name, *, max_bits: int = DEFAULT_MAX_BITS) -> RealSource:
@@ -540,8 +524,9 @@ def make_pq_stream(
     """Source defined by a finite partial-quotient prefix [a0; a1, ...].
 
     Without a declared tail the refinement depth is limited by the prefix.
-    With all_ones_tail the prefix composed with the golden-ratio tail is an
-    exact quadratic surd and the source is converted accordingly.
+    With all_ones_tail, the cf:[a0; a1, ..., ...] spelling, every quotient
+    after the prefix is 1: the value is the prefix composed with the golden
+    ratio, an exact quadratic surd in sqrt(5), whose pqs is the prefix.
     """
     pqs = tuple(int(a) for a in pqs)
     if not pqs:
@@ -556,9 +541,9 @@ def make_pq_stream(
         C, D = qk + 2 * qk1, qk
         den = C * C - 5 * D * D
         num = A * C - 5 * B * D
-        coef = B * C - A * D
-        src = make_surd(num, coef, 5, den, all_ones_tail=True, max_bits=max_bits)
-        src.pqs = pqs  # keep the declared prefix so serializers can round-trip it
-        return src
+        coef = B * C - A * D  # 2 (p_k q_{k-1} - p_{k-1} q_k) = +-2
+        if den < 0:
+            num, coef, den = -num, -coef, -den
+        return RealSource(Kind.QUADRATIC_SURD, p=num, r=coef, d=5, s=den, pqs=pqs, max_bits=max_bits)
     return RealSource(Kind.PQ_STREAM, pqs=pqs, max_bits=max_bits)
 

@@ -10,6 +10,7 @@ rational windows, a float64 brute-force running sum.
 from __future__ import annotations
 
 import math
+import os
 from fractions import Fraction
 from typing import List, Tuple
 
@@ -156,3 +157,11 @@ def sqrt2_oracle() -> Fraction:
 @pytest.fixture(scope="session")
 def e_oracle() -> Fraction:
     return e_fraction(120)
+
+
+@pytest.fixture
+def forks(monkeypatch):
+    """The os.fork calls made while the test runs, one entry each."""
+    calls, fork = [], os.fork
+    monkeypatch.setattr(os, "fork", lambda: calls.append(None) or fork())
+    return calls

@@ -102,7 +102,7 @@ def test_06_oscillatory_constant_two_ways():
 def test_07_inverse_pi_certificate_pipeline():
     verdict = ds.classify(
         ds.make_constant("invpi"), F1, 20,
-        [ds.mahler_certificate()],
+        ["mahler"],
     )
     assert verdict.outcome is ds.Outcome.CONVERGES
     assert verdict.certificate is ds.VerdictCertificate.CRITERION_BOUNDED

@@ -77,11 +77,9 @@ def test_alpha_roundtrip_is_identity_on_corpus():
         canon = format_alpha(first)
         second = parse_alpha(canon)
         assert format_alpha(second) == canon, text
-        assert second.kind is first.kind, text
-        if first.kind is Kind.PQ_STREAM:
-            # a finite prefix is its quotient list; deep enclosures are capped
-            assert second.pqs == first.pqs, text
-        else:
+        # a cf: prefix, with or without its declared tail of 1s, round-trips
+        assert second.kind is first.kind and second.pqs == first.pqs, text
+        if first.kind is not Kind.PQ_STREAM:  # a finite prefix caps deep enclosures
             # same number: high-precision enclosures must overlap
             a, b = first.approximate(96), second.approximate(96)
             assert a.lo <= b.hi and b.lo <= a.hi, text
@@ -183,7 +181,8 @@ def test_config_rejects_more_than_64_workers_before_summing(tmp_path, monkeypatc
     _assert_refused_by_argparse(code, payload, mani, capsys.readouterr().err, "--workers")
     argv = ["sum", "rat:1/3", "--f", "pow:1", "--M", "10", "--mode", "periodic", "--workers", "64"]
     code, _, mani = run(argv, tmp_path, "w64")
-    assert code == 0 and mani["caps"]["workers"] == 64
+    # the periodic sum runs in one process, so its caps leave --workers out
+    assert code == 0 and "workers" not in mani["caps"] and mani["parameters"]["workers"] == 64
 
 
 # each subcommand's cheapest run, and the caps it reads
@@ -528,13 +527,17 @@ def test_sum_both_modes_agree_closely(tmp_path):
     assert payload["difference"] <= payload["combined_bound"]
 
 
-def test_sum_workers_do_not_change_the_value(tmp_path, monkeypatch):
+def test_sum_workers_do_not_change_the_value(tmp_path, monkeypatch, forks):
     from dseries import sumengine
 
+    # with the fork threshold at one chunk, 4 workers split 50000 terms
+    # into 3 blocks, 2 of them forked
+    monkeypatch.setattr(sumengine, "_FORK_TERMS", sumengine._CHUNK)
     argv = ["sum", "const:pi", "--f", "pow:1", "--N", "0", "--M", "50000"]
     _, one, _ = run(argv + ["--workers", "1"], tmp_path, "w1")
     _, four, _ = run(argv + ["--workers", "4"], tmp_path, "w4")
     assert one["results"]["direct"]["value"] == four["results"]["direct"]["value"]
+    assert len(forks) == 2
     # --trace honours --workers and still writes the same bytes
     scan, seen = sumengine.scan_partial_sums, []
     monkeypatch.setattr(
@@ -544,6 +547,7 @@ def test_sum_workers_do_not_change_the_value(tmp_path, monkeypatch):
         run(argv + ["--workers", w, "--trace", str(tmp_path / f"t{w}.csv")], tmp_path, "t" + w)
     assert seen == [1, 4]
     assert (tmp_path / "t1.csv").read_bytes() == (tmp_path / "t4.csv").read_bytes()
+    assert len(forks) == 2 + 2
 
 
 def test_sum_stdout_is_a_function_of_argv_whatever_the_workers(tmp_path, capsys):

@@ -90,27 +90,27 @@ def test_measure_tail_bound_spec_point():
     assert bound < 1e-4
 
 
-@pytest.mark.parametrize(
-    "mu, C", [(math.inf, 1.0), (2.5, math.inf), (math.inf, math.inf), (math.nan, 1.0), (2.5, math.nan)]
-)
-def test_measure_certificate_rejects_non_finite(mu, C):
-    with pytest.raises(ValueError):
-        ds.MeasureCertificate(mu=mu, C=C)
-
-
 def test_classify_skips_certificate_with_infinite_tail():
-    # finite mu and C whose tail bound still overflows at p = 1
-    huge = ds.MeasureCertificate(mu=1e308, C=1.0)
-    assert ds.measure_tail_bound(huge.mu, huge.C, 1, 2) == math.inf
-    src = ds.make_surd(0, 1, 2, 1)
-    v = ds.classify(src, ds.make_power_f(1), certs=[huge])
-    assert v.outcome is ds.Outcome.INCONCLUSIVE
-    # a later certificate with a finite bound still decides
-    v = ds.classify(src, ds.make_power_f(1), certs=[huge, ds.MeasureCertificate(mu=2.5, C=1.0)])
-    assert v.outcome is ds.Outcome.CONVERGES
-    assert v.parameters["mu"] == 2.5
-    assert math.isfinite(v.parameters["tail_bound"])
-    assert math.isfinite(v.parameters["series_bound"])
+    # at p = 39/41 + 10^-k/41 Mahler's exponent 2 - 41 (1 - p) is 10^-k, and
+    # the tail bound overflows (k = 310) or its 1 - 2^(-beta/2) underflows
+    # to 0 (k = 400): an infinite bound decides nothing
+    for k in (310, 400):
+        p = Fraction(39, 41) + Fraction(1, 41 * 10 ** k)
+        assert ds.measure_tail_bound(42.0, 1.0, p) == math.inf
+        v = ds.classify(ds.make_constant("invpi"), ds.make_power_f(p), certs=["mahler"])
+        assert v.outcome is ds.Outcome.INCONCLUSIVE
+        assert v.certificate is ds.VerdictCertificate.EVIDENCE
+
+
+@pytest.mark.parametrize(
+    "cert",
+    [ds.MeasureCertificate(mu=2.5, C=2.0, label="user"), ds.CERTIFICATES["mahler"], "user", "measure:42,1"],
+    ids=["user-law", "table-law", "user", "measure"],
+)
+def test_classify_takes_only_certificate_names(cert):
+    # a growth law object, even the table's own, is not a name in the table
+    with pytest.raises(ValueError, match="unknown certificate"):
+        ds.classify(ds.make_constant("e"), ds.make_power_f(1), certs=[cert])
 
 
 def test_measure_tail_bound_not_applicable():
@@ -124,20 +124,20 @@ def test_measure_tail_bound_monotone_in_from_q():
 
 
 def test_roth_certificate_pairing():
-    cert = ds.roth_certificate()
+    cert = ds.CERTIFICATES["roth"]
     cert.check_applicable(ds.make_surd(0, 1, 2, 1))
-    with pytest.raises(ds.CertificateError):
-        cert.check_applicable(ds.make_constant("pi"))
+    for other in (ds.make_constant("pi"), ds.make_rational(1, 3)):
+        with pytest.raises(ds.CertificateError):
+            cert.check_applicable(other)
 
 
 def test_mahler_certificate_pairing():
-    cert = ds.mahler_certificate()
+    cert = ds.CERTIFICATES["mahler"]
     cert.check_applicable(ds.make_constant("pi"))
     cert.check_applicable(ds.make_constant("invpi"))
-    with pytest.raises(ds.CertificateError):
-        cert.check_applicable(ds.make_constant("e"))
-    with pytest.raises(ds.CertificateError):
-        cert.check_applicable(ds.make_surd(0, 1, 2, 1))
+    for other in (ds.make_constant("e"), ds.make_surd(0, 1, 2, 1), ds.make_rational(1, 3)):
+        with pytest.raises(ds.CertificateError):
+            cert.check_applicable(other)
 
 
 def test_mahler_growth_law_holds_on_first_1000_convergents():
@@ -150,7 +150,7 @@ def test_mahler_growth_law_holds_on_first_1000_convergents():
             x = 1 / (x - out[-1])
         return out
 
-    cert = ds.mahler_certificate()
+    cert = ds.CERTIFICATES["mahler"]
     assert (cert.mu, cert.C, cert.eventual) == (42.0, 1.0, False)
     pi, eps = pi_fraction(1100), Fraction(20, 10 ** 1100)
     for alpha in (pi, 1 / pi):
@@ -166,18 +166,12 @@ def test_mahler_growth_law_holds_on_first_1000_convergents():
         assert max(math.log(q_next) / math.log(q) for q, q_next in pairs) < 3
 
 
-def test_user_certificate_rejects_rational():
-    cert = ds.MeasureCertificate(mu=2.5, C=10.0, label="user")
-    with pytest.raises(ds.CertificateError):
-        cert.check_applicable(ds.make_rational(1, 3))
-
-
 def test_classify_invpi_with_mahler():
     v = ds.classify(
         ds.make_constant("invpi"),
         ds.make_power_f(1),
         20,
-        certs=[ds.mahler_certificate()],
+        certs=["mahler"],
     )
     assert v.outcome is ds.Outcome.CONVERGES
     assert v.certificate is ds.VerdictCertificate.CRITERION_BOUNDED
@@ -189,7 +183,7 @@ def test_classify_sqrt2_with_roth():
     v = ds.classify(
         ds.make_surd(0, 1, 2, 1),
         ds.make_power_f(1),
-        certs=[ds.roth_certificate()],
+        certs=["roth"],
     )
     assert v.outcome is ds.Outcome.CONVERGES
     assert v.parameters["measure"] == "roth"
@@ -201,7 +195,7 @@ def test_classify_certificate_applicability_conflict():
         ds.classify(
             ds.make_constant("e"),
             ds.make_power_f(1),
-            certs=[ds.mahler_certificate()],
+            certs=["mahler"],
         )
 
 
@@ -210,27 +204,22 @@ def test_mahler_power_applicability_window():
     v_ok = ds.classify(
         ds.make_constant("invpi"),
         ds.make_power_f(Fraction(40, 41)),
-        certs=[ds.mahler_certificate()],
+        certs=["mahler"],
     )
     assert v_ok.certificate is ds.VerdictCertificate.CRITERION_BOUNDED
     v_no = ds.classify(
         ds.make_constant("invpi"),
         ds.make_power_f(Fraction(1, 2)),
-        certs=[ds.mahler_certificate()],
+        certs=["mahler"],
     )
     # certificate not applicable at this exponent; falls through to evidence
     assert v_no.certificate is not ds.VerdictCertificate.CRITERION_BOUNDED
-
-
-def test_user_certificate_on_e():
-    # e has irrationality measure 2, so mu = 2.5 is a valid user assertion
-    v = ds.classify(
-        ds.make_constant("e"),
-        ds.make_power_f(1),
-        certs=[ds.MeasureCertificate(mu=2.5, C=2.0, label="user")],
-    )
-    assert v.outcome is ds.Outcome.CONVERGES
-    assert v.parameters["measure"] == "user"
+    # the exact exponent test: 41 (1 - p) = 2 - 10^-50 < 2, which the
+    # float product 41.0 * float(1 - p) rounds to 2
+    p = Fraction(39, 41) + Fraction(1, 41 * 10 ** 50)
+    v_edge = ds.classify(ds.make_constant("invpi"), ds.make_power_f(p), certs=["mahler"])
+    assert v_edge.certificate is ds.VerdictCertificate.CRITERION_BOUNDED
+    assert 0 < v_edge.parameters["tail_bound"] < math.inf
 
 
 def test_liouville_factorial_diverges_below_one():
@@ -267,7 +256,7 @@ def test_verdict_json_dict_roundtrippable():
     v = ds.classify(
         ds.make_constant("invpi"),
         ds.make_power_f(1),
-        certs=[ds.mahler_certificate()],
+        certs=["mahler"],
     )
     doc = v.to_json_dict()
     encoded = json.dumps(doc, sort_keys=True)
@@ -363,7 +352,7 @@ def test_mahler_tail_bound_past_the_float_range(p, budget):
     # the square of the tail's first denominator passes 10^308, where a float
     # of it overflows
     v = ds.classify(
-        ds.make_constant("invpi"), ds.make_power_f(p), budget=budget, certs=[ds.mahler_certificate()]
+        ds.make_constant("invpi"), ds.make_power_f(p), budget=budget, certs=["mahler"]
     )
     assert v.outcome is ds.Outcome.CONVERGES
     assert 0 < v.parameters["tail_bound"] < math.inf

@@ -160,7 +160,7 @@ def test_pq_stream_all_ones_tail_is_surd():
     # [1; 1, 1, ...] is the golden ratio (1 + sqrt(5))/2
     src = ds.make_pq_stream([1], all_ones_tail=True)
     assert src.kind is ds.Kind.QUADRATIC_SURD
-    assert src.all_ones_tail
+    assert src.pqs == (1,)
     oracle = (1 + sqrt_fraction(5, 80)) / 1 / 2
     iv = src.approximate(200)
     assert _contains(iv, oracle, slack=Fraction(1, 10 ** 79))
@@ -173,6 +173,14 @@ def test_pq_stream_tail_after_prefix():
     oracle = 1 / (2 + 1 / phi)
     iv = src.approximate(200)
     assert _contains(iv, oracle, slack=Fraction(1, 10 ** 77))
+
+
+def test_only_a_cf_prefix_declares_an_all_ones_tail():
+    # make_surd takes no tail: a surd's pqs is the prefix make_pq_stream read
+    with pytest.raises(TypeError):
+        ds.make_surd(0, 1, 2, 1, all_ones_tail=True)
+    assert ds.make_surd(0, 1, 2, 1).pqs == ()
+    assert ds.make_pq_stream([0, 2], all_ones_tail=True).pqs == (0, 2)
 
 
 def test_pq_stream_rejects_nonpositive_quotient():

@@ -417,13 +417,17 @@ def test_drift_allowance_bounds_the_true_gap(half_q, a, N, M, p):
     assert abs(exact - pred.predicted) <= pred.error_allowance
 
 
-def test_workers_do_not_change_the_bits():
+def test_workers_do_not_change_the_bits(monkeypatch, forks):
+    # with the fork threshold at one chunk, 4 workers take 4 blocks of 1 or 2 chunks
+    monkeypatch.setattr(sumengine, "_FORK_TERMS", CHUNK)
     src = ds.make_constant("pi")
     f = ds.make_power_f(1)
-    r1 = ds.partial_sum_direct(src, f, 0, 20000, workers=1)
-    r4 = ds.partial_sum_direct(src, f, 0, 20000, workers=4)
+    M = 5 * CHUNK + 20000
+    r1 = ds.partial_sum_direct(src, f, 0, M, workers=1)
+    r4 = ds.partial_sum_direct(src, f, 0, M, workers=4)
     assert r1.value == r4.value
     assert r1.rounding_bound == r4.rounding_bound
+    assert len(forks) == 3
 
 
 def reversed_chunk_sum(source, f, N, M):
@@ -445,21 +449,25 @@ def test_reverse_summation_agrees_within_bounds():
     assert abs(fwd.value - reversed_chunk_sum(src, f, 0, 30000)) <= fwd.rounding_bound
 
 
-def test_workers_do_not_change_the_bits_across_many_chunks():
+def test_workers_do_not_change_the_bits_across_many_chunks(monkeypatch, forks):
+    monkeypatch.setattr(sumengine, "_FORK_TERMS", CHUNK)
     src = ds.make_constant("pi")
     f = ds.make_power_f(Fraction(1, 2))
     M = 8 * CHUNK + 123
     runs = [ds.partial_sum_direct(src, f, 5, M, workers=w) for w in (1, 2, 4)]
     assert len({r.value for r in runs}) == 1
     assert len({r.rounding_bound for r in runs}) == 1
+    assert len(forks) == 1 + 3
 
 
-def test_reverse_summation_agrees_within_bounds_across_many_chunks():
+def test_reverse_summation_agrees_within_bounds_across_many_chunks(monkeypatch, forks):
+    monkeypatch.setattr(sumengine, "_FORK_TERMS", CHUNK)
     src = ds.make_constant("invpi")
     f = ds.make_power_f(1)
     M = 8 * CHUNK + 123
     fwd = ds.partial_sum_direct(src, f, 5, M, workers=2)
     assert abs(fwd.value - reversed_chunk_sum(src, f, 5, M)) <= fwd.rounding_bound
+    assert len(forks) == 1
 
 
 @lru_cache(maxsize=None)
@@ -911,15 +919,25 @@ def _scan_windows(draw):
     return draw(st.integers(0, 10 ** 6)), M, sorted(set(cps))
 
 
-@settings(max_examples=30, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@settings(
+    max_examples=30,
+    deadline=None,
+    suppress_health_check=[HealthCheck.too_slow, HealthCheck.function_scoped_fixture],
+)
 @given(spec=_BOUND_SOURCES, window=_scan_windows(), workers=st.integers(1, 3))
-def test_scan_rows_are_prefix_reads_of_the_direct_grid(spec, window, workers):
+@example(spec=("e",), window=(17, 3 * CHUNK + 50, [CHUNK, 2 * CHUNK, 2 * CHUNK + 1]), workers=3)
+def test_scan_rows_are_prefix_reads_of_the_direct_grid(monkeypatch, forks, spec, window, workers):
     # the scan sums the chunks partial_sum_direct sums, whatever checkpoints
-    # it is asked for; a checkpoint inside a chunk only reads its prefix
+    # it is asked for; a checkpoint inside a chunk only reads its prefix.
+    # The fixtures hold for every example: the threshold stays at one chunk
+    # and the fork count accumulates.
+    monkeypatch.setattr(sumengine, "_FORK_TERMS", CHUNK)
     source, _ = _bound_case(spec)
     N, M, cps = window
     f = ds.make_power_f(Fraction(1, 2))
+    before = len(forks)
     scan = ds.scan_partial_sums(source, f, N, M, cps, workers=workers)
+    assert len(forks) - before == max(1, min(workers, M // CHUNK)) - 1
     assert repr(scan.final) == repr(ds.partial_sum_direct(source, f, N, M))
     assert [row.m for row in scan.rows] == cps
     for row in scan.rows:
@@ -932,7 +950,8 @@ def test_scan_rows_are_prefix_reads_of_the_direct_grid(spec, window, workers):
 
 
 @pytest.mark.parametrize("source", [ds.make_constant("e"), ds.make_rational(3, 8)])
-def test_scan_does_not_depend_on_workers(source):
+def test_scan_does_not_depend_on_workers(monkeypatch, forks, source):
+    monkeypatch.setattr(sumengine, "_FORK_TERMS", CHUNK)
     f = ds.make_power_f(Fraction(1, 2))
     M = 8 * CHUNK + 123
     cps = ds.geometric_checkpoints(M) + [CHUNK, 5 * CHUNK + 77]
@@ -940,6 +959,7 @@ def test_scan_does_not_depend_on_workers(source):
     # repr tells every two distinct doubles apart: rows and bounds are all
     # bit-identical
     assert len({repr(r) for r in runs}) == 1
+    assert len(forks) == 1 + 3
 
 
 # -- forked workers -------------------------------------------------------------
@@ -951,14 +971,6 @@ FORK_M = 3 * sumengine._FORK_TERMS + 4321
 def _assert_no_child_left():
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
-
-
-@pytest.fixture
-def forks(monkeypatch):
-    """The os.fork calls made while the test runs, one entry each."""
-    calls, fork = [], os.fork
-    monkeypatch.setattr(os, "fork", lambda: calls.append(None) or fork())
-    return calls
 
 
 @pytest.mark.parametrize(
