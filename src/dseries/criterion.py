@@ -11,6 +11,7 @@ settled by exact structure or a certificate comes back Inconclusive.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, replace
 from enum import Enum
@@ -389,6 +390,8 @@ def classify(
         if name not in CERTIFICATES:
             raise ValueError(f"unknown certificate {name!r}; choose from {', '.join(CERTIFICATES)}")
         CERTIFICATES[name].check_applicable(source)
+    # every rung below that reads the expansion shares one
+    evidence = functools.cache(lambda: _expansion_evidence(source, f, budget))
 
     if source.kind is Kind.RATIONAL:
         q = source.q
@@ -407,7 +410,7 @@ def classify(
         )
 
     if source.kind is Kind.QUADRATIC_SURD and source.pqs:
-        entries, series, notes = _expansion_evidence(source, f, budget)
+        entries, series, notes = evidence()
         return Verdict(
             outcome=Outcome.CONVERGES,
             certificate=VerdictCertificate.QALPHA_EMPTY_STRUCTURAL,
@@ -426,7 +429,7 @@ def classify(
         cert = CERTIFICATES[name]
         if measure_tail_bound(cert.mu, cert.C, p) is None:
             continue  # the law says nothing at this p
-        entries, series, notes = _expansion_evidence(source, f, budget)
+        entries, series, notes = evidence()
         from_q = 2 * entries[-1].q if entries else 2
         tail = measure_tail_bound(cert.mu, cert.C, p, from_q)
         if not math.isfinite(tail):
@@ -458,7 +461,7 @@ def classify(
                 notes=(reason,),
             )
 
-    entries, series, notes = _expansion_evidence(source, f, budget)
+    entries, series, notes = evidence()
     return Verdict(
         outcome=Outcome.INCONCLUSIVE,
         certificate=VerdictCertificate.EVIDENCE,

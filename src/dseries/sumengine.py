@@ -19,7 +19,15 @@ correctly rounded sqrt(n) for p = 1/2, so for both every step is a
 correctly rounded IEEE operation.  Windows ending past 2^53 are refused,
 since n is then no longer exact in float64.
 
-The periodic path exploits a rational alpha = a/q instead: (-1)^n times
+A rational a/q with q + 2^15 <= 2^20 over at least 2(q + 2^15) terms
+reuses one period of these weights: (-1)^n |sin(pi n a/q)| repeats with
+period q up to the sign (-1)^q, so the signed weights of n = N+1 .. N+q
+are computed once, before any worker forks, and copied times (-1)^q per
+period up to q + 2^15 entries (8 MiB at most).  A batch then divides a
+slice of that table by n^p.  Each entry is the weight of some n' = n
+mod q, within 9.7e-16 of the same exact value, so the bound is unchanged.
+
+The periodic path exploits a rational alpha = a/q further: (-1)^n times
 the weight of n depends on n mod L alone (L = q for even q, 2q for odd q),
 so the window is one weighted sum per residue class, each weight from a
 correctly rounded argument through an odd polynomial with a proven
@@ -95,6 +103,9 @@ _BUFFERS = threading.local()  # work rows per calling thread of the library
 # fork and its wait cost about 4 ms, and 2^20 terms about 5 ms.
 _FORK_TERMS = 1 << 20
 _MAX_INDEX = 2 ** 53  # largest window end whose indices are exact in float64
+# Most entries (8 MiB) of a rational direct sum's table of signed weights
+# (see _make_term_fn).
+_PERIOD_TABLE_MAX = 1 << 20
 # Tables indexed by k = i*_TABLE_ROW + j are assembled from one value per row
 # i and one per column j: the direct path's sines and cosines, and the
 # periodic path's residues.
@@ -463,6 +474,18 @@ def _make_term_fn(
     (_WEIGHT_ERR + root_err + u) f(n).  The bound is absolute only, unlike
     _sinpi_into's relative one, which the direct bound does not need.  A
     term depends on n alone for given (source, N, M).
+
+    A rational a/q with 2 (q + _BATCH) <= M and q + _BATCH <= _PERIOD_TABLE_MAX
+    (8 MiB of doubles) takes a table instead, chosen by q and M alone.  The
+    signed weights (-1)^n w_n of n = N+1 .. N+q come from the weights above
+    in batches, once; since w_(n+q) = |sin(pi n a/q + pi a)| = w_n exactly,
+    the entries past q are copies of those times (-1)^q, in a few doubling
+    steps, so no weight is computed twice and the table does not depend on
+    how the window is later split among workers.  The term of n is
+    fl(table[o + i] / r), o = (lo - N - 1) mod q, negated when q is odd and
+    lo - N - 1 lies in an odd period.  Each entry is the computed weight of
+    some n' = n mod q, within _WEIGHT_ERR of |sin(pi n' a/q)| = |sin(pi n a/q)|,
+    and a negation is exact, so the per-term coefficient is unchanged.
     """
     if source.kind is Kind.RATIONAL:
         num, den, arg_err = source.a % source.q, source.q, 0.0
@@ -471,7 +494,9 @@ def _make_term_fn(
         den = 1 << (interval.exp + 1)
         num = (interval.lo_m + interval.hi_m) % den
         arg_err = float((N + M) * interval.width / 2)
-    length = min(M, _BATCH)
+    tabled = source.kind is Kind.RATIONAL and 2 * (den + _BATCH) <= M and den + _BATCH <= _PERIOD_TABLE_MAX
+    span = den if tabled else M  # the n - N whose weights are computed
+    length = min(span, _BATCH)
     sin_i, cos_i = _rotation(0, _TABLE_ROW * num, den, -(-length // _TABLE_ROW)).T
     sin_j, cos_j = _rotation(0, num, den, min(length, _TABLE_ROW)).T
     product = _work_buffers(len(sin_i) * len(sin_j))[0].reshape(len(sin_i), len(sin_j))
@@ -480,24 +505,54 @@ def _make_term_fn(
     cos_t = np.multiply.outer(cos_i, cos_j)
     cos_t -= np.multiply.outer(sin_i, sin_j, out=product)
     sin_t, cos_t = sin_t.ravel()[:length], cos_t.ravel()[:length]
-    scalars = _rotation((N + 1) * num, _BATCH * num, den, -(-M // _BATCH)).tolist()
+    scalars = _rotation((N + 1) * num, _BATCH * num, den, -(-span // _BATCH)).tolist()
     root, root_err = _root(f, N + M)
+    coeff = math.pi * arg_err + _WEIGHT_ERR + root_err
 
-    def batch(lo: int, hi: int) -> np.ndarray:
-        k = hi - lo
-        out, z = _work_buffers(k)
+    def weights(lo: int, hi: int, out: np.ndarray, z: np.ndarray) -> None:
+        """Write the weights of n in [lo, hi) into out; z is scratch of at
+        least min(hi - lo, _BATCH) entries."""
         for g in range(lo - (lo - N - 1) % _BATCH, hi, _BATCH):
             a, b = max(lo, g), min(hi, g + _BATCH)
             sin_b, cos_b = scalars[(g - N - 1) // _BATCH]
-            w, t = out[a - lo : b - lo], z[a - lo : b - lo]
+            w, t = out[a - lo : b - lo], z[: b - a]
             np.multiply(sin_t[a - g : b - g], cos_b, out=w)
             np.multiply(cos_t[a - g : b - g], sin_b, out=t)
             w += t
         np.abs(out, out=out)
-        out /= root(np.add(_INDEX[:k], float(lo), out=z))
-        return _apply_signs(out, lo)
 
-    return batch, math.pi * arg_err + _WEIGHT_ERR + root_err
+    if not tabled:
+
+        def batch(lo: int, hi: int) -> np.ndarray:
+            k = hi - lo
+            out, z = _work_buffers(k)
+            weights(lo, hi, out, z)
+            out /= root(np.add(_INDEX[:k], float(lo), out=z))
+            return _apply_signs(out, lo)
+
+        return batch, coeff
+
+    # The signed weights (-1)^n w_n of the first period, n = N + 1 .. N + q,
+    # then copies of them times (-1)^q per period, in doubling steps.
+    table = np.empty(den + _BATCH)
+    weights(N + 1, N + 1 + den, table[:den], _work_buffers(_BATCH)[1])
+    _apply_signs(table[:den], N + 1)
+    filled, sign = den, -1.0 if den & 1 else 1.0
+    while filled < len(table):
+        k = min(filled, len(table) - filled)
+        np.multiply(table[:k], sign, out=table[filled : filled + k])
+        filled, sign = filled + k, 1.0
+
+    def batch(lo: int, hi: int) -> np.ndarray:
+        k = hi - lo
+        out, z = _work_buffers(k)
+        period, o = divmod(lo - N - 1, den)
+        np.divide(table[o : o + k], root(np.add(_INDEX[:k], float(lo), out=z)), out=out)
+        if den & period & 1:
+            np.negative(out, out=out)
+        return out
+
+    return batch, coeff
 
 
 @lru_cache(maxsize=None)

@@ -102,6 +102,20 @@ def test_classify_skips_certificate_with_infinite_tail():
         assert v.certificate is ds.VerdictCertificate.EVIDENCE
 
 
+def test_classify_expands_once_when_a_certificate_decides_nothing(monkeypatch):
+    # mahler passes the exponent test at this p but its tail bound is
+    # infinite, so the Evidence rung reads the expansion the law already made
+    calls, expand = [], ds.cfrac.expand
+    monkeypatch.setattr(ds.cfrac, "expand", lambda *args: calls.append(args) or expand(*args))
+    p = ds.make_power_f(Fraction(39, 41) + Fraction(1, 41 * 10 ** 310))
+    with_law = ds.classify(ds.make_constant("pi"), p, budget=1000, certs=["mahler"])
+    assert len(calls) == 1
+    without = ds.classify(ds.make_constant("pi"), p, budget=1000)
+    assert len(calls) == 2
+    assert with_law.certificate is ds.VerdictCertificate.EVIDENCE
+    assert with_law.to_json_dict() == without.to_json_dict()
+
+
 @pytest.mark.parametrize(
     "cert",
     [ds.MeasureCertificate(mu=2.5, C=2.0, label="user"), ds.CERTIFICATES["mahler"], "user", "measure:42,1"],

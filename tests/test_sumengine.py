@@ -478,6 +478,12 @@ def _mp_sincospi(r, den):
         return float(mpmath.sinpi(x)), float(mpmath.cospi(x))
 
 
+def takes_table(q, M):
+    """Whether a rational direct sum of denominator q over M terms divides
+    a cached period of signed weights."""
+    return 2 * (q + BATCH) <= M and q + BATCH <= sumengine._PERIOD_TABLE_MAX
+
+
 def reference_terms(source, f, N, M, lo, hi):
     """Terms for n in [lo, hi), one scalar at a time by the kernel's formula:
     n = g + k with g on the grid N + 1 + j*BATCH and k = i*256 + j, the sine
@@ -485,13 +491,15 @@ def reference_terms(source, f, N, M, lo, hi):
     and pi j alpha, and those three pairs, like the pair of pi g alpha, from
     mpmath at 40 digits, with alpha the rational itself or the enclosure
     midpoint; the weight divided by n^p (n itself for p = 1, its correctly
-    rounded square root for p = 1/2, np.power otherwise).  The buffered
-    kernel must reproduce every bit."""
+    rounded square root for p = 1/2, np.power otherwise).  On the table path
+    of a rational a/q, the weight of n is that of N + 1 + ((n - N - 1) mod q)
+    and the sign is (-1)^n.  The buffered kernel must reproduce every bit."""
     if source.kind is Kind.RATIONAL:
         alpha = Fraction(source.a, source.q)
     else:
         alpha = source.approximate((N + M).bit_length() + 64).midpoint
     num, den = alpha.numerator, alpha.denominator
+    tabled = source.kind is Kind.RATIONAL and takes_table(den, M)
     n_all = np.arange(lo, hi, dtype=np.float64)
     if f.p == 1:
         roots = n_all.tolist()
@@ -501,8 +509,9 @@ def reference_terms(source, f, N, M, lo, hi):
         roots = np.power(n_all, float(f.p)).tolist()
     terms = []
     for n, root in zip(range(lo, hi), roots):
-        k = (n - N - 1) % BATCH
-        sin_b, cos_b = _mp_sincospi((n - k) * num, den)
+        m = N + 1 + (n - N - 1) % den if tabled else n
+        k = (m - N - 1) % BATCH
+        sin_b, cos_b = _mp_sincospi((m - k) * num, den)
         sin_i, cos_i = _mp_sincospi((k - k % 256) * num, den)
         sin_j, cos_j = _mp_sincospi(k % 256 * num, den)
         sin_t = sin_i * cos_j + cos_i * sin_j
@@ -532,7 +541,48 @@ def test_kernel_terms_match_reference_bit_for_bit(source, p, N, M):
         assert terms.tobytes() == ref.tobytes()
 
 
-@pytest.mark.parametrize("source, p, N, M", KERNEL_WINDOWS)
+# Rational windows of the table path: an odd q above 2^15, an even q below
+# it, and q = 3, with M at least 2 (q + 2^15).
+TABLE_WINDOWS = [
+    (ds.make_rational(12345, 100003), Fraction(1, 2), 777, 2 * (100003 + BATCH) + 29),
+    (ds.make_rational(5, 1002), 1, 5, 4 * CHUNK + 2 * 1002 + 9),
+    (ds.make_rational(1, 3), Fraction(1, 3), 10 ** 8 + 1, 4 * CHUNK + 17),
+]
+
+
+@pytest.mark.parametrize("source, p, N, M", TABLE_WINDOWS)
+def test_table_terms_match_reference_bit_for_bit(source, p, N, M):
+    # batches at the first term, at a chunk in, across the end of the first
+    # period into the second (odd) one, and inside the second
+    q = source.q
+    assert takes_table(q, M)
+    assert not any(takes_table(s.q, m) for s, _, _, m in KERNEL_WINDOWS if s.kind is Kind.RATIONAL)
+    f = ds.make_power_f(p)
+    term_fn, _ = sumengine._make_term_fn(source, f, N, M)
+    for lo in sorted({N + 1, N + 1 + CHUNK, max(N + 1, N + 1 + q - CHUNK), N + 1 + q + CHUNK}):
+        hi = min(lo + BATCH, N + M + 1)
+        terms = term_fn(lo, hi)
+        ref = reference_terms(source, f, N, M, lo, hi)
+        assert terms.tobytes() == ref.tobytes()
+
+
+@pytest.mark.parametrize("source, p, N, M", TABLE_WINDOWS)
+def test_table_path_keeps_the_bound_of_angle_addition(monkeypatch, forks, source, p, N, M):
+    monkeypatch.setattr(sumengine, "_FORK_TERMS", CHUNK)
+    f = ds.make_power_f(p)
+    runs = [ds.partial_sum_direct(source, f, N, M, workers=w) for w in (1, 2, 3)]
+    assert len({(r.value, r.rounding_bound) for r in runs}) == 1
+    assert len(forks) == 1 + 2
+    scan = ds.scan_partial_sums(source, f, N, M)
+    assert (scan.rows[-1].value, scan.rows[-1].rounding_bound) == (runs[0].value, runs[0].rounding_bound)
+    assert repr(scan.final) == repr(runs[0])
+    monkeypatch.setattr(sumengine, "_PERIOD_TABLE_MAX", 0)
+    rotated = ds.partial_sum_direct(source, f, N, M)
+    assert rotated.rounding_bound == runs[0].rounding_bound
+    assert abs(rotated.value - runs[0].value) <= runs[0].rounding_bound
+
+
+@pytest.mark.parametrize("source, p, N, M", KERNEL_WINDOWS + TABLE_WINDOWS[1:])
 def test_direct_sum_is_exact_sum_of_reference_chunk_sums(source, p, N, M):
     # only the grouping into chunks can move the value: each chunk is one
     # numpy pairwise sum and the chunk sums are added exactly
