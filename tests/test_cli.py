@@ -32,6 +32,7 @@ from dseries.cli import (
     parse_alpha,
     parse_f,
 )
+import make_corpus
 from conftest import cf_convergents, euclid_cf, mp_partial_sum, pi_fraction
 
 
@@ -820,6 +821,12 @@ def test_liouville_parameters_share_the_grammar_parsers(tmp_path, extra, error):
 
 
 # -- reproducibility -----------------------------------------------------------
+
+
+def test_corpus_replays_in_process():
+    # tests/corpus.json: see make_corpus.py, which rewrites it
+    failures = make_corpus.check(make_corpus.load(), make_corpus.run_in_process)
+    assert not failures, "\n".join(failures)
 
 
 def test_payload_bytes_reproducible(tmp_path):
