@@ -179,7 +179,7 @@ def _round_dyadic(m: int, exp: int, up: bool) -> float:
 
 
 def _outward_floats(iv) -> Tuple[float, float]:
-    """Tightest doubles lo <= iv.lo and hi >= iv.hi."""
+    """Tightest doubles lo <= lo_m 2^-exp and hi >= hi_m 2^-exp of iv."""
     if iv.lo_m >= 0 and iv.hi_m.bit_length() <= iv.exp - 1074:
         # 0 <= lo <= hi < 2^-1074, the smallest subnormal: the distances of
         # a long expansion's later convergents

@@ -23,7 +23,6 @@ import math
 import threading
 from dataclasses import dataclass, field
 from enum import Enum
-from fractions import Fraction
 from typing import List, Optional, Sequence, Tuple
 
 from .errors import PrecisionLimitError
@@ -79,42 +78,12 @@ class Schedule(Enum):
 
 @dataclass(frozen=True)
 class DyadicInterval:
-    """Closed interval [lo_m, hi_m] * 2^-exp with integer mantissas.
-
-    The endpoints are also readable as exact Fractions (lo, hi, width,
-    midpoint); the integers are what the arithmetic works on.
-    """
+    """Closed interval [lo_m, hi_m] * 2^-exp with integer mantissas
+    lo_m <= hi_m and exp >= 0; an exact end is Fraction(lo_m, 1 << exp)."""
 
     lo_m: int
     hi_m: int
     exp: int
-
-    def __post_init__(self) -> None:
-        if type(self.lo_m) is not int or type(self.hi_m) is not int or type(self.exp) is not int:
-            raise TypeError("mantissas and exponent must be ints")
-        if self.lo_m > self.hi_m:
-            raise ValueError("interval endpoints out of order")
-        if self.exp < 0:
-            raise ValueError("exponent must be >= 0")
-
-    @property
-    def lo(self) -> Fraction:
-        return Fraction(self.lo_m, 1 << self.exp)
-
-    @property
-    def hi(self) -> Fraction:
-        return Fraction(self.hi_m, 1 << self.exp)
-
-    @property
-    def width(self) -> Fraction:
-        return Fraction(self.hi_m - self.lo_m, 1 << self.exp)
-
-    @property
-    def midpoint(self) -> Fraction:
-        return Fraction(self.lo_m + self.hi_m, 1 << (self.exp + 1))
-
-    def __contains__(self, x) -> bool:
-        return self.lo <= Fraction(x) <= self.hi
 
 
 @dataclass(frozen=True)

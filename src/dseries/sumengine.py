@@ -112,7 +112,7 @@ _PERIOD_TABLE_MAX = 1 << 20
 _TABLE_ROW = 1 << 8
 # sin(pi y) ~ y * sum_i c_i (y^2)^i on [0, 1/2]: minimax in y^2 with the
 # coefficients rounded to doubles one at a time (c_0 = fl(pi)), each later one
-# refitted; _SINPI_ERR is its proven relative error (see _sinpi_into).
+# refitted; _SINPI_ERR is its proven relative error (see _sinpi).
 _SINPI_COEFFS = (
     3.141592653589793,
     -5.167712780049823,
@@ -232,8 +232,8 @@ def _apply_signs(terms: np.ndarray, lo: int) -> np.ndarray:
     return terms
 
 
-def _sinpi_into(y: np.ndarray, out: np.ndarray, z: np.ndarray) -> np.ndarray:
-    """Write sin(pi*y) into out for y in [0, 1/2]; z is scratch of y's length.
+def _sinpi(y: np.ndarray) -> np.ndarray:
+    """sin(pi*y) for y in [0, 1/2], in a new array.
 
     The value is P(y) = y*Q(y^2) with Q(t) = sum_{i<=7} c_i t^i and the
     double coefficients c_i of _SINPI_COEFFS, evaluated by Horner in
@@ -262,8 +262,8 @@ def _sinpi_into(y: np.ndarray, out: np.ndarray, z: np.ndarray) -> np.ndarray:
       as c_0 y is normal, and within 2^-1074 absolutely otherwise.
     """
     c = _SINPI_COEFFS
-    np.multiply(y, y, out=z)
-    np.multiply(z, c[-1], out=out)
+    z = np.multiply(y, y)
+    out = np.multiply(z, c[-1])
     for ci in c[-2:0:-1]:
         out += ci
         out *= z
@@ -433,8 +433,9 @@ def _make_term_fn(
     thread's work rows, valid until that thread's next call.
 
     alpha mod 1 is taken exactly as num/den: a/q for a rational, the
-    enclosure midpoint otherwise, whose distance to alpha moves n*alpha by
-    at most arg_err and the weight by at most pi*arg_err.  Each n is
+    enclosure midpoint (lo_m + hi_m) 2^-(exp+1) otherwise, whose distance to
+    alpha moves n*alpha by at most arg_err = (N + M)(hi_m - lo_m) 2^-(exp+1)
+    and the weight by at most pi*arg_err.  Each n is
     written as g + k with g on the grid N + 1 + j*_BATCH.  With
     T = k*num/den and B = g*num/den (an integer added to either only flips
     the sign that |.| drops), the weight |sin(pi n num/den)| is |a + b| with
@@ -472,7 +473,7 @@ def _make_term_fn(
     = 9.611e-16 of its value; the second-order terms are below 1e-29, so
     _WEIGHT_ERR = 9.7e-16 covers it, and the term is within
     (_WEIGHT_ERR + root_err + u) f(n).  The bound is absolute only, unlike
-    _sinpi_into's relative one, which the direct bound does not need.  A
+    _sinpi's relative one, which the direct bound does not need.  A
     term depends on n alone for given (source, N, M).
 
     A rational a/q with 2 (q + _BATCH) <= M and q + _BATCH <= _PERIOD_TABLE_MAX
@@ -493,7 +494,7 @@ def _make_term_fn(
         interval = source.approximate((N + M).bit_length() + 64)
         den = 1 << (interval.exp + 1)
         num = (interval.lo_m + interval.hi_m) % den
-        arg_err = float((N + M) * interval.width / 2)
+        arg_err = (N + M) * (interval.hi_m - interval.lo_m) / (1 << (interval.exp + 1))
     tabled = source.kind is Kind.RATIONAL and 2 * (den + _BATCH) <= M and den + _BATCH <= _PERIOD_TABLE_MAX
     span = den if tabled else M  # the n - N whose weights are computed
     length = min(span, _BATCH)
@@ -767,15 +768,14 @@ def _class_weights(a: int, q: int, n0: int, length: int) -> np.ndarray:
     """|sin(pi n a/q)| for n = n0, ..., n0 + length - 1: exactly 0 where q
     divides n, and otherwise within a relative _CLASS_WEIGHT_ERR = 2e-15.
 
-    With k = a n mod q, a weight is _sinpi_into(min(k, q - k)/q), the
+    With k = a n mod q, a weight is _sinpi(min(k, q - k)/q), the
     argument from _reduced_args: the quotient is correctly rounded (relative
     error at most 2^-53, which moves sin(pi y) by at most that relatively,
     since pi y cot(pi y) <= 1 on (0, 1/2]), and the polynomial adds a
     relative 1e-15.  y = 0 exactly when k = 0, and the polynomial maps it
     to 0.
     """
-    y = _reduced_args(a % q, q, a * n0 % q, length)
-    return _sinpi_into(y, np.empty_like(y), np.empty_like(y))
+    return _sinpi(_reduced_args(a % q, q, a * n0 % q, length))
 
 
 @lru_cache(maxsize=None)

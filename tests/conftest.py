@@ -54,6 +54,11 @@ def e_fraction(digits: int) -> Fraction:
     return total
 
 
+def ends(iv) -> Tuple[Fraction, Fraction]:
+    """The exact ends lo_m 2^-exp and hi_m 2^-exp of a DyadicInterval."""
+    return Fraction(iv.lo_m, 1 << iv.exp), Fraction(iv.hi_m, 1 << iv.exp)
+
+
 def euclid_cf(x: Fraction, limit: int = 10 ** 6) -> List[int]:
     """Canonical continued fraction of a rational via the Euclidean algorithm."""
     out = []

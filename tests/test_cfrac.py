@@ -12,7 +12,7 @@ import dseries as ds
 from dseries import cfrac
 from dseries.errors import PrecisionLimitError
 from dseries.realsource import _recurrence
-from conftest import cf_convergents, euclid_cf
+from conftest import cf_convergents, ends, euclid_cf
 
 
 def test_sqrt2_denominators_match_known_sequence():
@@ -46,7 +46,7 @@ def test_rational_expansion_exact():
     assert exp.exact
     assert list(exp.partial_quotients) == [3, 7, 16]
     assert [(c.a, c.q) for c in exp.convergents] == [(3, 1), (22, 7), (355, 113)]
-    assert exp.convergents[-1].dist.lo == 0
+    assert exp.convergents[-1].dist.lo_m == 0
 
 
 def test_rational_last_quotient_at_least_two():
@@ -78,7 +78,8 @@ def test_rational_convergent_invariants(a, q):
     dists = []
     for c in exp.convergents:
         exact = abs(alpha * c.q - c.a)
-        assert c.dist.lo <= exact <= c.dist.hi
+        lo, hi = ends(c.dist)
+        assert lo <= exact <= hi
         dists.append(exact)
     assert all(x > y for x, y in zip(dists, dists[1:]))
 
@@ -141,7 +142,7 @@ def test_convergent_enclosures_certify_order(pi_oracle):
     # dist intervals of successive convergents must not overlap
     exp = ds.expand(ds.make_constant("pi"), 15)
     for cur, nxt in zip(exp.convergents, exp.convergents[1:]):
-        assert nxt.dist.hi < cur.dist.lo
+        assert ends(nxt.dist)[1] < ends(cur.dist)[0]
 
 
 # -- integer expansion against the 0.1.0 Fraction code -----------------------------
@@ -173,9 +174,7 @@ def _ref_common_pqs(lo: Fraction, hi: Fraction, limit: int):
 )
 def test_common_pqs_match_fraction_euclid(lo_m, width, exp, limit, a, q):
     iv = ds.DyadicInterval(lo_m, lo_m + width, exp)
-    assert cfrac._common_pqs(lo_m, lo_m + width, 1 << exp, limit) == _ref_common_pqs(
-        iv.lo, iv.hi, limit
-    )
+    assert cfrac._common_pqs(lo_m, lo_m + width, 1 << exp, limit) == _ref_common_pqs(*ends(iv), limit)
     # A rational is the degenerate interval [a, a] / q, q not a power of two.
     assert cfrac._common_pqs(a, a, q, q + 1) == euclid_cf(Fraction(a, q))
 
@@ -200,9 +199,9 @@ def _distance_image(c, lo: Fraction, hi: Fraction):
 def test_distances_match_fraction_image_of_the_enclosure(source):
     # |q x - p| over the enclosure, as 0.1.0 computed it with Fractions
     exp = ds.expand(source, 120)
-    iv = source.approximate(exp.bits_used)
+    lo, hi = ends(source.approximate(exp.bits_used))
     for c in exp.convergents:
-        assert (c.dist.lo, c.dist.hi) == _distance_image(c, iv.lo, iv.hi)
+        assert ends(c.dist) == _distance_image(c, lo, hi)
 
 
 @settings(max_examples=150, deadline=None)
@@ -245,7 +244,7 @@ def test_prefix_distances_are_the_image_of_the_exact_prefix_interval(pqs):
     exp = ds.expand(ds.make_pq_stream(pqs), 16)
     assert exp.partial_quotients == tuple(pqs)
     for c in exp.convergents:
-        assert (c.dist.lo, c.dist.hi, c.dist.exp) == (*_distance_image(c, lo, hi), grid)
+        assert (*ends(c.dist), c.dist.exp) == (*_distance_image(c, lo, hi), grid)
 
 
 # -- resumed rounds against the loop that restarted Euclid -------------------------
@@ -338,6 +337,8 @@ def test_resumed_rounds_match_euclid_from_scratch(source, count):
         # each round resumes after every quotient of the round before
         assert known == (rounds[k - 1][1] if k else [])
     assert got == _restarting_expand(source, count)
+    for c in got.convergents:
+        assert type(c.dist.lo_m) is int and type(c.dist.hi_m) is int and c.dist.lo_m <= c.dist.hi_m
 
 
 @pytest.mark.parametrize("name", ["pi", "invpi", "e"])

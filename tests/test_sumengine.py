@@ -16,7 +16,7 @@ import dseries as ds
 import lemmas
 from dseries import realsource, sumengine
 from dseries.realsource import Kind
-from conftest import mp_partial_sum, mp_prefix_sums
+from conftest import ends, mp_partial_sum, mp_prefix_sums
 
 CHUNK = sumengine._CHUNK
 BATCH = sumengine._BATCH
@@ -497,7 +497,7 @@ def reference_terms(source, f, N, M, lo, hi):
     if source.kind is Kind.RATIONAL:
         alpha = Fraction(source.a, source.q)
     else:
-        alpha = source.approximate((N + M).bit_length() + 64).midpoint
+        alpha = sum(ends(source.approximate((N + M).bit_length() + 64))) / 2
     num, den = alpha.numerator, alpha.denominator
     tabled = source.kind is Kind.RATIONAL and takes_table(den, M)
     n_all = np.arange(lo, hi, dtype=np.float64)
@@ -607,7 +607,7 @@ def test_sinpi_error_constant_is_proven():
     polynomial is re-expanded about the midpoint, so the sum of its
     coefficient magnitudes bounds it there.  g >= 2 turns that into the
     relative bound max|e| / 2, to which the Horner rounding term of
-    _sinpi_into is added.
+    _sinpi is added.
     """
     c = [Fraction(x) for x in sumengine._SINPI_COEFFS]
     K, P, m = 24, 320, 12  # subintervals [w - 1, w + 1] / 2^m, odd w < 2^(m-2)
@@ -657,7 +657,7 @@ def test_reduction_table_is_correctly_rounded():
     # den > 2^53, residues from Python ints: enclosure midpoints, a huge
     # rational, and residues onto 0 or 1/2 exactly or within 2^-60 of an integer
     for src in (ds.make_constant("pi"), ds.make_constant("e"), ds.make_surd(0, 1, 2, 1)):
-        mid = src.approximate(118).midpoint % 1
+        mid = sum(ends(src.approximate(118))) / 2 % 1
         cases.append((mid.numerator, mid.denominator))
     cases += [
         (10 ** 19 + 7, 10 ** 20 + 1),
