@@ -47,12 +47,12 @@ checkpoints and a scan's final result is the direct sum.  A window of
 several million terms is split into contiguous blocks of chunks, one per
 worker: the calling process evaluates the first and a forked child process
 each other (see _run_blocks), so the workers share no interpreter lock.
-Each evaluates its chunks two at a time in two reused work rows (512 KiB),
-so the kernel runs in cache and allocates nothing per chunk.  Every result
-carries an explicit worst-case rounding bound, whose summation part
-follows the depth of numpy's pairwise summation tree, times the chunk's
-mass: an upper bound of the sum of n^-p over it in closed form, by
-Hermite-Hadamard, so no pass over f(n) is made.
+Each evaluates its chunks two at a time in the two work rows (512 KiB)
+that its evaluator allocates once, so the kernel runs in cache and
+allocates nothing per chunk.  Every result carries an explicit worst-case
+rounding bound, whose summation part follows the depth of numpy's pairwise
+summation tree, times the chunk's mass: an upper bound of the sum of n^-p
+over it in closed form, by Hermite-Hadamard, so no pass over f(n) is made.
 """
 
 from __future__ import annotations
@@ -61,7 +61,6 @@ import marshal
 import math
 import os
 import signal
-import threading
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
@@ -98,7 +97,6 @@ _CHUNK = 1 << 14
 # ufunc call does enough work to amortise its Python overhead.
 _BATCH = 2 * _CHUNK
 _INDEX = np.arange(_BATCH, dtype=np.float64)
-_BUFFERS = threading.local()  # work rows per calling thread of the library
 # Fewest terms per worker for which a sum forks: on a 2-vCPU x86-64 host a
 # fork and its wait cost about 4 ms, and 2^20 terms about 5 ms.
 _FORK_TERMS = 1 << 20
@@ -210,19 +208,6 @@ def _require_range(N: int, M: int, max_terms: int) -> None:
             f"N + M = {N + M} exceeds 2^53 = {_MAX_INDEX}: past it neither n nor "
             "float(lo), the start of each row of n, is exact in float64"
         )
-
-
-def _work_buffers(k: int) -> np.ndarray:
-    """The calling thread's two float64 work rows, cut to length k.
-
-    Allocated once per thread (a forked worker inherits its parent's copy)
-    and reused by every batch it evaluates, and as scratch while
-    _make_term_fn builds its tables, so a batch allocates nothing of its own
-    size."""
-    block = getattr(_BUFFERS, "block", None)
-    if block is None:
-        block = _BUFFERS.block = np.empty((2, _BATCH), dtype=np.float64)
-    return block[:, :k]
 
 
 def _apply_signs(terms: np.ndarray, lo: int) -> np.ndarray:
@@ -429,8 +414,8 @@ def _make_term_fn(
     """Build the evaluator of the terms with n in [lo, hi), hi - lo <= _BATCH;
     returns it plus the per-term error coefficient, which multiplies f(n) in
     the bound (_chunk_bound adds the rounding of the division and of the
-    summation).  The evaluator returns the terms as a view of the calling
-    thread's work rows, valid until that thread's next call.
+    summation).  The evaluator returns the terms as a view of its own two
+    work rows, allocated once here, valid until this evaluator's next call.
 
     alpha mod 1 is taken exactly as num/den: a/q for a rational, the
     enclosure midpoint (lo_m + hi_m) 2^-(exp+1) otherwise, whose distance to
@@ -448,8 +433,9 @@ def _make_term_fn(
     S[k] = fl(fl(s_i c_j) + fl(c_i s_j)) and C[k] = fl(fl(c_i c_j) - fl(s_i s_j)),
     with (s_i, c_i) the scalars of R_i and (s_j, c_j) those of G_j.  A batch
     computes the weight w = |fl(fl(S cos(pi B)) + fl(C sin(pi B)))| and the
-    term fl(w / r), r = n^p from _root.  Its error, with u = 2^-53 and to
-    first order in u:
+    term fl((-1)^n w / r), r = n^p from _root, which is (-1)^n fl(w / r)
+    since IEEE division is symmetric in sign.  Its error, with u = 2^-53
+    and to first order in u:
 
     * Each scalar: within 2^-88 before one rounding (relative u).
     * S and C: with P1 and P2 the two exact products, the four roundings
@@ -498,9 +484,10 @@ def _make_term_fn(
     tabled = source.kind is Kind.RATIONAL and 2 * (den + _BATCH) <= M and den + _BATCH <= _PERIOD_TABLE_MAX
     span = den if tabled else M  # the n - N whose weights are computed
     length = min(span, _BATCH)
+    rows = np.empty((2, _BATCH))  # this evaluator's work rows
     sin_i, cos_i = _rotation(0, _TABLE_ROW * num, den, -(-length // _TABLE_ROW)).T
     sin_j, cos_j = _rotation(0, num, den, min(length, _TABLE_ROW)).T
-    product = _work_buffers(len(sin_i) * len(sin_j))[0].reshape(len(sin_i), len(sin_j))
+    product = rows[0, : len(sin_i) * len(sin_j)].reshape(len(sin_i), len(sin_j))
     sin_t = np.multiply.outer(sin_i, cos_j)
     sin_t += np.multiply.outer(cos_i, sin_j, out=product)
     cos_t = np.multiply.outer(cos_i, cos_j)
@@ -510,46 +497,40 @@ def _make_term_fn(
     root, root_err = _root(f, N + M)
     coeff = math.pi * arg_err + _WEIGHT_ERR + root_err
 
-    def weights(lo: int, hi: int, out: np.ndarray, z: np.ndarray) -> None:
-        """Write the weights of n in [lo, hi) into out; z is scratch of at
-        least min(hi - lo, _BATCH) entries."""
+    def signed_weights(lo: int, hi: int, out: np.ndarray) -> np.ndarray:
+        """Write the signed weights (-1)^n w_n of n in [lo, hi) into out and
+        return it; each grid segment takes its scratch from the second row."""
         for g in range(lo - (lo - N - 1) % _BATCH, hi, _BATCH):
             a, b = max(lo, g), min(hi, g + _BATCH)
             sin_b, cos_b = scalars[(g - N - 1) // _BATCH]
-            w, t = out[a - lo : b - lo], z[: b - a]
+            w, t = out[a - lo : b - lo], rows[1, : b - a]
             np.multiply(sin_t[a - g : b - g], cos_b, out=w)
             np.multiply(cos_t[a - g : b - g], sin_b, out=t)
             w += t
         np.abs(out, out=out)
+        return _apply_signs(out, lo)
 
-    if not tabled:
-
-        def batch(lo: int, hi: int) -> np.ndarray:
-            k = hi - lo
-            out, z = _work_buffers(k)
-            weights(lo, hi, out, z)
-            out /= root(np.add(_INDEX[:k], float(lo), out=z))
-            return _apply_signs(out, lo)
-
-        return batch, coeff
-
-    # The signed weights (-1)^n w_n of the first period, n = N + 1 .. N + q,
-    # then copies of them times (-1)^q per period, in doubling steps.
-    table = np.empty(den + _BATCH)
-    weights(N + 1, N + 1 + den, table[:den], _work_buffers(_BATCH)[1])
-    _apply_signs(table[:den], N + 1)
-    filled, sign = den, -1.0 if den & 1 else 1.0
-    while filled < len(table):
-        k = min(filled, len(table) - filled)
-        np.multiply(table[:k], sign, out=table[filled : filled + k])
-        filled, sign = filled + k, 1.0
+    if tabled:
+        # The signed weights of the first period, n = N + 1 .. N + q, then
+        # copies of them times (-1)^q per period, in doubling steps.
+        table = np.empty(den + _BATCH)
+        signed_weights(N + 1, N + 1 + den, table[:den])
+        filled, sign = den, -1.0 if den & 1 else 1.0
+        while filled < len(table):
+            k = min(filled, len(table) - filled)
+            np.multiply(table[:k], sign, out=table[filled : filled + k])
+            filled, sign = filled + k, 1.0
 
     def batch(lo: int, hi: int) -> np.ndarray:
         k = hi - lo
-        out, z = _work_buffers(k)
-        period, o = divmod(lo - N - 1, den)
-        np.divide(table[o : o + k], root(np.add(_INDEX[:k], float(lo), out=z)), out=out)
-        if den & period & 1:
+        out, z = rows[:, :k]
+        if tabled:
+            period, o = divmod(lo - N - 1, den)
+            signed, odd = table[o : o + k], den & period & 1
+        else:
+            signed, odd = signed_weights(lo, hi, out), 0
+        np.divide(signed, root(np.add(_INDEX[:k], float(lo), out=z)), out=out)
+        if odd:
             np.negative(out, out=out)
         return out
 

@@ -75,11 +75,11 @@ classify const:invpi --f pow:1 --cert mahler --budget 400
 classify 'cf:[1;2,...]' --f pow:1/2
 classify const:e --f pow:1 --cert mahler
 classify --manifest a.json --manifest b.json
-cf --no-such-flag
-classify --no-such-flag
-sum --no-such-flag
-drift --no-such-flag
-liouville --no-such-flag
+cf rat:355/113 --terms 3 --no-such-flag
+classify rat:2/7 --f pow:1 --no-such-flag
+sum rat:1/3 --f pow:1 --M 10 --no-such-flag
+drift 1 2 --f pow:1 --N 2 --M 10 --no-such-flag
+liouville --schedule factorial --terms 3 --no-such-flag
 cf const:pi --workers 2
 drift 1 2 --f pow:1 --N 2 --M 10 --max-bits 64
 liouville --schedule factorial --max-terms 5

@@ -566,6 +566,21 @@ def test_table_terms_match_reference_bit_for_bit(source, p, N, M):
         assert terms.tobytes() == ref.tobytes()
 
 
+def test_each_evaluator_owns_its_work_rows():
+    # terms are a view of their own evaluator's rows: a batch of another
+    # evaluator, computed or tabled, leaves them as they were
+    N, M = 5, 4 * CHUNK + 2 * 1002 + 9
+    assert takes_table(1002, M)
+    surd, _ = sumengine._make_term_fn(ds.make_surd(0, 1, 2, 1), ds.make_power_f(Fraction(1, 2)), N, M)
+    rational, _ = sumengine._make_term_fn(ds.make_rational(5, 1002), ds.make_power_f(1), N, M)
+    lo, hi = N + 1, N + 1 + BATCH
+    for first, second in ((surd, rational), (rational, surd)):
+        terms = first(lo, hi)
+        before = terms.copy()
+        second(lo, hi)
+        assert terms.tobytes() == before.tobytes()
+
+
 @pytest.mark.parametrize("source, p, N, M", TABLE_WINDOWS)
 def test_table_path_keeps_the_bound_of_angle_addition(monkeypatch, forks, source, p, N, M):
     monkeypatch.setattr(sumengine, "_FORK_TERMS", CHUNK)
