@@ -108,6 +108,11 @@ cf liouville:factorial,base=1/7,digits=31 --terms 6
 cf rat:1/0
 cf 'surd:(1+1*sqrt(4))/2'
 cf nonsense:1
+# cf texts: integers past Python's 4300-digit str() limit, a rational cut
+# short by --terms, and an all-ones tail whose rows start at quotient 1
+cf 'liouville:factorial,base=1/7,digits=31' --terms 200
+cf rat:355/113 --terms 2
+cf 'cf:[1;1,...]' --terms 2000
 classify rat:3/8 --f pow:1/2
 classify rat:-3/7 --f pow:1
 classify 'surd:(1+1*sqrt(5))/2' --f pow:1/2
