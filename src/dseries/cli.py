@@ -22,7 +22,7 @@ from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from . import __version__, cfrac, criterion, realsource, sumengine
-from .criterion import FDescriptor, Outcome, _digits
+from .criterion import _EXACT, FDescriptor, Outcome, _decimal
 from .errors import DSeriesError, ResourceLimitError
 from .realsource import (
     DEFAULT_MAX_BITS,
@@ -209,14 +209,27 @@ _CONVERGENT_ROW = """    {
 def _cf_document(alpha: str, exp: cfrac.Expansion) -> str:
     """The cf document, byte for byte _document() of its payload: json's
     indenting encoder is pure Python, so the two long lists are written
-    here from one fixed layout, and json escapes the outer scalars."""
-    rows = []
-    for c in exp.convergents:
-        lo, hi = _outward_floats(c.dist)  # finite, so %r is json's float text
-        rows.append(_CONVERGENT_ROW % (
-            _digits(c.a), hi, lo, c.n, _digits(c.partial_quotient), _digits(c.q),
-        ))
-    quotients = ['    "%s"' % _digits(a) for a in exp.partial_quotients]
+    here from one fixed layout, and json escapes the outer scalars.
+
+    Every integer is written as str() of a Decimal, which takes linear
+    time, where str() of an int is quadratic and refuses past 4300 digits.
+    A row's texts come from one exact recurrence over the quotients,
+    p_k = a_k p_(k-1) + p_(k-2) and q_k likewise, one fma each; the row of
+    the convergent numbered n is written at quotient start + n - 1, start
+    being where cfrac begins emitting."""
+    convergents = exp.convergents
+    start = cfrac._emit_start(exp.partial_quotients)
+    fma = _EXACT.fma
+    p1, p2, q1, q2 = 1, 0, 0, 1  # (p, q) at k - 1 and k - 2
+    rows, quotients = [], []
+    for k, a in enumerate(map(_decimal, exp.partial_quotients)):
+        quotients.append('    "%s"' % a)
+        p1, p2 = fma(a, p1, p2), p1
+        q1, q2 = fma(a, q1, q2), q1
+        if start <= k < start + len(convergents):
+            c = convergents[k - start]
+            lo, hi = _outward_floats(c.dist)  # finite, so %r is json's float text
+            rows.append(_CONVERGENT_ROW % (p1, hi, lo, c.n, a, q1))
     return (
         '{\n  "alpha": %s,\n  "cap_reason": %s,\n  "capped": %s,\n  "convergents": %s,\n'
         '  "exact": %s,\n  "partial_quotients": %s,\n  "schema": 1\n}\n'

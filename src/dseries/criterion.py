@@ -11,6 +11,7 @@ settled by exact structure or a certificate comes back Inconclusive.
 
 from __future__ import annotations
 
+import decimal
 import functools
 import math
 from dataclasses import dataclass, replace
@@ -40,8 +41,11 @@ __all__ = [
     "staircase_levels",
 ]
 
-# _digits converts integers below 2^this to Decimal directly
+# _decimal converts integers below 2^this to Decimal directly
 _DIGITS_LEAF_BITS = 1024
+
+# exact integer arithmetic: any rounding would raise Inexact
+_EXACT = decimal.Context(prec=decimal.MAX_PREC, Emax=decimal.MAX_EMAX, traps=[decimal.Inexact])
 
 
 @dataclass(frozen=True)
@@ -251,17 +255,13 @@ class VerdictCertificate(str, Enum):
     EVIDENCE = "Evidence"
 
 
-def _digits(n: int) -> str:
-    """Decimal text of n.  Past Python's limit on int-to-str conversion,
-    where str() raises, n is built as a Decimal from halves of its bits,
+def _decimal(n: int) -> decimal.Decimal:
+    """n as an exact Decimal.  Decimal(n) takes time quadratic in the length
+    of n, so past _DIGITS_LEAF_BITS n is built from halves of its bits,
     n = lo + hi 2^h, as CPython 3.12's _pylong does: Decimal multiplies long
-    numbers in subquadratic time, while str() and Decimal(n) are quadratic."""
-    try:
-        return str(n)
-    except ValueError:
-        pass
-    import decimal
-
+    numbers in subquadratic time."""
+    if n.bit_length() <= _DIGITS_LEAF_BITS:
+        return decimal.Decimal(n)
     powers: Dict[int, decimal.Decimal] = {}
 
     def power(w: int) -> decimal.Decimal:  # 2^w, each w built once
@@ -283,12 +283,20 @@ def _digits(n: int) -> str:
         hi = m >> h
         return convert(m - (hi << h), h) + convert(hi, w - h) * power(h)
 
-    with decimal.localcontext() as ctx:
-        # exact integer arithmetic: any rounding would raise Inexact
-        ctx.prec, ctx.Emax = decimal.MAX_PREC, decimal.MAX_EMAX
-        ctx.traps[decimal.Inexact] = True
-        text = str(convert(abs(n), abs(n).bit_length()))
-    return "-" + text if n < 0 else text
+    with decimal.localcontext(_EXACT):
+        out = convert(abs(n), n.bit_length())
+    return out.copy_negate() if n < 0 else out
+
+
+def _digits(n: int) -> str:
+    """Decimal text of n.  Its callers are Verdict.to_json_dict, for the
+    evidence's q and q_next, and classify, for tail_from_q.  Past Python's
+    limit on int-to-str conversion, where str() raises, it is the text of
+    _decimal(n): str() of a Decimal takes linear time."""
+    try:
+        return str(n)
+    except ValueError:
+        return str(_decimal(n))
 
 
 @dataclass(frozen=True)

@@ -23,7 +23,7 @@ import math
 import threading
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import List, Optional, Sequence, Tuple
+from typing import List, NamedTuple, Optional, Sequence, Tuple
 
 from .errors import PrecisionLimitError
 
@@ -76,10 +76,10 @@ class Schedule(Enum):
     TOWER100 = "tower100"
 
 
-@dataclass(frozen=True)
-class DyadicInterval:
+class DyadicInterval(NamedTuple):
     """Closed interval [lo_m, hi_m] * 2^-exp with integer mantissas
-    lo_m <= hi_m and exp >= 0; an exact end is Fraction(lo_m, 1 << exp)."""
+    lo_m <= hi_m and exp >= 0; an exact end is Fraction(lo_m, 1 << exp).
+    A named tuple, so it compares equal to the plain (lo_m, hi_m, exp)."""
 
     lo_m: int
     hi_m: int

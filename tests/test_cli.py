@@ -25,6 +25,7 @@ from dseries.realsource import _recurrence
 from dseries.cli import (
     _COMMANDS,
     _build_parser,
+    _cf_document,
     _outward_floats,
     _round_dyadic,
     console_main,
@@ -456,6 +457,46 @@ def test_cf_writes_integers_past_the_str_digit_limit(tmp_path):
             *rec[idx], pqs[idx]
         )
     assert max(len(c["q"]) for c in payload["convergents"]) > 4300
+
+
+@st.composite
+def _quotient_runs(draw):
+    """a_0 of either sign, then up to 2999 quotients >= 1 in runs: 1s and
+    2s, small quotients, and runs of large ones, which take p_k and q_k past
+    str()'s 4300 digits (14 284 bits).  Expanding the rational rounds each
+    row's distance by a long division at twice q's bits, so a sequence
+    stops before its rows times its bits squared pass 150 * 16 000^2."""
+    rng = draw(st.randoms(use_true_random=False))
+    pqs, bits = [draw(st.integers(-(1 << 80), 1 << 80))], 0
+    for size, most in draw(st.lists(
+        st.sampled_from([(1, 2000), (6, 500), (3000, 8)]), min_size=1, max_size=8,
+    )):
+        for _ in range(draw(st.integers(1, most))):
+            if len(pqs) == 3000 or len(pqs) * bits ** 2 > 150 * 16_000 ** 2:
+                return pqs
+            pqs.append(rng.getrandbits(size) + 1)
+            bits += pqs[-1].bit_length()
+    return pqs
+
+
+@settings(max_examples=20, deadline=None)
+@given(_quotient_runs())
+def test_cf_document_texts_equal_str_of_the_integer_recurrence(pqs):
+    if len(pqs) > 1 and pqs[-1] == 1:  # the canonical expansion ends in a quotient >= 2
+        pqs = pqs[:-2] + [pqs[-2] + 1]
+    a, q = cf_convergents(pqs)[-1]
+    exp = cfrac.expand(ds.make_rational(a, q), len(pqs))
+    assert list(exp.partial_quotients) == pqs
+    doc = json.loads(_cf_document("rat", exp))
+    start = cfrac._emit_start(pqs)
+    rows = [(c["a"], c["q"], c["pq"]) for c in doc["convergents"]]
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)  # process-wide: lifted for this test's str()
+    try:
+        assert doc["partial_quotients"] == [str(x) for x in pqs]
+        assert rows == [(str(p), str(q), str(x)) for (p, q), x in zip(cf_convergents(pqs), pqs)][start:]
+    finally:
+        sys.set_int_max_str_digits(limit)
 
 
 def test_classify_writes_evidence_past_the_str_digit_limit(tmp_path):
