@@ -494,7 +494,7 @@ def test_cf_document_texts_equal_str_of_the_integer_recurrence(pqs):
     sys.set_int_max_str_digits(0)  # process-wide: lifted for this test's str()
     try:
         assert doc["partial_quotients"] == [str(x) for x in pqs]
-        assert rows == [(str(p), str(q), str(x)) for (p, q), x in zip(cf_convergents(pqs), pqs)][start:]
+        assert rows == [(str(pk), str(qk), str(x)) for (pk, qk), x in zip(cf_convergents(pqs), pqs)][start:]
     finally:
         sys.set_int_max_str_digits(limit)
 
