@@ -113,6 +113,10 @@ cf nonsense:1
 cf 'liouville:factorial,base=1/7,digits=31' --terms 200
 cf rat:355/113 --terms 2
 cf 'cf:[1;1,...]' --terms 2000
+# a sum whose cf: prefix is long enough to certify its enclosure (the first
+# 41 quotients of pi), and a repeated liouville parameter
+sum 'cf:[3;7,15,1,292,1,1,1,2,1,3,1,14,2,1,1,2,2,2,2,1,84,2,1,1,15,3,13,1,4,2,6,6,99,1,2,2,6,3,5,1]' --f pow:1 --M 100000
+cf 'liouville:factorial,base=1/7,base=1/3' --terms 2
 classify rat:3/8 --f pow:1/2
 classify rat:-3/7 --f pow:1
 classify 'surd:(1+1*sqrt(5))/2' --f pow:1/2
