@@ -12,6 +12,7 @@ cap, 3 inconclusive classification.
 from __future__ import annotations
 
 import argparse
+import decimal
 import json
 import math
 import os
@@ -77,6 +78,8 @@ def parse_alpha(text: str, *, max_bits: int = DEFAULT_MAX_BITS) -> RealSource:
             key, _, value = item.partition("=")
             if key not in ("base", "digits", "start"):
                 raise ValueError(f"unknown liouville parameter {key!r}")
+            if key in params:
+                raise ValueError(f"repeated liouville parameter {key!r}")
             params[key] = value
         return realsource.make_liouville(_liouville_spec(m.group(1), **params), max_bits=max_bits)
     m = _CF_RE.match(text)
@@ -213,23 +216,19 @@ def _cf_document(alpha: str, exp: cfrac.Expansion) -> str:
 
     Every integer is written as str() of a Decimal, which takes linear
     time, where str() of an int is quadratic and refuses past 4300 digits.
-    A row's texts come from one exact recurrence over the quotients,
-    p_k = a_k p_(k-1) + p_(k-2) and q_k likewise, one fma each; the row of
-    the convergent numbered n is written at quotient start + n - 1, start
-    being where cfrac begins emitting."""
-    convergents = exp.convergents
-    start = cfrac._emit_start(exp.partial_quotients)
-    fma = _EXACT.fma
-    p1, p2, q1, q2 = 1, 0, 0, 1  # (p, q) at k - 1 and k - 2
-    rows, quotients = [], []
-    for k, a in enumerate(map(_decimal, exp.partial_quotients)):
-        quotients.append('    "%s"' % a)
-        p1, p2 = fma(a, p1, p2), p1
-        q1, q2 = fma(a, q1, q2), q1
-        if start <= k < start + len(convergents):
-            c = convergents[k - start]
-            lo, hi = _outward_floats(c.dist)  # finite, so %r is json's float text
-            rows.append(_CONVERGENT_ROW % (p1, hi, lo, c.n, a, q1))
+    The (p_k, q_k) come from realsource._recurrence, the recurrence that
+    expand runs, over the quotients as Decimals in the exact context, where
+    any rounding would raise Inexact.  The convergent numbered n is that of
+    quotient cfrac._emit_start + n - 1."""
+    pqs = [_decimal(a) for a in exp.partial_quotients]
+    with decimal.localcontext(_EXACT):
+        rec = realsource._recurrence(pqs)
+    start = cfrac._emit_start(pqs)
+    rows = []
+    for c, a, (p, q) in zip(exp.convergents, pqs[start:], rec[start:]):
+        lo, hi = _outward_floats(c.dist)  # finite, so %r is json's float text
+        rows.append(_CONVERGENT_ROW % (p, hi, lo, c.n, a, q))
+    quotients = ['    "%s"' % a for a in pqs]
     return (
         '{\n  "alpha": %s,\n  "cap_reason": %s,\n  "capped": %s,\n  "convergents": %s,\n'
         '  "exact": %s,\n  "partial_quotients": %s,\n  "schema": 1\n}\n'

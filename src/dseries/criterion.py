@@ -401,6 +401,10 @@ def classify(
     # every rung below that reads the expansion shares one
     evidence = functools.cache(lambda: _expansion_evidence(source, f, budget))
 
+    def with_evidence(outcome, certificate, parameters, *reasons):
+        _, series, notes = evidence()
+        return Verdict(outcome, certificate, parameters, series.terms, series.total, notes + reasons)
+
     if source.kind is Kind.RATIONAL:
         q = source.q
         if q % 2 == 1:
@@ -418,18 +422,12 @@ def classify(
         )
 
     if source.kind is Kind.QUADRATIC_SURD and source.pqs:
-        entries, series, notes = evidence()
-        return Verdict(
-            outcome=Outcome.CONVERGES,
-            certificate=VerdictCertificate.QALPHA_EMPTY_STRUCTURAL,
-            parameters={"entries_found": len(entries)},
-            evidence=series.terms,
-            evidence_partial_sum=series.total,
-            notes=notes
-            + (
-                "all partial quotients are eventually 1, so only finitely many "
-                "denominators can double; the criterion sum is finite",
-            ),
+        return with_evidence(
+            Outcome.CONVERGES,
+            VerdictCertificate.QALPHA_EMPTY_STRUCTURAL,
+            {"entries_found": len(evidence()[0])},
+            "all partial quotients are eventually 1, so only finitely many "
+            "denominators can double; the criterion sum is finite",
         )
 
     p = f.p
@@ -437,15 +435,15 @@ def classify(
         cert = CERTIFICATES[name]
         if measure_tail_bound(cert.mu, cert.C, p) is None:
             continue  # the law says nothing at this p
-        entries, series, notes = evidence()
+        entries, series, _ = evidence()
         from_q = 2 * entries[-1].q if entries else 2
         tail = measure_tail_bound(cert.mu, cert.C, p, from_q)
         if not math.isfinite(tail):
             continue
-        return Verdict(
-            outcome=Outcome.CONVERGES,
-            certificate=VerdictCertificate.CRITERION_BOUNDED,
-            parameters={
+        return with_evidence(
+            Outcome.CONVERGES,
+            VerdictCertificate.CRITERION_BOUNDED,
+            {
                 "measure": cert.label,
                 "mu": cert.mu,
                 "C": cert.C,
@@ -454,9 +452,6 @@ def classify(
                 "tail_bound": tail,
                 "series_bound": series.total + tail,
             },
-            evidence=series.terms,
-            evidence_partial_sum=series.total,
-            notes=notes,
         )
 
     if source.kind is Kind.LIOUVILLE:
@@ -469,18 +464,12 @@ def classify(
                 notes=(reason,),
             )
 
-    entries, series, notes = evidence()
-    return Verdict(
-        outcome=Outcome.INCONCLUSIVE,
-        certificate=VerdictCertificate.EVIDENCE,
-        parameters={"entries_found": len(entries), "budget_convergents": budget},
-        evidence=series.terms,
-        evidence_partial_sum=series.total,
-        notes=notes
-        + (
-            "no exact structure or growth certificate applies; the computed "
-            "partial sums are evidence only",
-        ),
+    return with_evidence(
+        Outcome.INCONCLUSIVE,
+        VerdictCertificate.EVIDENCE,
+        {"entries_found": len(evidence()[0]), "budget_convergents": budget},
+        "no exact structure or growth certificate applies; the computed "
+        "partial sums are evidence only",
     )
 
 

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import math
 import threading
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from typing import List, NamedTuple, Optional, Sequence, Tuple
 
@@ -44,8 +44,8 @@ __all__ = [
 
 DEFAULT_MAX_BITS = 1 << 20
 
-# approximate(bits) computes each enclosure once, on the 2^-(bits + 32) grid;
-# it is a few grid units wide, far below 2^-bits.
+# approximate(bits) computes its enclosure on the 2^-(bits + 32) grid; it is
+# a few grid units wide, far below 2^-bits.
 _GRID_GUARD = 32
 
 _LOG10_2 = math.log10(2.0)
@@ -165,13 +165,13 @@ class LiouvilleSpec:
         return num, den
 
 
-@dataclass(eq=False)
+@dataclass(frozen=True, eq=False)
 class RealSource:
     """One real number with a certified enclosure generator.
 
-    Payload fields depend on kind; use the make_* constructors.  The
-    enclosure cache tolerates concurrent readers: refinement is guarded by a
-    per-source lock and results for a given precision level never change.
+    Payload fields depend on kind; use the make_* constructors.  A source
+    is immutable and holds no state besides its payload, so threads may
+    share it; only pi's floor is kept, once per process (_pi_floor).
     """
 
     kind: Kind
@@ -186,8 +186,6 @@ class RealSource:
     # a cf: prefix: all of a PQ_STREAM, or a surd's prefix before its tail of 1s
     pqs: Tuple[int, ...] = ()
     max_bits: int = DEFAULT_MAX_BITS
-    _cache: dict = field(default_factory=dict, repr=False)
-    _lock: threading.Lock = field(default_factory=threading.Lock, repr=False)
 
     # -- enclosure machinery -------------------------------------------------
 
@@ -195,8 +193,10 @@ class RealSource:
         """Certified dyadic enclosure of the value with width <= 2^-bits.
 
         Deterministic for a given (source, bits); enclosures at increasing
-        bits are nested.  Raises PrecisionLimitError beyond max_bits or when
-        the source cannot be refined that far.
+        bits are nested.  Each call computes the pair on the 2^-(bits + 32)
+        grid afresh; nothing is kept but pi's floor.  Raises
+        PrecisionLimitError beyond max_bits or when the source cannot be
+        refined that far.
         """
         if bits < 1:
             raise ValueError("bits must be >= 1")
@@ -205,10 +205,7 @@ class RealSource:
                 f"requested {bits} bits exceeds the configured cap of {self.max_bits}"
             )
         grid = bits + _GRID_GUARD
-        with self._lock:
-            out = self._cache.get(grid)
-            if out is None:
-                out = self._cache[grid] = DyadicInterval(*self._raw(grid), grid)
+        out = DyadicInterval(*self._raw(grid), grid)
         assert out.hi_m - out.lo_m <= 1 << _GRID_GUARD
         return out
 

@@ -112,6 +112,7 @@ def test_alpha_tail_stream_means_golden_ratio():
         "liouville:factorial,foo=1",
         "liouville:factorial,digits=2",
         "liouville:factorial,base=3",
+        "liouville:factorial,base=1/7,base=1/3",
         "cf:[1;0]",
         "cf:[1;]",
         "cf:[1;2,,3]",

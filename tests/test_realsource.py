@@ -1,5 +1,6 @@
 """Enclosure correctness for every source kind, checked against the conftest oracles."""
 
+import dataclasses
 import math
 import sys
 import threading
@@ -400,6 +401,53 @@ def test_concurrent_pi_and_invpi_requests_match_one_thread(monkeypatch):
     monkeypatch.setattr(realsource, "_pi_cache", (0, 3))
     alone = [[ds.make_constant(name).approximate(bits) for name, bits in reqs] for reqs in requests]
     assert results == alone
+
+
+# the first 41 partial quotients of pi: a prefix that certifies up to 120 bits
+_PI_QUOTIENTS = [3, 7, 15, 1, 292, 1, 1, 1, 2, 1, 3, 1, 14, 2, 1, 1, 2, 2, 2, 2, 1,
+                 84, 2, 1, 1, 15, 3, 13, 1, 4, 2, 6, 6, 99, 1, 2, 2, 6, 3, 5, 1]
+
+# one source of each kind, built afresh by each call
+_ONE_OF_EACH_KIND = {
+    ds.Kind.RATIONAL: lambda: ds.make_rational(-355, 113),
+    ds.Kind.QUADRATIC_SURD: lambda: ds.make_surd(1, -2, 5, 3),
+    ds.Kind.NAMED_CONSTANT: lambda: ds.make_constant("e"),
+    ds.Kind.LIOUVILLE: lambda: ds.make_liouville(ds.LiouvilleSpec(base_num=1, base_den=7, digits=(3, 1))),
+    ds.Kind.PQ_STREAM: lambda: ds.make_pq_stream(_PI_QUOTIENTS),
+}
+
+
+@pytest.mark.parametrize("kind", list(ds.Kind), ids=lambda k: k.value)
+def test_a_source_is_a_frozen_payload_that_threads_share(kind):
+    make = _ONE_OF_EACH_KIND[kind]
+    src = make()
+    assert src.kind is kind
+    names = [f.name for f in dataclasses.fields(src)]
+    assert names == ["kind", "a", "q", "p", "r", "d", "s", "const", "liouville", "pqs", "max_bits"]
+    for name in names:
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(src, name, getattr(src, name))
+    # four threads ask the one shared source for enclosures at mixed precisions
+    requests = [[40, 120, 64], [120, 64, 40], [64, 64, 120], [96, 40, 96]]
+
+    def serve(reqs, out):
+        barrier.wait()
+        out.extend(src.approximate(bits) for bits in reqs)
+
+    barrier = threading.Barrier(len(requests), timeout=60)
+    results = [[] for _ in requests]
+    threads = [threading.Thread(target=serve, args=(r, o)) for r, o in zip(requests, results)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert results == [[make().approximate(bits) for bits in reqs] for reqs in requests]
 
 
 # -- Liouville tail decision ---------------------------------------------------------
