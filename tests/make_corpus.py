@@ -148,6 +148,9 @@ liouville --schedule factorial --terms 4 --digits 13 --base 1/7 --start 2 --p 1
 liouville --schedule tower100 --terms 3 --max-bits 64
 liouville --schedule factorial --digits 12
 """
+# a certified verdict whose tail_from_q passes the 4300-digit str() limit:
+# sqrt(D) = [10^150; 2 10^150, 2 10^150, ...] for D = 10^300 + 1
+_COMMANDS += "classify 'surd:(0+1*sqrt(%d))/1' --f pow:1/2 --cert roth --budget 32\n" % (10 ** 300 + 1)
 
 # Windows of at least 2^21 terms, so that two or more workers fork; the
 # rational one divides a table of signed weights built before the fork.
