@@ -23,7 +23,7 @@ from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from . import __version__, cfrac, criterion, realsource, sumengine
-from .criterion import _EXACT, FDescriptor, Outcome, _decimal
+from .criterion import FDescriptor, Outcome
 from .errors import DSeriesError, ResourceLimitError
 from .realsource import (
     DEFAULT_MAX_BITS,
@@ -43,6 +43,12 @@ __all__ = [
 
 _DEFAULT_MANIFEST = "dseries_manifest.json"
 _MAX_WORKERS = 64  # each worker is a process with its own 512 KiB of work rows
+
+# _decimal converts integers below 2^this to Decimal directly
+_DIGITS_LEAF_BITS = 1024
+
+# exact integer arithmetic: any rounding would raise Inexact
+_EXACT = decimal.Context(prec=decimal.MAX_PREC, Emax=decimal.MAX_EMAX, traps=[decimal.Inexact])
 
 _RAT_RE = re.compile(r"^rat:(-?\d+)/(-?\d+)$")
 _SURD_RE = re.compile(r"^surd:\((-?\d+)([+-])(\d+)\*sqrt\((\d+)\)\)/(-?\d+)$")
@@ -190,6 +196,50 @@ def _outward_floats(iv) -> Tuple[float, float]:
     return _round_dyadic(iv.lo_m, iv.exp, False), _round_dyadic(iv.hi_m, iv.exp, True)
 
 
+def _decimal(n: int) -> decimal.Decimal:
+    """n as an exact Decimal.  Decimal(n) takes time quadratic in the length
+    of n, so past _DIGITS_LEAF_BITS n is built from halves of its bits,
+    n = lo + hi 2^h, as CPython 3.12's _pylong does: Decimal multiplies long
+    numbers in subquadratic time."""
+    if n.bit_length() <= _DIGITS_LEAF_BITS:
+        return decimal.Decimal(n)
+    powers: Dict[int, decimal.Decimal] = {}
+
+    def power(w: int) -> decimal.Decimal:  # 2^w, each w built once
+        out = powers.get(w)
+        if out is None:
+            if w <= _DIGITS_LEAF_BITS:
+                out = decimal.Decimal(1 << w)
+            elif w - 1 in powers:
+                out = powers[w - 1] * 2
+            else:
+                out = power(w >> 1) * power(w - (w >> 1))
+            powers[w] = out
+        return out
+
+    def convert(m: int, w: int) -> decimal.Decimal:  # 0 <= m < 2^w
+        if w <= _DIGITS_LEAF_BITS:
+            return decimal.Decimal(m)
+        h = w >> 1
+        hi = m >> h
+        return convert(m - (hi << h), h) + convert(hi, w - h) * power(h)
+
+    with decimal.localcontext(_EXACT):
+        out = convert(abs(n), n.bit_length())
+    return out.copy_negate() if n < 0 else out
+
+
+def _digits(n: int) -> str:
+    """Decimal text of n.  The classify document writes each evidence q and
+    q_next and the tail_from_q parameter through it.  Past Python's limit on
+    int-to-str conversion, where str() raises, it is the text of
+    _decimal(n): str() of a Decimal takes linear time."""
+    try:
+        return str(n)
+    except ValueError:
+        return str(_decimal(n))
+
+
 def _document(payload: dict) -> str:
     return json.dumps(payload, sort_keys=True, indent=2) + "\n"
 
@@ -259,14 +309,26 @@ def _cmd_classify(args: argparse.Namespace, manifest: dict) -> _Result:
     payload = {
         "schema": 1,
         "alpha": format_alpha(source),
-        "f": f.name,
-        **verdict.to_json_dict(),
+        "f": f"x^-{f.p}",
+        "outcome": verdict.outcome.value,
+        "certificate": verdict.certificate.value,
+        "parameters": {
+            k: _digits(v) if k == "tail_from_q" else v for k, v in verdict.parameters.items()
+        },
+        "evidence": [
+            {
+                "n": t.n,
+                "q": _digits(t.q),
+                "q_next": _digits(t.q_next),
+                "value": t.value if math.isfinite(t.value) else None,
+                "log10_value": t.log10_value,
+            }
+            for t in verdict.evidence
+        ],
+        "evidence_partial_sum": verdict.evidence_partial_sum,
+        "notes": list(verdict.notes),
     }
     return _document(payload), (0 if verdict.outcome is not Outcome.INCONCLUSIVE else 3), None
-
-
-def _result_dict(r: sumengine.PartialSumResult) -> dict:
-    return {"value": r.value, "rounding_bound": r.rounding_bound, "terms": r.terms, "mode": r.mode}
 
 
 def _cmd_sum(args: argparse.Namespace, manifest: dict) -> _Result:
@@ -279,7 +341,7 @@ def _cmd_sum(args: argparse.Namespace, manifest: dict) -> _Result:
     if args.mode == "periodic" and args.trace:
         raise ValueError("--trace records the direct sum; use --mode direct or both")
     N, M = args.N, args.M
-    results: Dict[str, dict] = {}
+    results: Dict[str, sumengine.PartialSumResult] = {}
     t0 = time.perf_counter()
     if args.trace:
         trace = sumengine.scan_partial_sums(
@@ -292,25 +354,26 @@ def _cmd_sum(args: argparse.Namespace, manifest: dict) -> _Result:
         )
     if args.mode != "periodic":
         manifest["durations"]["direct_s"] = time.perf_counter() - t0
-        results["direct"] = _result_dict(rd)
+        results["direct"] = rd
     if args.mode in ("periodic", "both"):
         t0 = time.perf_counter()
         rp = sumengine.partial_sum_periodic(source.a, source.q, f, N, M, max_terms=args.max_terms)
         manifest["durations"]["periodic_s"] = time.perf_counter() - t0
-        results["periodic"] = _result_dict(rp)
+        results["periodic"] = rp
     payload = {
         "schema": 1,
         "alpha": format_alpha(source),
-        "f": f.name,
+        "f": f"x^-{f.p}",
         "N": N,
         "M": M,
-        "results": results,
+        "results": {
+            mode: {"value": r.value, "rounding_bound": r.rounding_bound, "terms": M, "mode": mode}
+            for mode, r in results.items()
+        },
     }
     if len(results) == 2:
-        diff = abs(results["direct"]["value"] - results["periodic"]["value"])
-        combined = (
-            results["direct"]["rounding_bound"] + results["periodic"]["rounding_bound"]
-        )
+        diff = abs(results["direct"].value - results["periodic"].value)
+        combined = results["direct"].rounding_bound + results["periodic"].rounding_bound
         payload["difference"] = diff
         payload["combined_bound"] = combined
         payload["agree"] = diff <= combined
@@ -330,18 +393,18 @@ def _cmd_drift(args: argparse.Namespace, manifest: dict) -> _Result:
     measured = sumengine.partial_sum_periodic(
         args.a, args.q, f, args.N, args.M, max_terms=args.max_terms
     )
-    gap = abs(measured.value - pred.predicted)
+    gap = abs(measured.value + pred.magnitude)
     payload = {
         "schema": 1,
         "a": args.a,
         "q": args.q,
-        "f": f.name,
+        "f": f"x^-{f.p}",
         "N": args.N,
         "M": args.M,
         "predicted": {
             "magnitude": pred.magnitude,
-            "sign": pred.sign,
-            "value": pred.predicted,
+            "sign": -1,
+            "value": -pred.magnitude,
             "error_allowance": pred.error_allowance,
         },
         "measured": {
@@ -367,6 +430,7 @@ def _cmd_liouville(args: argparse.Namespace, manifest: dict) -> _Result:
         "alpha": format_alpha(source),
         "schedule": spec.schedule.value,
         "p": str(f.p),
+        # str(), not _digits: certify probe 3 fails until bench/workloads.py stops int() on long texts
         "levels": [
             {
                 "level": lv.level,

@@ -11,7 +11,6 @@ settled by exact structure or a certificate comes back Inconclusive.
 
 from __future__ import annotations
 
-import decimal
 import functools
 import math
 from dataclasses import dataclass, replace
@@ -41,13 +40,6 @@ __all__ = [
     "staircase_levels",
 ]
 
-# _decimal converts integers below 2^this to Decimal directly
-_DIGITS_LEAF_BITS = 1024
-
-# exact integer arithmetic: any rounding would raise Inexact
-_EXACT = decimal.Context(prec=decimal.MAX_PREC, Emax=decimal.MAX_EMAX, traps=[decimal.Inexact])
-
-
 @dataclass(frozen=True)
 class FDescriptor:
     """The weight f(x) = x^(-p) on [1, oo), with 0 < p <= 1.
@@ -56,10 +48,6 @@ class FDescriptor:
     """
 
     p: Fraction
-
-    @property
-    def name(self) -> str:
-        return f"x^-{self.p}"
 
 
 def make_power_f(p: Union[Fraction, float, int, str]) -> FDescriptor:
@@ -255,50 +243,6 @@ class VerdictCertificate(str, Enum):
     EVIDENCE = "Evidence"
 
 
-def _decimal(n: int) -> decimal.Decimal:
-    """n as an exact Decimal.  Decimal(n) takes time quadratic in the length
-    of n, so past _DIGITS_LEAF_BITS n is built from halves of its bits,
-    n = lo + hi 2^h, as CPython 3.12's _pylong does: Decimal multiplies long
-    numbers in subquadratic time."""
-    if n.bit_length() <= _DIGITS_LEAF_BITS:
-        return decimal.Decimal(n)
-    powers: Dict[int, decimal.Decimal] = {}
-
-    def power(w: int) -> decimal.Decimal:  # 2^w, each w built once
-        out = powers.get(w)
-        if out is None:
-            if w <= _DIGITS_LEAF_BITS:
-                out = decimal.Decimal(1 << w)
-            elif w - 1 in powers:
-                out = powers[w - 1] * 2
-            else:
-                out = power(w >> 1) * power(w - (w >> 1))
-            powers[w] = out
-        return out
-
-    def convert(m: int, w: int) -> decimal.Decimal:  # 0 <= m < 2^w
-        if w <= _DIGITS_LEAF_BITS:
-            return decimal.Decimal(m)
-        h = w >> 1
-        hi = m >> h
-        return convert(m - (hi << h), h) + convert(hi, w - h) * power(h)
-
-    with decimal.localcontext(_EXACT):
-        out = convert(abs(n), n.bit_length())
-    return out.copy_negate() if n < 0 else out
-
-
-def _digits(n: int) -> str:
-    """Decimal text of n.  Its callers are Verdict.to_json_dict, for the
-    evidence's q and q_next, and classify, for tail_from_q.  Past Python's
-    limit on int-to-str conversion, where str() raises, it is the text of
-    _decimal(n): str() of a Decimal takes linear time."""
-    try:
-        return str(n)
-    except ValueError:
-        return str(_decimal(n))
-
-
 @dataclass(frozen=True)
 class Verdict:
     outcome: Outcome
@@ -307,26 +251,6 @@ class Verdict:
     evidence: Tuple[CriterionTerm, ...] = ()
     evidence_partial_sum: float = 0.0
     notes: Tuple[str, ...] = ()
-
-    def to_json_dict(self) -> Dict[str, object]:
-        """The verdict as JSON values, evidence integers as decimal text."""
-        return {
-            "outcome": self.outcome.value,
-            "certificate": self.certificate.value,
-            "parameters": dict(self.parameters),
-            "evidence": [
-                {
-                    "n": t.n,
-                    "q": _digits(t.q),
-                    "q_next": _digits(t.q_next),
-                    "value": t.value if math.isfinite(t.value) else None,
-                    "log10_value": t.log10_value,
-                }
-                for t in self.evidence
-            ],
-            "evidence_partial_sum": self.evidence_partial_sum,
-            "notes": list(self.notes),
-        }
 
 
 def _liouville_divergence(source: RealSource, p: Fraction) -> Optional[str]:
@@ -448,7 +372,7 @@ def classify(
                 "mu": cert.mu,
                 "C": cert.C,
                 "eventual": cert.eventual,
-                "tail_from_q": _digits(from_q),
+                "tail_from_q": from_q,
                 "tail_bound": tail,
                 "series_bound": series.total + tail,
             },

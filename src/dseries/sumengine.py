@@ -161,26 +161,21 @@ _BERNOULLI = tuple(
 class PartialSumResult:
     value: float
     rounding_bound: float
-    terms: int
-    mode: str
 
 
 @dataclass(frozen=True)
 class DriftPrediction:
-    """Predicted secular term of S(a/q; M, N) for even q, and an allowance
-    that bounds the true sum's distance from it (see drift_predict).
+    """Magnitude of the secular term of S(a/q; M, N) for even q, and an
+    allowance that bounds the true sum's distance from -magnitude (see
+    drift_predict).
 
     (-1)^n |sin(pi n a/q)| sums to -tan(pi/2q) over every period, so the
-    drift is negative wherever the window starts.
+    drift is negative wherever the window starts: the prediction is
+    -magnitude.
     """
 
     magnitude: float
-    sign: int
     error_allowance: float
-
-    @property
-    def predicted(self) -> float:
-        return self.sign * self.magnitude
 
 
 @dataclass(frozen=True)
@@ -652,7 +647,7 @@ def _sum(
         done.append(chunk_bound)
     value = math.fsum(sums)
     bound = math.fsum(done) + 2 * _EPS * abs(value)
-    return SumTrace(tuple(rows), PartialSumResult(value, bound, terms=M, mode="direct"))
+    return SumTrace(tuple(rows), PartialSumResult(value, bound))
 
 
 def _run_blocks(eval_block: Callable[[int, int], list], grid: Sequence[int]) -> list:
@@ -1030,7 +1025,7 @@ def partial_sum_periodic(
                 magnitude += s
     value = math.fsum(parts)
     bound += _U * (magnitude + abs(value))
-    return PartialSumResult(value, bound, terms=M, mode="periodic")
+    return PartialSumResult(value, bound)
 
 
 def geometric_checkpoints(M: int) -> List[int]:
@@ -1077,8 +1072,9 @@ def scan_partial_sums(
 def drift_predict(
     a: int, q: int, f: FDescriptor, N: int, M: int, *, max_terms: int = DEFAULT_MAX_TERMS
 ) -> DriftPrediction:
-    """Secular drift of S(a/q; M, N) for even q and any N >= 1: magnitude,
-    sign, and an allowance that bounds |S - predicted|.
+    """Secular drift of S(a/q; M, N) for even q and any N >= 1: its
+    magnitude, as the drift is negative, and an allowance that bounds
+    |S + magnitude|.
 
     a is odd, so n -> a n mod q permutes the residues and keeps the parity,
     and s_n w_n = (-1)^n |sin(pi n a/q)| has period q and sums over one
@@ -1132,4 +1128,4 @@ def drift_predict(
     magnitude = mu * float(integral[0])
     rounding = mu * float(integral_err[0]) + magnitude * (8 * _U + _p_err(f, N + M))
     allowance = (z_max * f_next + mu * f_n + rounding) * (1 + 2.0 ** -40)
-    return DriftPrediction(magnitude=magnitude, sign=-1, error_allowance=float(allowance))
+    return DriftPrediction(magnitude, float(allowance))

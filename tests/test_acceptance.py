@@ -71,7 +71,7 @@ def test_04_even_q_drift_is_reproduced_within_one_percent():
     for a, q in [(1, 2), (1, 4), (3, 8)]:
         pred = ds.drift_predict(a, q, F1, 10 ** 4, 990000)
         meas = ds.partial_sum_periodic(a, q, F1, 10 ** 4, 990000)
-        assert pred.sign == -1  # N = 10^4 is even, so the drift is negative
+        assert pred.magnitude > 0  # the drift, -magnitude, is negative
         assert meas.value < 0
         rel = abs(abs(meas.value) - pred.magnitude) / pred.magnitude
         assert rel < 0.01, (a, q, rel)

@@ -7,6 +7,7 @@ import io
 import json
 import math
 import os
+import random
 import re
 import shlex
 import subprocess
@@ -26,6 +27,7 @@ from dseries.cli import (
     _COMMANDS,
     _build_parser,
     _cf_document,
+    _digits,
     _outward_floats,
     _round_dyadic,
     console_main,
@@ -501,20 +503,57 @@ def test_cf_document_texts_equal_str_of_the_integer_recurrence(pqs):
 
 
 def test_classify_writes_evidence_past_the_str_digit_limit(tmp_path):
-    alpha = "liouville:factorial"
-    out = tmp_path / "big.json"
-    argv = ["classify", alpha, "--f", "pow:1", "--budget", "100", "--json", str(out)]
-    assert console_main(argv + ["--manifest", str(tmp_path / "m.json")]) == 3
-    evidence = json.loads(out.read_text())["evidence"]
-    # lambda_7 is within 10^-40000 of alpha, so its convergents below
-    # 10^5040 are alpha's
-    pqs = euclid_cf(Fraction(*parse_alpha(alpha).liouville.truncation(7)))
-    qs = [q for _, q in cf_convergents(pqs)]
-    start = cfrac._emit_start(pqs)
-    for e in evidence:
-        idx = start + e["n"] - 1
-        assert (int(Decimal(e["q"])), int(Decimal(e["q_next"]))) == (qs[idx], qs[idx + 1])
-    assert max(len(e["q_next"]) for e in evidence) > 4300
+    # lambda_7 is within 10^-40000 of liouville:factorial, so its convergents
+    # below 10^5040 are alpha's; sqrt(n^2 + 1) = [n; 2n, 2n, ...]
+    n = 10 ** 150
+    surd = f"surd:(0+1*sqrt({n * n + 1}))/1"
+    liouville_pqs = euclid_cf(Fraction(*parse_alpha("liouville:factorial").liouville.truncation(7)))
+    for alpha, flags, code, pqs in [
+        ("liouville:factorial", ["--f", "pow:1", "--budget", "100"], 3, liouville_pqs),
+        (surd, ["--f", "pow:1/2", "--cert", "roth", "--budget", "32"], 0, [n] + [2 * n] * 40),
+    ]:
+        out = tmp_path / "big.json"
+        argv = ["classify", alpha, *flags, "--json", str(out), "--manifest", str(tmp_path / "m.json")]
+        assert console_main(argv) == code
+        doc = json.loads(out.read_text())
+        evidence = doc["evidence"]
+        qs = [q for _, q in cf_convergents(pqs)]
+        start = cfrac._emit_start(pqs)
+        for e in evidence:
+            idx = start + e["n"] - 1
+            assert (int(Decimal(e["q"])), int(Decimal(e["q_next"]))) == (qs[idx], qs[idx + 1])
+        assert max(len(e["q_next"]) for e in evidence) > 4300
+        if alpha == surd:
+            # the tail starts at twice the last evidence denominator
+            tail_from_q = doc["parameters"]["tail_from_q"]
+            assert len(tail_from_q) > 4300
+            assert Decimal(tail_from_q) == 2 * int(Decimal(evidence[-1]["q"]))
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    bits=st.one_of(st.integers(0, 2_000), st.integers(14_000, 15_000), st.integers(15_000, 70_000)),
+    seed=st.integers(0, 2 ** 64),
+    negative=st.booleans(),
+    form=st.sampled_from(["random", "power", "power-1", "power+1"]),
+)
+def test_digits_equal_str_past_the_digit_limit(bits, seed, negative, form):
+    # 4300 digits are 14 284 bits: both sides of str()'s limit, powers of two
+    # at the split points, and up to 21 000 digits
+    n = {
+        "random": random.Random(seed).getrandbits(bits) if bits else 0,
+        "power": 1 << bits,
+        "power-1": (1 << bits) - 1,
+        "power+1": (1 << bits) + 1,
+    }[form]
+    n = -n if negative else n
+    text = _digits(n)
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)  # process-wide: lifted for this one str()
+    try:
+        assert text == str(n)
+    finally:
+        sys.set_int_max_str_digits(limit)
 
 
 def test_readme_cf_example_is_verbatim_output(tmp_path, capsys):

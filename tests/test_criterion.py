@@ -3,19 +3,16 @@
 import json
 import math
 import os
-import random
 import subprocess
 import sys
-from decimal import Decimal
 from fractions import Fraction
 
 import mpmath
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 import dseries as ds
-from dseries.criterion import FDescriptor, _digits
+from dseries.cli import console_main
+from dseries.criterion import FDescriptor
 from conftest import pi_fraction
 
 
@@ -35,7 +32,7 @@ def test_power_f_matches_closure_arithmetic_bit_for_bit(p):
     # the descriptor is its exact exponent: every float weight is computed
     # from f.p where it is used
     f = ds.make_power_f(p)
-    assert f == FDescriptor(p) and f.name == f"x^-{p}"
+    assert f == FDescriptor(p)
 
 
 def test_rational_parity_verdicts():
@@ -113,7 +110,7 @@ def test_classify_expands_once_when_a_certificate_decides_nothing(monkeypatch):
     without = ds.classify(ds.make_constant("pi"), p, budget=1000)
     assert len(calls) == 2
     assert with_law.certificate is ds.VerdictCertificate.EVIDENCE
-    assert with_law.to_json_dict() == without.to_json_dict()
+    assert with_law == without
 
 
 @pytest.mark.parametrize(
@@ -264,25 +261,16 @@ def test_inconclusive_e_without_certificate():
     assert v.notes
 
 
-def test_verdict_json_dict_roundtrippable():
-    import json
-
-    v = ds.classify(
-        ds.make_constant("invpi"),
-        ds.make_power_f(1),
-        certs=["mahler"],
-    )
-    doc = v.to_json_dict()
+def test_verdict_json_dict_roundtrippable(tmp_path):
+    # the CLI's classify document of a verdict
+    out = tmp_path / "v.json"
+    argv = ["classify", "const:invpi", "--f", "pow:1", "--cert", "mahler", "--json", str(out)]
+    assert console_main(argv + ["--manifest", str(tmp_path / "m.json")]) == 0
+    doc = json.loads(out.read_text())
     encoded = json.dumps(doc, sort_keys=True)
     assert json.loads(encoded) == doc
     assert doc["outcome"] == "Converges"
-
-
-def test_verdict_json_writes_integers_past_the_str_digit_limit():
-    v = ds.classify(ds.make_liouville(ds.LiouvilleSpec()), ds.make_power_f(1), 100)
-    doc = v.to_json_dict()
-    assert [int(Decimal(e["q_next"])) for e in doc["evidence"]] == [t.q_next for t in v.evidence]
-    assert max(len(e["q_next"]) for e in doc["evidence"]) > 4300
+    assert doc["f"] == "x^-1"
 
 
 def test_budget_limits_expansion_depth():
@@ -303,7 +291,7 @@ def test_budget_limits_expansion_depth():
     ],
 )
 def test_staircase_levels_match_the_cli_report(tmp_path, schedule, p, terms, verified):
-    from dseries.cli import _json_float, console_main
+    from dseries.cli import _json_float
 
     out = tmp_path / "out.json"
     argv = ["liouville", "--schedule", schedule, "--terms", str(terms), "--p", p]
@@ -370,7 +358,7 @@ def test_mahler_tail_bound_past_the_float_range(p, budget):
     )
     assert v.outcome is ds.Outcome.CONVERGES
     assert 0 < v.parameters["tail_bound"] < math.inf
-    assert int(v.parameters["tail_from_q"]) ** 2 > 10 ** 308
+    assert v.parameters["tail_from_q"] ** 2 > 10 ** 308
 
 
 def _mp_tail_formula(mu, C, p, q):
@@ -402,29 +390,3 @@ def test_measure_tail_bound_is_never_below_its_formula(mu, C, p):
         assert bound > 0, from_q
         with mpmath.workdps(50):
             assert exact <= bound <= exact * (1 + mpmath.mpf(2) ** -30) + 2.0 ** -1073, from_q
-
-
-@settings(max_examples=150, deadline=None)
-@given(
-    bits=st.one_of(st.integers(0, 2_000), st.integers(14_000, 15_000), st.integers(15_000, 70_000)),
-    seed=st.integers(0, 2 ** 64),
-    negative=st.booleans(),
-    form=st.sampled_from(["random", "power", "power-1", "power+1"]),
-)
-def test_digits_equal_str_past_the_digit_limit(bits, seed, negative, form):
-    # 4300 digits are 14 284 bits: both sides of str()'s limit, powers of two
-    # at the split points, and up to 21 000 digits
-    n = {
-        "random": random.Random(seed).getrandbits(bits) if bits else 0,
-        "power": 1 << bits,
-        "power-1": (1 << bits) - 1,
-        "power+1": (1 << bits) + 1,
-    }[form]
-    n = -n if negative else n
-    text = _digits(n)
-    limit = sys.get_int_max_str_digits()
-    sys.set_int_max_str_digits(0)  # process-wide: lifted for this one str()
-    try:
-        assert text == str(n)
-    finally:
-        sys.set_int_max_str_digits(limit)
